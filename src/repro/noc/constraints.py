@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.noc.design import NocDesign
 from repro.noc.links import (
     Link,
     LinkKind,
+    candidate_links,
     candidate_planar_links,
     candidate_vertical_links,
     is_feasible_link,
@@ -425,6 +427,16 @@ def random_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[int, 
     return tuple(int(p) for p in placement)
 
 
+@lru_cache(maxsize=None)
+def _candidates_by_endpoint(config: PlatformConfig) -> tuple[tuple[Link, ...], ...]:
+    """Per-tile candidate links (planar pool order, then vertical), built once per platform."""
+    by_endpoint: list[list[Link]] = [[] for _ in range(config.num_tiles)]
+    for link in candidate_links(config):
+        by_endpoint[link.a].append(link)
+        by_endpoint[link.b].append(link)
+    return tuple(tuple(links) for links in by_endpoint)
+
+
 def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[Link, ...]:
     """Generate a random feasible link placement.
 
@@ -437,11 +449,7 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     grid = config.grid
     planar_candidates = candidate_planar_links(config)
     vertical_candidates = candidate_vertical_links(config)
-
-    by_endpoint: dict[int, list[Link]] = {t: [] for t in range(config.num_tiles)}
-    for link in planar_candidates + vertical_candidates:
-        by_endpoint[link.a].append(link)
-        by_endpoint[link.b].append(link)
+    by_endpoint = _candidates_by_endpoint(config)
 
     # Degree caps can occasionally starve the budget fill; retry with a
     # different spanning tree rather than returning an infeasible design.
@@ -484,7 +492,7 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
             frontier.extend(by_endpoint[new_node])
 
         # -- fill the remaining budgets ---------------------------------- #
-        def fill(candidates: list[Link], remaining: int) -> int:
+        def fill(candidates: tuple[Link, ...], remaining: int) -> int:
             order = rng.permutation(len(candidates))
             added = 0
             for idx in order:

@@ -42,7 +42,14 @@ class TileCoord:
 
 
 class Grid3D:
-    """An ``n x n x layers`` grid of tiles with linear indexing helpers."""
+    """An ``n x n x layers`` grid of tiles with linear indexing helpers.
+
+    The per-tile coordinates and edge flags are tabulated once at
+    construction; :meth:`coord` and the edge queries are table lookups.  A
+    grid is never mutated after construction, so one instance is shared by
+    every user of a platform (see :attr:`PlatformConfig.grid
+    <repro.noc.platform.PlatformConfig.grid>`).
+    """
 
     def __init__(self, n: int, layers: int):
         if n <= 0:
@@ -51,6 +58,17 @@ class Grid3D:
             raise ValueError(f"layer count must be > 0, got {layers}")
         self.n = n
         self.layers = layers
+        coords = []
+        for tile_id in range(n * n * layers):
+            z, rest = divmod(tile_id, n * n)
+            y, x = divmod(rest, n)
+            coords.append(TileCoord(x=x, y=y, z=z))
+        self._coords: tuple[TileCoord, ...] = tuple(coords)
+        self._edge_flags: tuple[bool, ...] = tuple(
+            c.x == 0 or c.y == 0 or c.x == n - 1 or c.y == n - 1 for c in coords
+        )
+        self._edge_tiles = tuple(t for t, edge in enumerate(self._edge_flags) if edge)
+        self._interior_tiles = tuple(t for t, edge in enumerate(self._edge_flags) if not edge)
 
     @property
     def tiles_per_layer(self) -> int:
@@ -74,11 +92,9 @@ class Grid3D:
 
     def coord(self, tile_id: int) -> TileCoord:
         """Convert a linear tile index to a coordinate."""
-        if not (0 <= tile_id < self.num_tiles):
+        if not 0 <= tile_id < len(self._coords):
             raise ValueError(f"tile_id {tile_id} out of range [0, {self.num_tiles})")
-        z, rest = divmod(tile_id, self.tiles_per_layer)
-        y, x = divmod(rest, self.n)
-        return TileCoord(x=x, y=y, z=z)
+        return self._coords[tile_id]
 
     def coords_arrays(self, tile_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`coord`: ``(x, y, z)`` arrays for an array of tile ids.
@@ -107,7 +123,7 @@ class Grid3D:
 
     def coords(self) -> Iterator[TileCoord]:
         """Iterate over all tile coordinates in id order."""
-        return (self.coord(t) for t in range(self.num_tiles))
+        return iter(self._coords)
 
     def is_edge_tile(self, tile_id: int) -> bool:
         """True when the tile is on the perimeter of its die.
@@ -116,21 +132,17 @@ class Grid3D:
         tiles so they can interface with off-chip main memory (Section III
         constraints).
         """
-        coord = self.coord(tile_id)
-        return (
-            coord.x == 0
-            or coord.y == 0
-            or coord.x == self.n - 1
-            or coord.y == self.n - 1
-        )
+        if not 0 <= tile_id < len(self._coords):
+            raise ValueError(f"tile_id {tile_id} out of range [0, {self.num_tiles})")
+        return self._edge_flags[tile_id]
 
     def edge_tiles(self) -> list[int]:
         """All tile ids located on a die perimeter."""
-        return [t for t in range(self.num_tiles) if self.is_edge_tile(t)]
+        return list(self._edge_tiles)
 
     def interior_tiles(self) -> list[int]:
         """All tile ids not on a die perimeter."""
-        return [t for t in range(self.num_tiles) if not self.is_edge_tile(t)]
+        return list(self._interior_tiles)
 
     def planar_distance(self, a: int, b: int) -> int:
         """Manhattan distance between two tiles within their layers."""

@@ -8,12 +8,18 @@ Two kinds of links exist (Section III):
   on adjacent layers; at most one TSV may exist between any vertical pair.
 
 A link is stored as an ordered pair of tile ids ``(a, b)`` with ``a < b``.
+
+The candidate pools are pure functions of the platform, so each platform's
+pools are built once per process and shared: every caller receives the same
+immutable tuple, in the same deterministic order (seeded draws index into
+it, so the order is part of the reproducibility contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,9 +75,9 @@ class Link:
 def link_kind(link: Link, grid: Grid3D) -> LinkKind:
     """Classify a link as planar (same layer) or vertical (same column)."""
     ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.same_layer(cb):
+    if ca.z == cb.z:
         return LinkKind.PLANAR
-    if ca.same_column(cb):
+    if ca.x == cb.x and ca.y == cb.y:
         return LinkKind.VERTICAL
     raise ValueError(f"{link} is neither planar nor vertical (diagonal links are not allowed)")
 
@@ -101,39 +107,47 @@ def is_feasible_link(link: Link, config: PlatformConfig) -> bool:
     """True when the link respects planar-length / vertical-adjacency rules."""
     grid = config.grid
     ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.same_layer(cb):
-        return 1 <= ca.planar_distance(cb) <= config.max_planar_length
-    if ca.same_column(cb):
+    if ca.z == cb.z:
+        return 1 <= abs(ca.x - cb.x) + abs(ca.y - cb.y) <= config.max_planar_length
+    if ca.x == cb.x and ca.y == cb.y:
         return abs(ca.z - cb.z) == 1
     return False
 
 
-def candidate_planar_links(config: PlatformConfig) -> list[Link]:
-    """All feasible planar links for the platform, in deterministic order."""
+@lru_cache(maxsize=None)
+def candidate_planar_links(config: PlatformConfig) -> tuple[Link, ...]:
+    """All feasible planar links for the platform, ordered by ``(a, b)``.
+
+    Built once per platform; every call returns the same tuple.
+    """
     grid = config.grid
+    per_layer = grid.tiles_per_layer
     candidates: list[Link] = []
     for a in range(config.num_tiles):
         coord_a = grid.coord(a)
-        for b in range(a + 1, config.num_tiles):
-            coord_b = grid.coord(b)
-            if not coord_a.same_layer(coord_b):
-                continue
-            if 1 <= coord_a.planar_distance(coord_b) <= config.max_planar_length:
+        layer_end = (coord_a.z + 1) * per_layer
+        for b in range(a + 1, layer_end):
+            if 1 <= coord_a.planar_distance(grid.coord(b)) <= config.max_planar_length:
                 candidates.append(Link(a, b))
-    return candidates
+    return tuple(candidates)
 
 
-def candidate_vertical_links(config: PlatformConfig) -> list[Link]:
-    """All feasible vertical (TSV) links, i.e. every vertically adjacent tile pair."""
+@lru_cache(maxsize=None)
+def candidate_vertical_links(config: PlatformConfig) -> tuple[Link, ...]:
+    """All feasible vertical (TSV) links, i.e. every vertically adjacent tile pair.
+
+    Built once per platform; every call returns the same tuple, ordered by
+    ``(a, b)``.
+    """
     grid = config.grid
     candidates: list[Link] = []
     for a in range(config.num_tiles):
         for b in grid.vertical_neighbors(a):
             if b > a:
                 candidates.append(Link(a, b))
-    return candidates
+    return tuple(candidates)
 
 
-def candidate_links(config: PlatformConfig) -> list[Link]:
+def candidate_links(config: PlatformConfig) -> tuple[Link, ...]:
     """All feasible links (planar then vertical), in deterministic order."""
     return candidate_planar_links(config) + candidate_vertical_links(config)

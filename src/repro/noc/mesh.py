@@ -9,9 +9,9 @@ baseline design.  :func:`mesh_links` produces the canonical mesh link set and
 from __future__ import annotations
 
 from repro.noc.design import NocDesign
-from repro.noc.links import Link
+from repro.noc.links import Link, candidate_planar_links
 from repro.noc.platform import PlatformConfig
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 
 def mesh_links(config: PlatformConfig) -> tuple[Link, ...]:
@@ -47,9 +47,9 @@ def mesh_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[int, ..
 
     LLCs are assigned to edge tiles spread across layers; CPUs are grouped on
     the layer closest to the sink (a common thermal-aware heuristic); GPUs
-    fill the remaining tiles.
+    fill the remaining tiles.  The placement is fully deterministic; ``rng`` is
+    accepted for API compatibility and ignored.
     """
-    rng = ensure_rng(rng)
     grid = config.grid
     edge = grid.edge_tiles()
     llc_tiles = edge[:: max(1, len(edge) // config.num_llcs)][: config.num_llcs]
@@ -79,8 +79,6 @@ def mesh_design(config: PlatformConfig, rng: RngLike = None) -> NocDesign:
     planar_now = sum(1 for l in links if grid.coord(l.a).same_layer(grid.coord(l.b)))
     missing = config.num_planar_links - planar_now
     if missing > 0:
-        from repro.noc.links import candidate_planar_links
-
         degrees = design.degrees()
         for link in candidate_planar_links(config):
             if missing == 0:

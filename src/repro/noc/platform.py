@@ -11,11 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from repro.noc.geometry import Grid3D
 from repro.utils.validation import require, require_positive
+
+
+@lru_cache(maxsize=None)
+def _shared_grid(n: int, layers: int) -> Grid3D:
+    """The one :class:`Grid3D` of an ``n x n x layers`` stack (grids are never mutated)."""
+    return Grid3D(n, layers)
 
 
 class PEType(str, Enum):
@@ -120,8 +127,12 @@ class PlatformConfig:
     # ------------------------------------------------------------------ #
     @property
     def grid(self) -> Grid3D:
-        """The tile grid of this platform."""
-        return Grid3D(self.n, self.layers)
+        """The tile grid of this platform, shared by every platform of the same shape.
+
+        The grid lives in a module cache keyed on ``(n, layers)``, not on the
+        instance, so it takes no part in equality, hashing or pickling.
+        """
+        return _shared_grid(self.n, self.layers)
 
     @property
     def num_tiles(self) -> int:

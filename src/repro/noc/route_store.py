@@ -97,7 +97,9 @@ class RouteStore:
         if not entry_path.is_file():
             return None
         try:
-            with np.load(entry_path) as payload:
+            # Open the file ourselves: np.load does not close a handle it
+            # opened when parsing the archive raises, which leaks it.
+            with open(entry_path, "rb") as handle, np.load(handle) as payload:
                 dims = payload["dims"]
                 ends = payload["link_ends"]
                 distance = payload["distance"]

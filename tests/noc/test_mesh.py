@@ -1,5 +1,7 @@
 """Tests for the reference 3D-mesh topology."""
 
+import warnings
+
 import pytest
 
 from repro.noc.constraints import ConstraintChecker
@@ -48,3 +50,9 @@ class TestMeshDesign:
         for tile, pe in enumerate(placement):
             if small_config.pe_type(pe) is PEType.LLC:
                 assert grid.is_edge_tile(tile)
+
+    def test_mesh_design_needs_no_rng(self, small_config):
+        """The mesh design is deterministic, so building it without an RNG warns about nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh_design(small_config)

@@ -6,6 +6,10 @@ reconstructs tables bit-identical to the build that was saved, or returns
 ``None`` — never wrong routes, never an exception, no matter what is on disk.
 """
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,12 +114,21 @@ class TestMissNotError:
         entry.write_bytes(b"not an npz archive")
         assert store.load(tables.links, tables.num_tiles, tables.grid) is None
 
-    def test_truncated_file_degrades_to_miss(self, tmp_path, tables):
+    def test_truncated_file_degrades_to_miss(self, tmp_path, tables, monkeypatch):
+        """A failed parse is a miss that leaves no open file behind: the
+        ResourceWarning of a leaked handle fires when it is finalized, where
+        the "error" filter turns it into an unraisable exception."""
         store = RouteStore(tmp_path)
         store.save(tables)
         (entry,) = list(tmp_path.iterdir())
         entry.write_bytes(entry.read_bytes()[:40])
-        assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+            gc.collect()
+        assert unraisable == []
 
 
 class TestEngineIntegration:
