@@ -6,7 +6,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.moo.dominance import crowding_distance, dominates
+from repro.moo.dominance import crowding_distance
 
 
 class ParetoArchive:
@@ -34,18 +34,21 @@ class ParetoArchive:
         removed.
         """
         objectives = np.asarray(objectives, dtype=np.float64).copy()
-        keep_designs: list[Any] = []
-        keep_objectives: list[np.ndarray] = []
-        for archived_design, archived_obj in zip(self._designs, self._objectives):
-            if dominates(archived_obj, objectives) or np.array_equal(archived_obj, objectives):
+        if self._objectives:
+            archived = np.asarray(self._objectives)
+            if objectives.shape != archived.shape[1:]:
+                raise ValueError(
+                    f"objective vectors must have the same shape: "
+                    f"{archived.shape[1:]} vs {objectives.shape}"
+                )
+            # A member no worse in every objective either dominates or equals the candidate.
+            if (archived <= objectives).all(axis=1).any():
                 return False
-            if not dominates(objectives, archived_obj):
-                keep_designs.append(archived_design)
-                keep_objectives.append(archived_obj)
-        keep_designs.append(design)
-        keep_objectives.append(objectives)
-        self._designs = keep_designs
-        self._objectives = keep_objectives
+            dominated = (objectives <= archived).all(axis=1) & (objectives < archived).any(axis=1)
+            self._designs = [d for d, drop in zip(self._designs, dominated) if not drop]
+            self._objectives = [o for o, drop in zip(self._objectives, dominated) if not drop]
+        self._designs.append(design)
+        self._objectives.append(objectives)
         self._truncate()
         return True
 

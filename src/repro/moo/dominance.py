@@ -2,12 +2,16 @@
 
 A vector ``a`` dominates ``b`` when it is no worse in every objective and
 strictly better in at least one.  These functions back the Pareto archive,
-NSGA-II's non-dominated sorting and the hypervolume routines.
+NSGA-II's non-dominated sorting and the hypervolume routines, which all
+compare rows through one vectorized kernel, :func:`dominance_matrix`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Rows per block of the dominance kernel: bounds its broadcast temporaries.
+_BLOCK_ROWS = 256
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -19,21 +23,28 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of an ``n x M`` objective matrix."""
+def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """``n x n`` boolean matrix whose entry ``[i, j]`` is True when row ``i`` dominates row ``j``.
+
+    Rows are compared in fixed-size blocks, so the broadcast temporaries stay
+    O(block * n * M) however many rows the matrix has.
+    """
     objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
     n = len(objectives)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        for j in range(n):
-            if i == j or not mask[j]:
-                continue
-            if dominates(objectives[j], objectives[i]):
-                mask[i] = False
-                break
-    return mask
+    matrix = np.empty((n, n), dtype=bool)
+    others = objectives[np.newaxis, :, :]
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = objectives[start : start + _BLOCK_ROWS, np.newaxis, :]
+        matrix[start : start + _BLOCK_ROWS] = (rows <= others).all(-1) & (rows < others).any(-1)
+    return matrix
+
+
+def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
+    """Boolean mask of the non-dominated rows of an ``n x M`` objective matrix.
+
+    Duplicate rows do not dominate each other, so both copies are kept.
+    """
+    return ~dominance_matrix(objectives).any(axis=0)
 
 
 def non_dominated_front(objectives: np.ndarray) -> np.ndarray:
@@ -48,21 +59,11 @@ def fast_non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
     Returns the list of fronts; each front is a list of row indices, the first
     front being the non-dominated set.
     """
-    objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
-    n = len(objectives)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=np.int64)
+    matrix = dominance_matrix(objectives)
+    dominated_by = [np.flatnonzero(row).tolist() for row in matrix]
+    domination_count = matrix.sum(axis=0)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-
-    fronts: list[list[int]] = [[i for i in range(n) if domination_count[i] == 0]]
+    fronts: list[list[int]] = [np.flatnonzero(domination_count == 0).tolist()]
     current = 0
     while fronts[current]:
         next_front: list[int] = []

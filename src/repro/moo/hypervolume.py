@@ -47,26 +47,33 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _wfg(points: np.ndarray, reference: np.ndarray) -> float:
-    """WFG exclusive-hypervolume recursion on a mutually non-dominated set."""
-    if len(points) == 0:
-        return 0.0
+    """WFG exclusive-hypervolume recursion.
+
+    ``points`` must be mutually non-dominated and strictly better than
+    ``reference`` in every objective; both public entry points filter to that.
+    """
     if len(points) == 1:
         return float(np.prod(reference - points[0]))
     # Sort by the first objective (descending volume contribution order helps
     # keep the limited sets small).
     order = np.argsort(points[:, 0], kind="stable")
     points = points[order]
+    # The WFG float-operation order is part of the seeded contract: each box
+    # is the same product as ``np.prod(reference - point)``, and the
+    # subtraction and accumulation below keep their order.
+    boxes = np.prod(reference - points, axis=1)
     total = 0.0
     for idx in range(len(points)):
         point = points[idx]
-        exclusive = float(np.prod(reference - point))
+        exclusive = float(boxes[idx])
         if idx + 1 < len(points):
             # Limit the remaining points to the region dominated by `point`.
+            # The max of two points inside the reference box is inside it, so
+            # nothing needs dropping; a single point is non-dominated.
             limited = np.maximum(points[idx + 1 :], point)
-            limited = limited[np.all(limited < reference, axis=1)]
-            if len(limited) > 0:
+            if len(limited) > 1:
                 limited = limited[non_dominated_mask(limited)]
-                exclusive -= _wfg(limited, reference)
+            exclusive -= _wfg(limited, reference)
         total += exclusive
     return total
 

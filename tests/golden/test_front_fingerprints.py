@@ -29,7 +29,7 @@ from repro.noc.platform import PlatformConfig
 
 GOLDEN_PATH = Path(__file__).with_name("fronts.json")
 
-ALGORITHMS = ("NSGA-II", "MOELA", "MOOS")
+ALGORITHMS = ("NSGA-II", "MOELA", "MOOS", "MOO-STAGE", "MOEA/D")
 PLATFORMS = ("small_3x3x3", "paper_4x4x4")
 APPLICATION = "BFS"
 NUM_OBJECTIVES = 5

@@ -62,12 +62,12 @@ class TestValidation:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            RandomForestRegressor(n_estimators=2).fit(np.zeros((3, 2)), np.zeros(4))
+            RandomForestRegressor(n_estimators=2, rng=0).fit(np.zeros((3, 2)), np.zeros(4))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            RandomForestRegressor(n_estimators=2).fit(np.zeros((0, 2)), np.zeros(0))
+            RandomForestRegressor(n_estimators=2, rng=0).fit(np.zeros((0, 2)), np.zeros(0))
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            RandomForestRegressor(n_estimators=2).predict(np.zeros((1, 2)))
+            RandomForestRegressor(n_estimators=2, rng=0).predict(np.zeros((1, 2)))

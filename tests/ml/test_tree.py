@@ -61,19 +61,19 @@ class TestFitting:
 class TestValidation:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            DecisionTreeRegressor().fit(np.zeros((3, 2)), np.zeros(4))
+            DecisionTreeRegressor(rng=0).fit(np.zeros((3, 2)), np.zeros(4))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            DecisionTreeRegressor().fit(np.zeros((0, 2)), np.zeros(0))
+            DecisionTreeRegressor(rng=0).fit(np.zeros((0, 2)), np.zeros(0))
 
     def test_one_dimensional_x_rejected(self):
         with pytest.raises(ValueError):
-            DecisionTreeRegressor().fit(np.zeros(5), np.zeros(5))
+            DecisionTreeRegressor(rng=0).fit(np.zeros(5), np.zeros(5))
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            DecisionTreeRegressor().predict(np.zeros((1, 2)))
+            DecisionTreeRegressor(rng=0).predict(np.zeros((1, 2)))
 
     def test_feature_count_mismatch_on_predict(self):
         tree = DecisionTreeRegressor(rng=0).fit(np.zeros((10, 2)), np.zeros(10))

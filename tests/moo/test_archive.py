@@ -45,6 +45,15 @@ class TestArchiveUpdates:
                 if i != j:
                     assert not dominates(objectives[i], objectives[j])
 
+    def test_wrong_length_candidate_rejected_on_non_empty_archive(self):
+        archive = ParetoArchive()
+        archive.add("a", [1.0, 2.0])
+        with pytest.raises(ValueError):
+            archive.add("b", [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            archive.add("c", [0.5])
+        assert archive.designs == ["a"]
+
     def test_add_many_counts_insertions(self):
         archive = ParetoArchive()
         inserted = archive.add_many(["a", "b", "c"], np.array([[1.0, 3.0], [3.0, 1.0], [4.0, 4.0]]))

@@ -1,10 +1,14 @@
 """Tests for Pareto-dominance utilities."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.moo.dominance import (
     crowding_distance,
+    dominance_matrix,
     dominates,
     fast_non_dominated_sort,
     non_dominated_front,
@@ -31,6 +35,17 @@ class TestDominates:
             dominates([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+class TestDominanceMatrix:
+    def test_entry_ij_means_row_i_dominates_row_j(self):
+        objectives = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 3.0], [1.0, 1.0]])
+        expected = [[dominates(a, b) for b in objectives] for a in objectives]
+        assert dominance_matrix(objectives).tolist() == expected
+        assert dominance_matrix(objectives)[0].tolist() == [False, True, True, False]
+
+    def test_empty_matrix(self):
+        assert dominance_matrix(np.empty((0, 3))).shape == (0, 0)
+
+
 class TestNonDominated:
     def test_mask_identifies_front(self):
         objectives = np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0], [3.0, 3.0]])
@@ -48,6 +63,25 @@ class TestNonDominated:
     def test_duplicates_are_both_kept(self):
         objectives = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         assert non_dominated_mask(objectives).tolist() == [True, True, False]
+
+    def test_large_matrix_mask_is_exact_and_row_blocked(self):
+        # 2,000 integer points with the same coordinate sum are mutually
+        # non-dominated; a copy of each shifted by +1 in every objective is
+        # dominated by its original.  A single 4,000 x 4,000 x 5 broadcast would
+        # allocate ~160 MB of comparison temporaries; the row-blocked kernel
+        # stays far below that.
+        simplex = [c for c in itertools.product(range(14), repeat=5) if sum(c) == 13][:2000]
+        front = np.array(simplex, dtype=np.float64)
+        objectives = np.vstack([front, front + 1.0])
+        tracemalloc.start()
+        try:
+            mask = non_dominated_mask(objectives)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert objectives.shape == (4000, 5)
+        assert mask.tolist() == [True] * 2000 + [False] * 2000
+        assert peak < 64 * 1024 * 1024
 
 
 class TestSorting:

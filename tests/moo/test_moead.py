@@ -57,15 +57,15 @@ class TestMOEAD:
     def test_invalid_parameters(self):
         problem = GridAnchorProblem(2)
         with pytest.raises(ValueError):
-            MOEAD(problem, population_size=1)
+            MOEAD(problem, population_size=1, rng=0)
         with pytest.raises(ValueError):
-            MOEAD(problem, neighborhood_size=1)
+            MOEAD(problem, neighborhood_size=1, rng=0)
         with pytest.raises(ValueError):
-            MOEAD(problem, delta=1.5)
+            MOEAD(problem, delta=1.5, rng=0)
         with pytest.raises(ValueError):
-            MOEAD(problem, replacement_limit=0)
+            MOEAD(problem, replacement_limit=0, rng=0)
         with pytest.raises(ValueError):
-            MOEAD(problem, mutation_probability=-0.1)
+            MOEAD(problem, mutation_probability=-0.1, rng=0)
 
     def test_reproducible_with_seed(self):
         result_a = MOEAD(GridAnchorProblem(2), population_size=8, rng=9).run(Budget.iterations(3))

@@ -58,8 +58,8 @@ class TestMOOStage:
     def test_invalid_parameters(self):
         problem = GridAnchorProblem(2)
         with pytest.raises(ValueError):
-            MOOStage(problem, searches_per_iteration=0)
+            MOOStage(problem, searches_per_iteration=0, rng=0)
         with pytest.raises(ValueError):
-            MOOStage(problem, local_search_steps=0)
+            MOOStage(problem, local_search_steps=0, rng=0)
         with pytest.raises(ValueError):
-            MOOStage(problem, neighbors_per_step=0)
+            MOOStage(problem, neighbors_per_step=0, rng=0)

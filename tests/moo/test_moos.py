@@ -67,10 +67,10 @@ class TestMOOS:
     def test_invalid_parameters(self):
         problem = GridAnchorProblem(2)
         with pytest.raises(ValueError):
-            MOOS(problem, searches_per_iteration=0)
+            MOOS(problem, searches_per_iteration=0, rng=0)
         with pytest.raises(ValueError):
-            MOOS(problem, local_search_steps=0)
+            MOOS(problem, local_search_steps=0, rng=0)
         with pytest.raises(ValueError):
-            MOOS(problem, neighbors_per_step=0)
+            MOOS(problem, neighbors_per_step=0, rng=0)
         with pytest.raises(ValueError):
-            MOOS(problem, num_directions=1)
+            MOOS(problem, num_directions=1, rng=0)

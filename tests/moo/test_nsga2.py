@@ -47,9 +47,9 @@ class TestNSGA2:
     def test_invalid_probabilities(self):
         problem = GridAnchorProblem(2)
         with pytest.raises(ValueError):
-            NSGA2(problem, crossover_probability=1.5)
+            NSGA2(problem, crossover_probability=1.5, rng=0)
         with pytest.raises(ValueError):
-            NSGA2(problem, mutation_probability=-0.2)
+            NSGA2(problem, mutation_probability=-0.2, rng=0)
 
     def test_reproducible_with_seed(self):
         a = NSGA2(GridAnchorProblem(2), population_size=8, rng=7).run(Budget.iterations(3))

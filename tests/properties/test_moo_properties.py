@@ -10,6 +10,7 @@ from repro.moo.dominance import dominates, fast_non_dominated_sort, non_dominate
 from repro.moo.hypervolume import hypervolume, hypervolume_contribution
 from repro.moo.scalarization import tchebycheff, weighted_distance
 from repro.moo.weights import uniform_weights
+from tests.oracles import pareto as oracle
 
 SETTINGS = settings(
     max_examples=40,
@@ -115,3 +116,46 @@ def test_archive_members_are_mutually_non_dominated(objectives):
         for j in range(len(stored)):
             if i != j:
                 assert not dominates(stored[i], stored[j])
+
+
+@st.composite
+def tied_fronts(draw):
+    """An ``n x M`` matrix (M in 2..5, n <= 16) with ties, duplicate rows and a
+    reference point that some rows reach or exceed, plus a candidate point."""
+    num_objectives = draw(st.integers(min_value=2, max_value=5))
+    num_rows = draw(st.integers(min_value=1, max_value=16))
+    # Small integers make ties; full-mantissa fractions make every float
+    # rounding step of the hypervolume recursion visible to ``==``.
+    values = st.one_of(
+        st.integers(min_value=0, max_value=4).map(float),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0, max_value=2**52).map(lambda k: 4.0 * k / 2**52),
+    )
+    rows = draw(arrays(np.float64, (num_rows, num_objectives), elements=values))
+    row_index = st.integers(min_value=0, max_value=num_rows - 1)
+    for source, target in draw(st.lists(st.tuples(row_index, row_index), max_size=4)):
+        rows[target] = rows[source]
+    offset = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+    offsets = draw(arrays(np.float64, num_objectives, elements=offset))
+    reference = rows.max(axis=0) + offsets
+    point = draw(arrays(np.float64, num_objectives, elements=values))
+    return rows, reference, point
+
+
+@given(case=tied_fronts(), max_size=st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
+@SETTINGS
+def test_array_pareto_bookkeeping_matches_per_pair_oracles_exactly(case, max_size):
+    rows, reference, point = case
+    assert non_dominated_mask(rows).tolist() == oracle.non_dominated_mask(rows).tolist()
+    assert fast_non_dominated_sort(rows) == oracle.fast_non_dominated_sort(rows)
+
+    archive, expected = ParetoArchive(max_size=max_size), oracle.ParetoArchive(max_size=max_size)
+    for idx, row in enumerate(rows):
+        assert archive.add(idx, row) == expected.add(idx, row)
+    assert archive.designs == expected.designs
+    assert archive.objectives.tolist() == expected.objectives.tolist()
+
+    assert hypervolume(rows, reference) == oracle.hypervolume(rows, reference)
+    assert hypervolume_contribution(point, rows, reference) == oracle.hypervolume_contribution(
+        point, rows, reference
+    )

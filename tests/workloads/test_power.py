@@ -30,7 +30,7 @@ class TestPowerModel:
 
     def test_negative_activity_rejected(self, small_config):
         with pytest.raises(ValueError):
-            DEFAULT_POWER_MODEL.generate(small_config, cpu_activity=-1.0)
+            DEFAULT_POWER_MODEL.generate(small_config, cpu_activity=-1.0, rng=0)
 
     def test_cpu_draws_more_than_llc_on_average(self, small_config):
         power = DEFAULT_POWER_MODEL.generate(small_config, rng=np.random.default_rng(1))
