@@ -1,9 +1,11 @@
 """Golden front fingerprints: seeded searches must reproduce their recorded fronts bit for bit.
 
-Each case runs one optimizer on one platform (BFS, 5 objectives, identity
-scenario, small budget) through the public front door and hashes the final
-archive: the exact bits of every objective value, every design key and the
-evaluation count.  The recorded values in ``fronts.json`` pin the seeded
+Each case runs one optimizer on one platform (BFS, small budget) through
+the public front door and hashes the final archive: the exact bits of every
+objective value, every design key and the evaluation count.  The grid is
+every optimizer x platform at 5 and at 3 objectives under the identity
+scenario, plus one faulted cell (a ``link_failure`` scenario, which draws
+its failed links from a stream keyed on ``repr(design.key())``).  The recorded values in ``fronts.json`` pin the seeded
 behaviour, so a refactor or speed-up that changes any RNG draw, candidate
 order or objective bit fails here.
 
@@ -32,12 +34,31 @@ GOLDEN_PATH = Path(__file__).with_name("fronts.json")
 ALGORITHMS = ("NSGA-II", "MOELA", "MOOS", "MOO-STAGE", "MOEA/D")
 PLATFORMS = ("small_3x3x3", "paper_4x4x4")
 APPLICATION = "BFS"
-NUM_OBJECTIVES = 5
+OBJECTIVE_COUNTS = (5, 3)
+FAULTED_CELL = ("MOELA", "small_3x3x3", 5, "link_failure(k=1,mode=remove,derate_factor=0.5)")
 BUDGET = 120
 POPULATION = 8
 SEED = 2023
 
-CASES = [f"{algorithm}@{platform}" for algorithm in ALGORITHMS for platform in PLATFORMS]
+
+def case_name(algorithm: str, platform: str, objectives: int = 5, scenario: str = "identity") -> str:
+    """Golden-table key; the 5-objective identity cells keep their bare names."""
+    name = f"{algorithm}@{platform}"
+    if objectives != 5:
+        name += f"/{objectives}obj"
+    if scenario != "identity":
+        name += f"/{scenario}"
+    return name
+
+
+CELLS = {
+    case_name(algorithm, platform, objectives): (algorithm, platform, objectives, "identity")
+    for objectives in OBJECTIVE_COUNTS
+    for algorithm in ALGORITHMS
+    for platform in PLATFORMS
+}
+CELLS[case_name(*FAULTED_CELL)] = FAULTED_CELL
+CASES = list(CELLS)
 
 
 def front_fingerprint(result) -> str:
@@ -52,14 +73,16 @@ def front_fingerprint(result) -> str:
 
 def run_case(case: str) -> dict:
     """Run one golden case and return its fingerprint record."""
-    algorithm, platform = case.split("@")
+    algorithm, platform, objectives, scenario = CELLS[case]
     experiment = replace(
         ExperimentConfig(),
         platform=getattr(PlatformConfig, platform)(),
         population_size=POPULATION,
         max_evaluations=BUDGET,
     )
-    problem = make_problem(experiment, APPLICATION, NUM_OBJECTIVES)
+    problem = make_problem(
+        experiment, APPLICATION, objectives, scenario_model=scenario, scenario_seed=SEED
+    )
     result = run_algorithm(
         algorithm, problem, experiment, budget=Budget.evaluations(BUDGET), seed=SEED
     )
