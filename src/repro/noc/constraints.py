@@ -29,6 +29,7 @@ from repro.noc.links import (
     candidate_links,
     candidate_planar_links,
     candidate_vertical_links,
+    feasible_link_set,
     is_feasible_link,
     link_kind,
 )
@@ -338,6 +339,7 @@ class ConstraintChecker:
             )
         planar = 0
         vertical = 0
+        feasible = feasible_link_set(config)
         for link in design.links:
             if link.a >= config.num_tiles or link.b >= config.num_tiles:
                 found.append(
@@ -348,7 +350,7 @@ class ConstraintChecker:
                     )
                 )
                 continue
-            if not is_feasible_link(link, config):
+            if link not in feasible:
                 found.append(
                     ConstraintViolation(
                         "link-shape",
@@ -447,6 +449,8 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     """
     rng = ensure_rng(rng)
     grid = config.grid
+    num_tiles = config.num_tiles
+    max_degree = config.max_router_degree
     planar_candidates = candidate_planar_links(config)
     vertical_candidates = candidate_vertical_links(config)
     by_endpoint = _candidates_by_endpoint(config)
@@ -456,56 +460,57 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     # The retry is a loop (not recursion) so tightly-budgeted big platforms
     # cannot overflow the interpreter stack before a feasible draw lands.
     while True:
-        degrees = np.zeros(config.num_tiles, dtype=np.int64)
+        degrees = [0] * num_tiles
         chosen: set[Link] = set()
         planar_used = 0
         vertical_used = 0
 
         # -- random spanning tree (randomised Prim) --------------------- #
-        root = int(rng.integers(config.num_tiles))
+        root = int(rng.integers(num_tiles))
         in_tree = {root}
         frontier: list[Link] = list(by_endpoint[root])
-        while len(in_tree) < config.num_tiles:
+        while len(in_tree) < num_tiles:
             if not frontier:
                 raise RuntimeError("candidate link set cannot connect all tiles")
             idx = int(rng.integers(len(frontier)))
             link = frontier.pop(idx)
-            inside_a, inside_b = link.a in in_tree, link.b in in_tree
-            if inside_a == inside_b:
+            a, b = link
+            inside_a = a in in_tree
+            if inside_a == (b in in_tree):
                 continue
-            if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
+            if degrees[a] >= max_degree or degrees[b] >= max_degree:
                 continue
-            kind = link_kind(link, grid)
-            if kind is LinkKind.PLANAR and planar_used >= config.num_planar_links:
+            planar = link_kind(link, grid) is LinkKind.PLANAR
+            if planar and planar_used >= config.num_planar_links:
                 continue
-            if kind is LinkKind.VERTICAL and vertical_used >= config.num_vertical_links:
+            if not planar and vertical_used >= config.num_vertical_links:
                 continue
             chosen.add(link)
-            degrees[link.a] += 1
-            degrees[link.b] += 1
-            if kind is LinkKind.PLANAR:
+            degrees[a] += 1
+            degrees[b] += 1
+            if planar:
                 planar_used += 1
             else:
                 vertical_used += 1
-            new_node = link.b if inside_a else link.a
+            new_node = b if inside_a else a
             in_tree.add(new_node)
             frontier.extend(by_endpoint[new_node])
 
         # -- fill the remaining budgets ---------------------------------- #
         def fill(candidates: tuple[Link, ...], remaining: int) -> int:
-            order = rng.permutation(len(candidates))
             added = 0
-            for idx in order:
+            for idx in rng.permutation(len(candidates)).tolist():
                 if added >= remaining:
                     break
-                link = candidates[int(idx)]
+                link = candidates[idx]
                 if link in chosen:
                     continue
-                if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
+                a, b = link
+                if degrees[a] >= max_degree or degrees[b] >= max_degree:
                     continue
                 chosen.add(link)
-                degrees[link.a] += 1
-                degrees[link.b] += 1
+                degrees[a] += 1
+                degrees[b] += 1
                 added += 1
             return added
 
@@ -546,9 +551,12 @@ def repair_links(
     grid = config.grid
     checker = ConstraintChecker(config)
 
-    kept: list[Link] = [link for link in sorted(set(design.links)) if is_feasible_link(link, config)]
-    planar = [link for link in kept if link_kind(link, grid) is LinkKind.PLANAR]
-    vertical = [link for link in kept if link_kind(link, grid) is LinkKind.VERTICAL]
+    feasible = feasible_link_set(config)
+    kept: list[Link] = [link for link in sorted(set(design.links)) if link in feasible]
+    planar: list[Link] = []
+    vertical: list[Link] = []
+    for link in kept:
+        (planar if link_kind(link, grid) is LinkKind.PLANAR else vertical).append(link)
 
     def trim(links: list[Link], budget: int) -> list[Link]:
         if len(links) <= budget:
@@ -580,21 +588,24 @@ def _enforce_degree_cap(design: NocDesign, config: PlatformConfig, rng) -> NocDe
     if not over:
         return design
     rng.shuffle(links)
+    max_degree = config.max_router_degree
     kept: list[Link] = []
-    counts = np.zeros(config.num_tiles, dtype=np.int64)
+    counts = [0] * config.num_tiles
     for link in links:
-        if counts[link.a] >= config.max_router_degree or counts[link.b] >= config.max_router_degree:
+        a, b = link
+        if counts[a] >= max_degree or counts[b] >= max_degree:
             continue
         kept.append(link)
-        counts[link.a] += 1
-        counts[link.b] += 1
+        counts[a] += 1
+        counts[b] += 1
     return NocDesign(placement=design.placement, links=tuple(kept))
 
 
 def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
     grid = config.grid
+    max_degree = config.max_router_degree
     links = set(design.links)
-    degrees = design.degrees()
+    degrees = design.degrees().tolist()
     partition = design.links_by_kind(grid)
     needs = {
         LinkKind.PLANAR: config.num_planar_links - len(partition[LinkKind.PLANAR]),
@@ -608,19 +619,19 @@ def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
         if needed <= 0:
             continue
         pool = pools[kind]
-        order = rng.permutation(len(pool))
         added = 0
-        for idx in order:
+        for idx in rng.permutation(len(pool)).tolist():
             if added >= needed:
                 break
-            link = pool[int(idx)]
+            link = pool[idx]
             if link in links:
                 continue
-            if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
+            a, b = link
+            if degrees[a] >= max_degree or degrees[b] >= max_degree:
                 continue
             links.add(link)
-            degrees[link.a] += 1
-            degrees[link.b] += 1
+            degrees[a] += 1
+            degrees[b] += 1
             added += 1
     return NocDesign(placement=design.placement, links=tuple(sorted(links)))
 

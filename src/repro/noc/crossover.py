@@ -16,8 +16,6 @@ always works with feasible designs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.noc.constraints import repair_links
 from repro.noc.design import MoveDelta, NocDesign, annotate_move
 from repro.noc.links import LinkKind, link_kind
@@ -92,24 +90,24 @@ def crossover_links(
     exclusive = list((set_a | set_b) - common)
     rng.shuffle(exclusive)
 
-    budgets = {
-        LinkKind.PLANAR: config.num_planar_links,
-        LinkKind.VERTICAL: config.num_vertical_links,
-    }
-    counts = {LinkKind.PLANAR: 0, LinkKind.VERTICAL: 0}
+    # Per-kind budgets and counts indexed by ``is planar`` (False, True).
+    budgets = (config.num_vertical_links, config.num_planar_links)
+    counts = [0, 0]
+    max_degree = config.max_router_degree
     chosen = set()
-    degrees = np.zeros(config.num_tiles, dtype=np.int64)
+    degrees = [0] * config.num_tiles
 
     def try_add(link) -> None:
-        kind = link_kind(link, grid)
-        if counts[kind] >= budgets[kind]:
+        planar = link_kind(link, grid) is LinkKind.PLANAR
+        if counts[planar] >= budgets[planar]:
             return
-        if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
+        a, b = link
+        if degrees[a] >= max_degree or degrees[b] >= max_degree:
             return
         chosen.add(link)
-        counts[kind] += 1
-        degrees[link.a] += 1
-        degrees[link.b] += 1
+        counts[planar] += 1
+        degrees[a] += 1
+        degrees[b] += 1
 
     for link in sorted(common):
         try_add(link)

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.noc.geometry import Grid3D
-from repro.noc.links import Link, LinkKind, link_kind, link_lengths_array
+from repro.noc.links import Link, LinkKind, link_ends, link_kind, link_lengths_array
 from repro.noc.platform import PEType, PlatformConfig
 
 
@@ -56,10 +56,13 @@ class NocDesign:
     def from_arrays(
         cls, placement: Sequence[int], links: Iterable[tuple[int, int] | Link]
     ) -> "NocDesign":
-        """Build a design from a placement sequence and link endpoint pairs."""
+        """Build a design from a placement sequence and link endpoint pairs.
+
+        Endpoints must be integers (Python or numpy); a float or string
+        endpoint raises :class:`TypeError` instead of being truncated.
+        """
         normalized = tuple(
-            link if isinstance(link, Link) else Link.make(int(link[0]), int(link[1]))
-            for link in links
+            link if isinstance(link, Link) else Link.make(link[0], link[1]) for link in links
         )
         return cls(placement=tuple(int(p) for p in placement), links=normalized)
 
@@ -112,10 +115,9 @@ class NocDesign:
 
     def degrees(self) -> np.ndarray:
         """Router degree (number of attached links) for every tile."""
-        degrees = np.zeros(self.num_tiles, dtype=np.int64)
-        for link in self.links:
-            degrees[link.a] += 1
-            degrees[link.b] += 1
+        degrees = np.bincount(link_ends(self.links).ravel(), minlength=self.num_tiles)
+        if degrees.size > self.num_tiles:
+            raise IndexError(f"a link endpoint lies outside the {self.num_tiles} placed tiles")
         return degrees
 
     def links_by_kind(self, grid: Grid3D) -> dict[LinkKind, list[Link]]:

@@ -44,10 +44,12 @@ class TileCoord:
 class Grid3D:
     """An ``n x n x layers`` grid of tiles with linear indexing helpers.
 
-    The per-tile coordinates and edge flags are tabulated once at
-    construction; :meth:`coord` and the edge queries are table lookups.  A
-    grid is never mutated after construction, so one instance is shared by
-    every user of a platform (see :attr:`PlatformConfig.grid
+    The per-tile coordinates, layers, columns and edge flags are tabulated
+    once at construction; :meth:`coord` and the edge queries are table
+    lookups, and :attr:`tile_layers` / :attr:`tile_columns` let hot loops
+    (link classification) compare plain ints.  A grid is never mutated
+    after construction, so one instance is shared by every user of a
+    platform (see :attr:`PlatformConfig.grid
     <repro.noc.platform.PlatformConfig.grid>`).
     """
 
@@ -64,6 +66,10 @@ class Grid3D:
             y, x = divmod(rest, n)
             coords.append(TileCoord(x=x, y=y, z=z))
         self._coords: tuple[TileCoord, ...] = tuple(coords)
+        #: Layer (``z``) of every tile, indexed by tile id.
+        self.tile_layers: tuple[int, ...] = tuple(c.z for c in coords)
+        #: Single-tile-stack (column) index of every tile, indexed by tile id.
+        self.tile_columns: tuple[int, ...] = tuple(c.y * n + c.x for c in coords)
         self._edge_flags: tuple[bool, ...] = tuple(
             c.x == 0 or c.y == 0 or c.x == n - 1 or c.y == n - 1 for c in coords
         )

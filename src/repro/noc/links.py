@@ -7,7 +7,9 @@ Two kinds of links exist (Section III):
 * **vertical links** (TSVs) connect two routers in the same single-tile stack
   on adjacent layers; at most one TSV may exist between any vertical pair.
 
-A link is stored as an ordered pair of tile ids ``(a, b)`` with ``a < b``.
+A link is stored as an ordered pair of tile ids ``(a, b)`` with ``a < b``;
+:class:`Link` is a validating tuple subclass, so it hashes, compares and
+sorts exactly like that pair.
 
 The candidate pools are pure functions of the platform, so each platform's
 pools are built once per process and shared: every caller receives the same
@@ -17,9 +19,11 @@ it, so the order is part of the reproducibility contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,24 +39,28 @@ class LinkKind(str, Enum):
     VERTICAL = "vertical"
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    """An undirected link between two tiles (stored with ``a < b``)."""
+class Link(namedtuple("Link", "a b")):
+    """An undirected link between two tiles (stored with ``a < b``).
 
-    a: int
-    b: int
+    A validating ``(a, b)`` tuple: hashing, equality and ordering are the
+    plain tuple operations (they run in C on every set lookup and design
+    sort), so a link equals, hashes and sorts like its endpoint pair —
+    ``Link(0, 1) == (0, 1)``.  Endpoints go through :func:`operator.index`:
+    numpy integers become Python ints (anything keyed on a link's textual
+    form, e.g. the scenario RNG streams hashing ``str(design.key())``, must
+    not depend on whether a caller passed ``np.int64(4)`` or ``4``), while
+    floats and strings raise :class:`TypeError`.
+    """
 
-    def __post_init__(self) -> None:
-        # Canonicalise to Python ints: numpy endpoints leak in from array
-        # code, and anything keyed on a link's textual form (e.g. the
-        # scenario RNG streams hashing str(design.key())) must not depend
-        # on whether a caller passed np.int64(4) or 4.
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        if self.a == self.b:
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "Link":
+        a, b = index(a), index(b)
+        if a == b:
             raise ValueError("a link cannot connect a tile to itself")
-        if self.a > self.b:
+        if a > b:
             raise ValueError("links must be stored with a < b; use Link.make()")
+        return tuple.__new__(cls, (a, b))
 
     @classmethod
     def make(cls, a: int, b: int) -> "Link":
@@ -72,12 +80,22 @@ class Link:
         raise ValueError(f"tile {tile_id} is not an endpoint of {self}")
 
 
+def _check_in_grid(link: Link, num_tiles: int) -> None:
+    # ``a < b`` holds for every Link, so the two outer checks cover both
+    # endpoints — and keep negative ids from wrapping in tuple lookups.
+    if link[0] < 0 or link[1] >= num_tiles:
+        raise ValueError(f"{link} references a tile id out of range [0, {num_tiles})")
+
+
 def link_kind(link: Link, grid: Grid3D) -> LinkKind:
     """Classify a link as planar (same layer) or vertical (same column)."""
-    ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.z == cb.z:
+    a, b = link
+    layers = grid.tile_layers
+    if a < 0 or b >= len(layers):
+        _check_in_grid(link, len(layers))
+    if layers[a] == layers[b]:
         return LinkKind.PLANAR
-    if ca.x == cb.x and ca.y == cb.y:
+    if grid.tile_columns[a] == grid.tile_columns[b]:
         return LinkKind.VERTICAL
     raise ValueError(f"{link} is neither planar nor vertical (diagonal links are not allowed)")
 
@@ -87,6 +105,16 @@ def link_length(link: Link, grid: Grid3D) -> int:
     return grid.manhattan_distance(link.a, link.b)
 
 
+def link_ends(links: Sequence[Link]) -> np.ndarray:
+    """``(len(links), 2)`` int64 array of the links' ``(a, b)`` endpoints.
+
+    Flattens the endpoint tuples through one C-level iterator; ``np.array``
+    over a sequence of tuple subclasses is several times slower.
+    """
+    flat = np.fromiter(chain.from_iterable(links), dtype=np.int64, count=2 * len(links))
+    return flat.reshape(-1, 2)
+
+
 def link_lengths_array(links: Sequence[Link] | Iterable[Link], grid: Grid3D) -> np.ndarray:
     """Vectorized :func:`link_length` for a sequence of links (``d_k`` vector).
 
@@ -94,24 +122,10 @@ def link_lengths_array(links: Sequence[Link] | Iterable[Link], grid: Grid3D) -> 
     (routing tables, design statistics) call this so the length formula lives
     in one module.
     """
-    links = list(links)
-    num = len(links)
-    ends_a = np.fromiter((link.a for link in links), dtype=np.int64, count=num)
-    ends_b = np.fromiter((link.b for link in links), dtype=np.int64, count=num)
-    xa, ya, za = grid.coords_arrays(ends_a)
-    xb, yb, zb = grid.coords_arrays(ends_b)
+    ends = link_ends(tuple(links))
+    xa, ya, za = grid.coords_arrays(ends[:, 0])
+    xb, yb, zb = grid.coords_arrays(ends[:, 1])
     return (np.abs(xa - xb) + np.abs(ya - yb) + np.abs(za - zb)).astype(np.float64)
-
-
-def is_feasible_link(link: Link, config: PlatformConfig) -> bool:
-    """True when the link respects planar-length / vertical-adjacency rules."""
-    grid = config.grid
-    ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.z == cb.z:
-        return 1 <= abs(ca.x - cb.x) + abs(ca.y - cb.y) <= config.max_planar_length
-    if ca.x == cb.x and ca.y == cb.y:
-        return abs(ca.z - cb.z) == 1
-    return False
 
 
 @lru_cache(maxsize=None)
@@ -151,3 +165,26 @@ def candidate_vertical_links(config: PlatformConfig) -> tuple[Link, ...]:
 def candidate_links(config: PlatformConfig) -> tuple[Link, ...]:
     """All feasible links (planar then vertical), in deterministic order."""
     return candidate_planar_links(config) + candidate_vertical_links(config)
+
+
+@lru_cache(maxsize=None)
+def feasible_link_set(config: PlatformConfig) -> frozenset[Link]:
+    """Every feasible link of the platform, for O(1) membership tests.
+
+    Built once per platform.  Loops over many links fetch it once and test
+    ``link in feasible`` directly; :func:`is_feasible_link` is the checked
+    single-link form.
+    """
+    return frozenset(candidate_links(config))
+
+
+def is_feasible_link(link: Link, config: PlatformConfig) -> bool:
+    """True when the link respects planar-length / vertical-adjacency rules.
+
+    The candidate pools enumerate exactly the feasible links, so the test is
+    one set lookup; ids outside the grid raise :class:`ValueError`.
+    """
+    if link in feasible_link_set(config):
+        return True
+    _check_in_grid(link, config.num_tiles)
+    return False

@@ -53,6 +53,14 @@ instead of walking predecessors pair-by-pair:
 
 Minimal routes are simple paths, so every incidence entry is 0/1 and
 ``pair_hops`` equals the per-row sums of ``P``.
+
+The incidence rows are stored in *route order*, not sorted by column: the
+sweep writes the ``s``-th step of a pair's route straight into slot ``s`` of
+its row, so a row of ``R`` reads ``dst, ..., src`` and a row of ``P`` lists
+the last hop first (:meth:`RoutingTables._route_order_csr`).  No sort is
+needed, and the objectives do not depend on the in-row order: ``P.T @ f``
+accumulates into each link in pair order, and ``P @ lengths`` / ``R @
+ports`` add integer-valued floats, which is exact in any order.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from repro.noc.design import NocDesign
 from repro.noc.geometry import Grid3D
-from repro.noc.links import Link, link_lengths_array
+from repro.noc.links import Link, link_ends, link_lengths_array
 
 #: scipy's "no predecessor" sentinel (source itself or unreachable pair).
 NO_PREDECESSOR = -9999
@@ -125,8 +133,7 @@ class RoutingTables:
         self.grid = grid
         self.num_tiles = num_tiles
         self.num_links = len(links)
-        ends_a = np.fromiter((link.a for link in links), dtype=np.int64, count=self.num_links)
-        ends_b = np.fromiter((link.b for link in links), dtype=np.int64, count=self.num_links)
+        ends_a, ends_b = link_ends(links).T.copy()
         self._ends_a = ends_a
         self._ends_b = ends_b
         # Links are lexicographically sorted and a*num_tiles+b is monotone in
@@ -218,23 +225,22 @@ class RoutingTables:
 
         removed = np.isin(self._link_keys, updated._link_keys, invert=True)
         added = np.isin(updated._link_keys, self._link_keys, invert=True)
-        affected = np.zeros(self.num_tiles, dtype=bool)
-        for idx in np.flatnonzero(removed):  # removed: sources whose tree used it
-            a, b = int(self._ends_a[idx]), int(self._ends_b[idx])
-            affected |= self._predecessors[:, b] == a
-            affected |= self._predecessors[:, a] == b
-        for idx in np.flatnonzero(added):  # added: sources it improves or ties
-            a, b = int(updated._ends_a[idx]), int(updated._ends_b[idx])
-            weight = float(updated._weights[idx])
-            dist_a = self._distance[:, a]
-            dist_b = self._distance[:, b]
-            relevant = (dist_a + weight <= dist_b + self._TIE_TOLERANCE) | (
-                dist_b + weight <= dist_a + self._TIE_TOLERANCE
-            )
-            # inf <= inf is a numpy truth but a no-op for routing: the new
-            # link cannot connect tiles that are both unreachable.
-            relevant &= ~(np.isinf(dist_a) & np.isinf(dist_b))
-            affected |= relevant
+        # Removed links: sources whose route tree used one of them.
+        ends_a, ends_b = self._ends_a[removed], self._ends_b[removed]
+        affected = (
+            (self._predecessors[:, ends_b] == ends_a) | (self._predecessors[:, ends_a] == ends_b)
+        ).any(axis=1)
+        # Added links: sources one of them improves or ties.
+        dist_a = self._distance[:, updated._ends_a[added]]
+        dist_b = self._distance[:, updated._ends_b[added]]
+        weight = updated._weights[added]
+        relevant = (dist_a + weight <= dist_b + self._TIE_TOLERANCE) | (
+            dist_b + weight <= dist_a + self._TIE_TOLERANCE
+        )
+        # inf <= inf is a numpy truth but a no-op for routing: the new
+        # link cannot connect tiles that are both unreachable.
+        relevant &= ~(np.isinf(dist_a) & np.isinf(dist_b))
+        affected |= relevant.any(axis=1)
 
         distance = self._distance.copy()
         predecessors = self._predecessors.copy()
@@ -247,9 +253,9 @@ class RoutingTables:
         updated._distance = distance
         updated._predecessors = predecessors
         updated._reset_lazy()
-        # Adoption splices surviving parent rows block-wise (no global sort),
-        # so it wins whenever any source keeps its routes; with every source
-        # re-routed there is nothing to splice and the lazy sweep is exact.
+        # Adoption copies surviving parent rows block-wise, so it wins
+        # whenever any source keeps its routes; with every source re-routed
+        # there is nothing to copy and the lazy sweep builds the same arrays.
         if rows.size < self.num_tiles:
             updated._adopt_pair_tables(self, affected)
         return updated
@@ -377,176 +383,18 @@ class RoutingTables:
 
     def _build_pair_tables(self) -> None:
         """Reconstruct every route at once from the predecessor matrix."""
-        entries = self._pair_table_entries(np.arange(self.num_tiles))
-        self._assemble_pair_tables(*entries)
-
-    def _edge_link_lookup(self) -> np.ndarray:
-        """Dense edge -> link-index lookup (num_tiles is at most a few dozen)."""
-        if self._edge_link is None:
-            edge_link = np.full((self.num_tiles, self.num_tiles), -1, dtype=np.int64)
-            indices = np.arange(self.num_links, dtype=np.int64)
-            edge_link[self._ends_a, self._ends_b] = indices
-            edge_link[self._ends_b, self._ends_a] = indices
-            self._edge_link = edge_link
-        return self._edge_link
-
-    def _pair_table_entries(
-        self, sources: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Route reconstruction sweep for every pair whose source is in ``sources``.
-
-        Walks all destination-to-source chains simultaneously: iteration ``s``
-        advances every still-active pair one predecessor step, emitting the
-        traversed ``(prev, cur)`` edge and the visited router.  The loop runs
-        ``max_ij h_ij`` times (the network diameter), with all per-pair work
-        vectorized.  Returns ``(link_row, link_col, tile_row, tile_col)``
-        with *global* flat pair rows (``src * num_tiles + dst``), so callers
-        can mix swept entries with rows adopted from a parent table.
-        """
-        num_tiles = self.num_tiles
-        sources = np.asarray(sources, dtype=np.int64)
-        src = np.repeat(sources, num_tiles)
-        dst = np.tile(np.arange(num_tiles), len(sources))
-        rows = src * num_tiles + dst
-        reachable = np.isfinite(self._distance[src, dst])
-        edge_link = self._edge_link_lookup()
-
-        tile_rows = [rows[reachable]]
-        tile_cols = [dst[reachable]]
-        link_rows: list[np.ndarray] = []
-        link_cols: list[np.ndarray] = []
-        cur = dst.copy()
-        active = np.nonzero(reachable & (src != dst))[0]
-        while active.size:
-            prev = self._predecessors[src[active], cur[active]]
-            link_rows.append(rows[active])
-            link_cols.append(edge_link[prev, cur[active]])
-            tile_rows.append(rows[active])
-            tile_cols.append(prev)
-            cur[active] = prev
-            active = active[prev != src[active]]
-
-        empty = np.empty(0, dtype=np.int64)
-        link_row = np.concatenate(link_rows) if link_rows else empty
-        link_col = np.concatenate(link_cols) if link_cols else empty
-        return link_row, link_col, np.concatenate(tile_rows), np.concatenate(tile_cols)
-
-    @staticmethod
-    def _canonical_csr(
-        rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int
-    ) -> csr_matrix:
-        """Canonical (row-major, sorted-indices) CSR straight from entry lists.
-
-        Bypasses the COO round trip: one lexsort puts the entries into
-        canonical order, the index pointer comes from a bincount.  Canonical
-        form matters beyond speed — a repaired table and a fresh build hold
-        bit-identical arrays, so sparse products over them sum in the same
-        order and produce bit-identical objective values.
-        """
-        # One combined scalar key sorts rows and columns together (cheaper
-        # than a lexsort plus two gathers at this entry count).
-        key = np.sort(rows * np.int64(num_cols) + cols)
-        sorted_rows = key // num_cols
-        sorted_cols = key % num_cols
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sorted_rows, minlength=num_rows), out=indptr[1:])
-        return csr_matrix(
-            (np.ones(sorted_cols.size, dtype=np.float64), sorted_cols, indptr),
-            shape=(num_rows, num_cols),
-        )
-
-    def _assemble_pair_tables(
-        self,
-        link_row: np.ndarray,
-        link_col: np.ndarray,
-        tile_row: np.ndarray,
-        tile_col: np.ndarray,
-    ) -> None:
-        """Assemble the batch structures from (pair row, column) entry lists."""
-        num_pairs = self.num_tiles * self.num_tiles
-        self._pair_links = self._canonical_csr(link_row, link_col, num_pairs, self.num_links)
-        self._pair_tiles = self._canonical_csr(tile_row, tile_col, num_pairs, self.num_tiles)
-        # Minimal routes are simple paths, so h_ij is exactly the number of
-        # incidence entries in the pair's row.
-        self._pair_hops = np.diff(self._pair_links.indptr)
-        self._pair_lengths = self._pair_links @ self.link_lengths
-        self._pair_hops.setflags(write=False)
-        self._pair_lengths.setflags(write=False)
-
-    @staticmethod
-    def _spliced_csr(
-        parent: csr_matrix,
-        affected: np.ndarray,
-        num_tiles: int,
-        col_remap: "np.ndarray | None",
-        new_rows: np.ndarray,
-        new_cols: np.ndarray,
-        num_cols: int,
-    ) -> csr_matrix:
-        """Canonical CSR from kept parent rows plus re-swept replacement rows.
-
-        All ``num_tiles`` pair rows of an unaffected source are consecutive in
-        the source-major row order, so each run of unaffected sources is one
-        contiguous block of the parent's index array — kept entries move with
-        a handful of slice copies instead of per-entry gathers.  In-row order
-        survives the move because the column remap is monotone over surviving
-        columns (both link-key arrays are ascending).  Replacement rows arrive
-        as unsorted entry lists and are the only part that pays a sort.  The
-        result is bit-identical to :meth:`_canonical_csr` over the union of
-        the entries.
-        """
-        num_rows = parent.shape[0]
-        parent_counts = np.diff(parent.indptr)
-        new_counts = np.bincount(new_rows, minlength=num_rows)
-        keep_row = np.repeat(~affected, num_tiles)
-        counts = np.where(keep_row, parent_counts, new_counts)
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        unaffected = np.flatnonzero(~affected)
-        if unaffected.size:
-            breaks = np.flatnonzero(np.diff(unaffected) > 1)
-            run_starts = np.r_[unaffected[0], unaffected[breaks + 1]]
-            run_ends = np.r_[unaffected[breaks], unaffected[-1]] + 1
-            parent_indptr = parent.indptr
-            for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-                block = parent.indices[
-                    parent_indptr[start * num_tiles] : parent_indptr[end * num_tiles]
-                ]
-                if col_remap is not None:
-                    block = col_remap[block]
-                indices[indptr[start * num_tiles] : indptr[end * num_tiles]] = block
-        if new_rows.size:
-            # One combined scalar key sorts the replacement entries into
-            # canonical order; their within-row rank then places them.
-            key = np.sort(new_rows * np.int64(num_cols) + new_cols)
-            sorted_rows = key // num_cols
-            starts = np.zeros(num_rows + 1, dtype=np.int64)
-            np.cumsum(new_counts, out=starts[1:])
-            rank = np.arange(sorted_rows.size, dtype=np.int64) - starts[sorted_rows]
-            indices[indptr[sorted_rows] + rank] = key % num_cols
-        if col_remap is not None:
-            assert indices.size == 0 or indices.min() >= 0, (
-                "route of an unaffected source crossed a removed link"
-            )
-        return csr_matrix(
-            (np.ones(indices.size, dtype=np.float64), indices, indptr),
-            shape=(num_rows, num_cols),
-        )
+        self._route_pair_tables(np.ones(self.num_tiles, dtype=bool))
 
     def _adopt_pair_tables(self, parent: "RoutingTables", affected: np.ndarray) -> None:
         """Repair the batch structures from a parent's, re-sweeping only affected rows.
 
         An unaffected source keeps its canonical routes, and those routes
         never traverse a removed link, so its incidence rows survive verbatim
-        with the link columns remapped to the new link indexing; they are
-        spliced row-block-wise around the re-swept rows of affected sources
-        (:meth:`_spliced_csr`) instead of re-sorting every entry.  No-op
+        with the link columns remapped to the new link indexing.  No-op
         (tables stay lazy) when the parent never built its batch structures.
         """
         if parent._pair_links is None:
             return
-        num_tiles = self.num_tiles
         # Both key arrays are ascending, so surviving parent links map to new
         # indices with one searchsorted (no per-link Python lookups).
         if self.num_links:
@@ -555,22 +403,150 @@ class RoutingTables:
             old_to_new = np.where(self._link_keys[positions] == parent._link_keys, positions, -1)
         else:
             old_to_new = np.full(parent.num_links, -1, dtype=np.int64)
-        link_row, link_col, tile_row, tile_col = self._pair_table_entries(
-            np.flatnonzero(affected)
+        self._route_pair_tables(affected, parent, old_to_new)
+
+    def _route_pair_tables(
+        self,
+        affected: np.ndarray,
+        parent: "RoutingTables | None" = None,
+        link_remap: "np.ndarray | None" = None,
+    ) -> None:
+        """Build ``P``, ``R``, hops and lengths: sweep affected sources, copy the rest.
+
+        The one builder behind fresh builds (every source affected, no
+        parent) and adoption (rows of unaffected sources come from
+        ``parent``, link columns renumbered through ``link_remap``).
+        """
+        num_pairs = self.num_tiles * self.num_tiles
+        link_steps, tile_steps = self._route_steps(np.flatnonzero(affected))
+        parent_links = parent_tiles = None
+        if parent is not None:
+            parent_links, parent_tiles = parent._pair_links, parent._pair_tiles
+        self._pair_links = self._route_order_csr(
+            link_steps, (num_pairs, self.num_links), affected, parent_links, link_remap
         )
-        self._pair_links = self._spliced_csr(
-            parent._pair_links, affected, num_tiles, old_to_new, link_row, link_col, self.num_links
+        self._pair_tiles = self._route_order_csr(
+            tile_steps, (num_pairs, self.num_tiles), affected, parent_tiles
         )
-        self._pair_tiles = self._spliced_csr(
-            parent._pair_tiles, affected, num_tiles, None, tile_row, tile_col, num_tiles
-        )
-        # Finalisation mirrors _assemble_pair_tables: hops from the row
-        # pointer, lengths via the same sparse product (bit-identical because
-        # per-row summation order equals the canonical column order).
+        # Minimal routes are simple paths, so h_ij is exactly the number of
+        # incidence entries in the pair's row.
         self._pair_hops = np.diff(self._pair_links.indptr)
+        # Link lengths are integer-valued floats, so the route-order row sum
+        # is exact (identical to any other summation order).
         self._pair_lengths = self._pair_links @ self.link_lengths
         self._pair_hops.setflags(write=False)
         self._pair_lengths.setflags(write=False)
+
+    def _edge_link_lookup(self) -> np.ndarray:
+        """Dense ``(num_tiles, num_tiles)`` edge -> link-index lookup.
+
+        One int64 cell per ordered tile pair (512 KiB at 256 tiles), so the
+        route sweep maps each traversed ``(prev, cur)`` edge to its link with
+        a single fancy-index gather.
+        """
+        if self._edge_link is None:
+            edge_link = np.full((self.num_tiles, self.num_tiles), -1, dtype=np.int64)
+            indices = np.arange(self.num_links, dtype=np.int64)
+            edge_link[self._ends_a, self._ends_b] = indices
+            edge_link[self._ends_b, self._ends_a] = indices
+            self._edge_link = edge_link
+        return self._edge_link
+
+    def _route_steps(
+        self, sources: np.ndarray
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+        """Route reconstruction sweep for every pair whose source is in ``sources``.
+
+        Walks all destination-to-source chains simultaneously: iteration ``s``
+        advances every still-active pair one predecessor step, emitting the
+        traversed ``(prev, cur)`` edge and the visited router.  The loop runs
+        ``max_ij h_ij`` times (the network diameter), with all per-pair work
+        vectorized.
+
+        Returns ``(link_steps, tile_steps)``: lists of ``(pair rows,
+        columns)`` chunks with *global* flat pair rows (``src * num_tiles +
+        dst``).  Chunk ``s`` holds entry ``s`` of each listed row in route
+        order, from the destination back to the source: a tile row is
+        ``dst, ..., src`` and a link row lists the last hop first.  Each
+        chunk lists a row at most once, in ascending row order.
+        """
+        num_tiles = self.num_tiles
+        src = np.repeat(sources, num_tiles)
+        dst = np.tile(np.arange(num_tiles), len(sources))
+        rows = src * num_tiles + dst
+        reachable = np.isfinite(self._distance[src, dst])
+        edge_link = self._edge_link_lookup()
+
+        tile_steps = [(rows[reachable], dst[reachable])]
+        link_steps: list[tuple[np.ndarray, np.ndarray]] = []
+        cur = dst.copy()
+        active = np.nonzero(reachable & (src != dst))[0]
+        while active.size:
+            prev = self._predecessors[src[active], cur[active]]
+            active_rows = rows[active]
+            link_steps.append((active_rows, edge_link[prev, cur[active]]))
+            tile_steps.append((active_rows, prev))
+            cur[active] = prev
+            active = active[prev != src[active]]
+        return link_steps, tile_steps
+
+    @staticmethod
+    def _route_order_csr(
+        steps: list[tuple[np.ndarray, np.ndarray]],
+        shape: tuple[int, int],
+        affected: np.ndarray,
+        parent: "csr_matrix | None" = None,
+        col_remap: "np.ndarray | None" = None,
+    ) -> csr_matrix:
+        """Route-order CSR from swept step chunks, plus rows kept from a parent.
+
+        Entry ``s`` of a swept row goes straight into slot ``indptr[row] +
+        s``, so every row lists its entries in route order and no sort is
+        needed.  With a ``parent`` (itself route-ordered), the rows of
+        sources not in ``affected`` are copied from it: all ``num_tiles``
+        rows of a source are consecutive in the source-major row order, so
+        each run of unaffected sources is one slice copy, with columns
+        renumbered through ``col_remap`` when given.  A repaired table
+        therefore holds the same arrays as a fresh build byte for byte.
+
+        Products over these rows equal those over any other in-row order bit
+        for bit: ``P.T @ f`` adds into each column in row (pair) order, and
+        ``P @ lengths`` / ``R @ ports`` sum integer-valued floats exactly.
+        """
+        num_rows, num_cols = shape
+        num_tiles = affected.size
+        counts = np.zeros(num_rows, dtype=np.int64)
+        for rows, _ in steps:
+            counts[rows] += 1
+        if parent is not None:
+            keep_row = np.repeat(~affected, num_tiles)
+            counts = np.where(keep_row, np.diff(parent.indptr), counts)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        if parent is not None:
+            unaffected = np.flatnonzero(~affected)
+            if unaffected.size:
+                breaks = np.flatnonzero(np.diff(unaffected) > 1)
+                run_starts = np.r_[unaffected[0], unaffected[breaks + 1]] * num_tiles
+                run_ends = (np.r_[unaffected[breaks], unaffected[-1]] + 1) * num_tiles
+                parent_indptr = parent.indptr
+                for start, end in zip(run_starts.tolist(), run_ends.tolist()):
+                    block = parent.indices[parent_indptr[start] : parent_indptr[end]]
+                    if col_remap is not None:
+                        block = col_remap[block]
+                    indices[indptr[start] : indptr[end]] = block
+        row_starts = indptr[:-1]
+        for step, (rows, cols) in enumerate(steps):
+            indices[row_starts[rows] + step] = cols
+        if col_remap is not None:
+            assert indices.size == 0 or indices.min() >= 0, (
+                "route of an unaffected source crossed a removed link"
+            )
+        return csr_matrix(
+            (np.ones(indices.size, dtype=np.float64), indices, indptr),
+            shape=(num_rows, num_cols),
+        )
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -1,7 +1,9 @@
 """Tests for link modelling and candidate enumeration."""
 
+import numpy as np
 import pytest
 
+from repro.noc.design import NocDesign
 from repro.noc.geometry import Grid3D
 from repro.noc.links import (
     Link,
@@ -99,3 +101,32 @@ class TestCandidateEnumeration:
         # layer contributes C(4,2) = 6 planar candidates.
         config = PlatformConfig.tiny_2x2x2()
         assert len(candidate_planar_links(config)) == 12
+
+
+class TestEndpointTypes:
+    """Endpoints must be integers: numpy ints are accepted, anything else raises."""
+
+    def test_numpy_integers_become_python_ints(self):
+        link = Link(np.int64(1), np.int32(3))
+        assert link == Link(1, 3)
+        assert type(link.a) is int and type(link.b) is int
+        assert repr(link) == "Link(a=1, b=3)"
+
+    @pytest.mark.parametrize(
+        "a, b", [(0, 2.7), (0.0, 2), ("1", "3"), (0, np.float64(2.0)), (None, 1)]
+    )
+    def test_non_integral_endpoints_raise(self, a, b):
+        with pytest.raises(TypeError):
+            Link(a, b)
+
+    def test_make_rejects_floats(self):
+        with pytest.raises(TypeError):
+            Link.make(2.7, 0)
+
+    def test_design_from_arrays_rejects_float_endpoints(self):
+        with pytest.raises(TypeError):
+            NocDesign.from_arrays(range(8), [(0, 1.5)])
+
+    def test_design_from_arrays_accepts_numpy_pairs(self):
+        design = NocDesign.from_arrays(range(8), np.array([[4, 0], [0, 1]]))
+        assert design.links == (Link(0, 1), Link(0, 4))
