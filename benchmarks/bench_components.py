@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -332,82 +331,7 @@ def test_routing_cache_speedup_placement_brood():
 
 
 # ---------------------------------------------------------------------- #
-# Parallel-evaluation worker sweep on a paper_4x4x4-class cell
-# ---------------------------------------------------------------------- #
-def run_parallel_worker_sweep(
-    workers: tuple[int, ...] = (1, 2, 4),
-    batch: int = 32,
-    repeats: int = 2,
-) -> dict:
-    """Time ``evaluate_many`` serially vs on 1/2/4 pool workers (64 tiles).
-
-    This is the ROADMAP's open question behind the campaign engine's
-    either/or parallelism rule: on the paper's 4x4x4 platform, how many
-    evaluator workers does one population-sized miss batch actually pay for?
-    The serial path is the baseline; each worker count is timed on a *warm*
-    pool (one priming batch first, outside the timed section) because
-    campaigns reuse the pool across every generation of a cell — pool
-    start-up is a per-cell constant, not a per-batch cost.
-    """
-    platform = PlatformConfig.paper_4x4x4()
-    workload = get_workload("BFS", platform, seed=0)
-    designs = [random_design(platform, seed) for seed in range(300, 300 + batch)]
-    warmup = [random_design(platform, seed) for seed in range(600, 600 + batch)]
-
-    def best_of(evaluate) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            evaluate()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    evaluator = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
-    serial_seconds = best_of(lambda: evaluator.evaluate_many(designs))
-    payload: dict = {
-        "platform": platform.name,
-        "workload": workload.name,
-        "scenario": "5-obj",
-        "batch_size": batch,
-        "serial_seconds": serial_seconds,
-        "workers": {},
-    }
-    for count in workers:
-        evaluator = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
-        try:
-            evaluator.evaluate_many(warmup, parallel=True, max_workers=count)
-            seconds = best_of(
-                lambda: evaluator.evaluate_many(designs, parallel=True, max_workers=count)
-            )
-        finally:
-            evaluator.shutdown()
-        payload["workers"][str(count)] = {
-            "seconds": seconds,
-            "speedup_vs_serial": serial_seconds / seconds,
-        }
-    return payload
-
-
-def test_parallel_worker_sweep_writes_json():
-    """Record the evaluator worker-count sweep into ``BENCH_routing.json``.
-
-    No wall-clock thresholds (CI runners are noisy); the sweep documents the
-    measured curve under the ``parallel_workers`` key so the ROADMAP's
-    cell-level vs evaluator-level scheduling decision has data behind it.
-    """
-    payload = run_parallel_worker_sweep()
-    _update_bench_json({"name": "parallel_workers", **payload})
-    print(f"serial: {payload['serial_seconds'] * 1e3:.1f} ms for "
-          f"{payload['batch_size']} designs on {payload['platform']}")
-    for count, entry in payload["workers"].items():
-        print(f"  {count} workers: {entry['seconds'] * 1e3:.1f} ms "
-              f"({entry['speedup_vs_serial']:.2f}x vs serial)")
-    assert set(payload["workers"]) == {"1", "2", "4"}
-    assert payload["serial_seconds"] > 0
-
-
-# ---------------------------------------------------------------------- #
-# Big-grid trajectory: 27/64/256 tiles x brood kinds x pool workers
+# Big-grid trajectory: 27/64/256 tiles x brood kinds
 # ---------------------------------------------------------------------- #
 #: Platforms of the big-grid trajectory, smallest to largest.
 BIG_GRID_PLATFORMS = {
@@ -420,39 +344,20 @@ BIG_GRID_PLATFORMS = {
 #: (the CI perf-smoke job runs a reduced brood to bound runner time).
 BIG_GRID_BROOD = int(os.environ.get("BENCH_BIG_GRID_BROOD", "32"))
 
-#: Worker counts of the big-grid pool sweep.
-BIG_GRID_WORKERS = (1, 2, 4, 8)
-
 _BIG_GRID_RESULTS: dict[str, dict] = {}
 
 
 def run_big_grid_bench(
     platform_name: str,
     brood_size: int = BIG_GRID_BROOD,
-    workers: tuple[int, ...] = BIG_GRID_WORKERS,
     repeats: int = 2,
 ) -> dict:
     """One platform's slice of the big-grid trajectory.
 
-    Two measurements per platform, both on neighbour broods of a common
-    parent (the state a local search is in):
-
-    * ``broods`` — serial batch evaluation with the routing engine off
-      (fresh builds) vs on (hits / incremental repairs), per brood kind.
-      The rewire brood is the row-block pair-table repair's gate.
-    * ``pool`` — fresh rewire broods on the evaluator's fork-once process
-      pool at each worker count, against the vectorized serial path (engine
-      on for both, matching how campaigns run).  Rewire broods are the
-      pool's actual target: every child is repair/miss work.  On
-      placement-heavy broods the serial engine answers from its in-memory
-      cache faster than any pool round-trip — that regime belongs to the
-      serial path, and the ``broods`` section above documents it.  Every
-      timed batch is a *distinct* brood (re-timing one brood converges on
-      cache-hit time and measures only dispatch overhead).  Pools are primed
-      with one warm-up batch outside the timed section (campaigns reuse a
-      cell's pool across every generation, so start-up is a per-cell
-      constant) and get a warm-start route store primed with the parent
-      topology, exactly as a warm-start campaign cell would.
+    Serial batch evaluation of neighbour broods of a common parent (the
+    state a local search is in) with the routing engine off (fresh builds)
+    vs on (hits / incremental repairs), per brood kind.  The rewire brood is
+    the row-block pair-table repair's gate.
     """
     platform = BIG_GRID_PLATFORMS[platform_name]()
     workload = get_workload("BFS", platform, seed=0)
@@ -467,7 +372,6 @@ def run_big_grid_bench(
         "scenario": "5-obj",
         "brood_size": brood_size,
         "broods": {},
-        "pool": {},
     }
     for name, brood in broods.items():
         fresh_best = cached_best = float("inf")
@@ -487,53 +391,6 @@ def run_big_grid_bench(
                 for key in ("hits", "misses", "incremental_repairs", "hit_rate")
             },
         }
-
-    # Distinct rewire broods per timed batch: warm-up first, then one per
-    # repeat.  A never-seen all-rewire brood keeps each timed batch
-    # repair/miss-bound — the work the pool exists for.
-    moves = MoveGenerator(platform, workload)
-    pool_rng = np.random.default_rng(777)
-
-    def rewire_brood() -> list:
-        brood: list = []
-        while len(brood) < brood_size:
-            candidate = moves.rewire_link(parent, pool_rng)
-            if candidate is not None:
-                brood.append(candidate)
-        return brood
-
-    warmup, *timed_broods = [rewire_brood() for _ in range(repeats + 1)]
-    serial_best = float("inf")
-    serial_matrices = []
-    for brood in timed_broods:
-        serial_evaluator = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
-        serial_evaluator.evaluate(parent)
-        start = time.perf_counter()
-        serial_matrices.append(serial_evaluator.evaluate_many(brood))
-        serial_best = min(serial_best, time.perf_counter() - start)
-    entry["pool"] = {"serial_seconds": serial_best, "workers": {}}
-    for count in workers:
-        with tempfile.TemporaryDirectory(prefix="bench-route-store-") as store_dir:
-            evaluator = ObjectiveEvaluator(
-                workload, scenario_for(5), cache_size=0, route_store_path=store_dir
-            )
-            evaluator.evaluate(parent)
-            try:
-                evaluator.evaluate_many(warmup, parallel=True, max_workers=count)
-                pooled_best = float("inf")
-                for brood, serial_matrix in zip(timed_broods, serial_matrices):
-                    start = time.perf_counter()
-                    pooled_matrix = evaluator.evaluate_many(
-                        brood, parallel=True, max_workers=count
-                    )
-                    pooled_best = min(pooled_best, time.perf_counter() - start)
-                    np.testing.assert_array_equal(serial_matrix, pooled_matrix)
-            finally:
-                evaluator.shutdown()
-        entry["pool"]["workers"][str(count)] = {
-            "seconds": pooled_best,
-            "speedup_vs_serial": serial_best / pooled_best,
-        }
     return entry
 
 
@@ -549,11 +406,6 @@ def _print_big_grid_entry(entry: dict) -> None:
     for name, brood in entry["broods"].items():
         print(f"  {name}: fresh {brood['fresh_seconds'] * 1e3:.1f} ms vs "
               f"cached {brood['cached_seconds'] * 1e3:.1f} ms -> {brood['speedup']:.2f}x")
-    pool = entry["pool"]
-    print(f"  pool serial baseline {pool['serial_seconds'] * 1e3:.1f} ms")
-    for count, worker in pool["workers"].items():
-        print(f"    {count} workers: {worker['seconds'] * 1e3:.1f} ms "
-              f"({worker['speedup_vs_serial']:.2f}x vs serial)")
 
 
 @pytest.mark.perf
@@ -562,7 +414,7 @@ def test_big_grid_trajectory_writes_json():
 
     Perf-marked (it spends minutes of wall clock at 256 tiles) and selected
     by the CI perf-smoke job via ``-m perf -k big_grid``.  The wall-clock
-    gate assertions live in the two companion tests below; this one only
+    gate assertion lives in the companion test below; this one only
     measures, checks bit-identity (inside :func:`run_big_grid_bench`) and
     writes the refreshed trajectory.
     """
@@ -585,29 +437,6 @@ def test_big_grid_rewire_repair_speedup():
     speedup = entry["broods"]["rewire"]["speedup"]
     print(f"256-tile rewire-brood repair speedup: {speedup:.2f}x")
     assert speedup >= 1.0, f"rewire repair only {speedup:.2f}x vs fresh at 256 tiles"
-
-
-@pytest.mark.perf
-def test_big_grid_pool_speedup():
-    """Pool gate: fork-once pool >= 1.5x vectorized serial at 256 tiles.
-
-    The v1 sweep measured 0.1-0.4x (per-task design pickling dominated at 64
-    tiles).  With compact chunk payloads, persistent per-worker engines and a
-    parent-primed route store, the pool must win the repair-bound rewire
-    sweep at 256 tiles on at least one multi-worker count.  Skipped on
-    single-CPU machines, where no pool can beat serial — the CI perf-smoke
-    runners enforce the gate.
-    """
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("pool speedup needs >= 2 CPUs; this machine exposes 1")
-    entry = _big_grid_entry("big-8x8x4")
-    best = max(
-        worker["speedup_vs_serial"]
-        for count, worker in entry["pool"]["workers"].items()
-        if int(count) >= 2
-    )
-    print(f"256-tile best multi-worker pool speedup: {best:.2f}x")
-    assert best >= 1.5, f"evaluation pool only {best:.2f}x vs serial at 256 tiles"
 
 
 @pytest.mark.benchmark(group="components")

@@ -1,11 +1,11 @@
 """REP005 — pool-boundary hygiene: only module-level callables cross the pool.
 
-Campaign cells and parallel evaluation fan out over a
-``ProcessPoolExecutor``; everything submitted must be picklable by reference.
-Lambdas, closures and locally-defined functions pickle either not at all or
-— worse, with helpers like cloudpickle — by value, silently shipping captured
-state whose identity differs per worker.  The multi-host workers on the
-roadmap make this a wire protocol, so the boundary is enforced statically:
+Campaign cells fan out over a ``ProcessPoolExecutor``; everything submitted
+must be picklable by reference.  Lambdas, closures and locally-defined
+functions pickle either not at all or — worse, with helpers like cloudpickle
+— by value, silently shipping captured state whose identity differs per
+worker.  The multi-host workers on the roadmap make this a wire protocol, so
+the boundary is enforced statically:
 
 * ``pool.submit(fn, ...)`` / ``pool.map(fn, ...)`` where ``fn`` is a lambda,
   a function defined inside another function, or ``functools.partial`` over

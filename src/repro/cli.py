@@ -294,7 +294,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # Start from the config file's campaign settings (if any) and only let
     # flags the user actually passed override them.
     settings = study.campaign_settings() or {"max_workers": 1, "resume": True,
-                                             "parallel_evaluation": None,
                                              "event_log": True}
     output_dir = args.output_dir or settings.get("output_dir")
     if not output_dir:
@@ -314,7 +313,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         output_dir,
         max_workers=settings["max_workers"],
         resume=settings["resume"],
-        parallel_evaluation=settings["parallel_evaluation"],
         event_log=settings.get("event_log", True),
         shared_routing_cache=settings.get("shared_routing_cache", True),
         routing_warm_start=settings.get("routing_warm_start", False),
@@ -328,8 +326,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         grid += f" x {len(experiment.scenario_models)} fault scenarios"
     print(f"campaign: {grid} on {experiment.platform.name}, "
           f"{campaign.cell_budget} evaluations per cell, "
-          f"workers={campaign.max_workers}, "
-          f"parallel evaluation={campaign.resolve_parallel_evaluation()}")
+          f"workers={campaign.max_workers}")
 
     if args.follow:
         # Non-blocking submit/poll: the handle tails the durable event log,

@@ -40,10 +40,6 @@ class NocDesignProblem(Problem):
         Size of the objective-vector memoisation cache.
     mutation_strength:
         Number of random moves applied by :meth:`mutate`.
-    parallel_evaluation:
-        When True, batch evaluations (:meth:`evaluate_many`) compute cache
-        misses on a process pool; the serial default is faster for the small
-        platforms used in tests.
     routing_cache:
         Routes all evaluation through the evaluator's shared
         :class:`~repro.noc.routing_engine.RoutingEngine` (cross-design route
@@ -66,7 +62,7 @@ class NocDesignProblem(Problem):
     route_store_path:
         Optional directory of a disk-backed
         :class:`~repro.noc.route_store.RouteStore` warm-starting routing
-        across processes (evaluation-pool workers, campaign cells).
+        across campaign-cell processes.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class NocDesignProblem(Problem):
         scenario: "int | ObjectiveScenario" = 5,
         cache_size: int = 50_000,
         mutation_strength: int = 1,
-        parallel_evaluation: bool = False,
         routing_cache: bool = True,
         scenario_model: "ScenarioModel | str | None" = None,
         scenario_seed: int = 0,
@@ -106,7 +101,6 @@ class NocDesignProblem(Problem):
         self.checker = ConstraintChecker(self.config)
         self.featurizer = DesignFeaturizer(self.config, workload)
         self.mutation_strength = mutation_strength
-        self.parallel_evaluation = parallel_evaluation
 
     # ------------------------------------------------------------------ #
     # Problem interface
@@ -136,7 +130,7 @@ class NocDesignProblem(Problem):
         return self.evaluator.evaluate(design)
 
     def evaluate_many(self, designs: list[NocDesign]) -> np.ndarray:
-        return self.evaluator.evaluate_many(designs, parallel=self.parallel_evaluation)
+        return self.evaluator.evaluate_many(designs)
 
     def random_design(self, rng: RngLike = None) -> NocDesign:
         return random_design(self.config, ensure_rng(rng))

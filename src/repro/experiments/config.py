@@ -117,24 +117,6 @@ class ExperimentConfig:
         )
 
 
-#: Platform size (in tiles) from which campaign cells switch the objective
-#: evaluator's batch path to process-pool workers.  The threshold tracks the
-#: *measured* break-even, not intuition.  The fork-once pool (persistent
-#: primed workers, compact deduplicated chunk payloads, route-store
-#: warm-starts) roughly halved the old per-task transport cost, but a
-#: vectorized serial batch backed by the in-memory routing engine still wins
-#: below 256 tiles: at 64 tiles a repair-bound 32-design batch runs ~0.6-0.8x
-#: serial on one core, and placement-heavy broods are served from the engine
-#: cache faster than any inter-process round-trip at every size.  256 tiles
-#: (an 8x8x4 grid) is where repair/miss-bound batches carry enough Dijkstra
-#: work per task for the pool to win on multi-core machines — enforced by the
-#: CI perf gate ``test_big_grid_pool_speedup`` (>= 1.5x vs serial); see
-#: ``bench_components.run_big_grid_bench``, the ``big_grid/*`` runs in
-#: ``BENCH_routing.json`` and ``docs/performance.md``.  Re-measure there
-#: before lowering this.
-PARALLEL_EVALUATION_MIN_TILES: int = 256
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Settings for one sharded (algorithm x application x scenario) campaign.
@@ -158,13 +140,6 @@ class CampaignConfig:
     resume:
         When True, cells whose shard already exists and parses are skipped —
         re-running a killed campaign only executes the missing cells.
-    parallel_evaluation:
-        Forces the objective evaluator's process-pool batch path on (True) or
-        off (False) inside each cell.  The default ``None`` auto-enables it
-        for ``paper_4x4x4``-class platforms (>=
-        :data:`PARALLEL_EVALUATION_MIN_TILES` tiles) when the campaign itself
-        is not already fanning cells out over processes — nesting pools would
-        oversubscribe the machine.
     routing_cache:
         Routes every cell's evaluation through the cross-design
         :class:`~repro.noc.routing_engine.RoutingEngine` route cache (the
@@ -218,7 +193,6 @@ class CampaignConfig:
     algorithms: tuple[str, ...] = ()
     max_workers: int = 1
     resume: bool = True
-    parallel_evaluation: bool | None = None
     routing_cache: bool = True
     shared_routing_cache: bool = True
     routing_warm_start: bool = False
@@ -246,13 +220,6 @@ class CampaignConfig:
             max_evaluations=self.repair_max_evaluations,
         )
 
-    def resolve_parallel_evaluation(self) -> bool:
-        """Whether cells should evaluate batches on a process pool."""
-        if self.parallel_evaluation is not None:
-            return self.parallel_evaluation
-        large_platform = self.experiment.platform.num_tiles >= PARALLEL_EVALUATION_MIN_TILES
-        return large_platform and self.max_workers == 1
-
     @property
     def cell_budget(self) -> int:
         """Evaluation budget applied to every cell."""
@@ -262,8 +229,8 @@ class CampaignConfig:
     def smoke(cls) -> "CampaignConfig":
         """Tiny 2-algorithm x 2-application campaign (4 cells, seconds to run).
 
-        This is the grid ``examples/run_campaign.py --smoke`` and the CI
-        campaign smoke job execute end to end.
+        This is the grid ``repro campaign --smoke`` and the CI campaign smoke
+        job execute end to end.
         """
         return cls(
             experiment=replace(ExperimentConfig.smoke(), applications=("BFS", "BP")),

@@ -272,7 +272,6 @@ class CampaignSummary:
     cells: list[CampaignCell]
     executed: list[str]
     skipped: list[str]
-    parallel_evaluation: bool
     routing_cache: "dict[str, Any] | None" = None  # aggregate engine counters (see manifest)
     repair: "dict[str, Any] | None" = None  # aggregate repair counters (repair campaigns only)
 
@@ -546,7 +545,6 @@ def _run_campaign_cell(
         routing_engine=shared_engine,
         route_store_path=route_store_path if campaign.routing_cache else None,
     )
-    problem.parallel_evaluation = campaign.resolve_parallel_evaluation()
     try:
         if emit is not None:
             emit(_cell_event("shard_started", cell))
@@ -590,9 +588,6 @@ def _run_campaign_cell(
     finally:
         if writer is not None:
             writer.close()
-        evaluator = getattr(problem, "evaluator", None)
-        if evaluator is not None:
-            evaluator.shutdown()
     return outcome
 
 
@@ -780,7 +775,6 @@ def _execute_campaign(
         cells=cells,
         executed=[cell.key for cell in pending],
         skipped=[cell.key for cell in cells if cell.key in done],
-        parallel_evaluation=campaign.resolve_parallel_evaluation(),
         routing_cache=routing_stats,
         repair=repair_stats,
     )

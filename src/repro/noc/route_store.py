@@ -9,9 +9,9 @@ therefore to any fresh build for the same link set — without re-running the
 all-pairs Dijkstra.
 
 The store exists for process boundaries that an in-memory
-:class:`~repro.noc.routing_engine.RoutingEngine` cannot cross: evaluation-pool
-workers and campaign-cell processes each own a private engine, so without the
-store every process pays a cold build for topologies a sibling already solved.
+:class:`~repro.noc.routing_engine.RoutingEngine` cannot cross: campaign-cell
+processes each own a private engine, so without the store every process pays
+a cold build for topologies a sibling already solved.
 Attaching one store to all of them turns those rebuilds into a single
 ``.npz`` read.
 

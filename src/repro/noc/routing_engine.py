@@ -58,8 +58,8 @@ class RoutingEngine:
     store:
         Optional :class:`~repro.noc.route_store.RouteStore` consulted on
         cache misses before rebuilding, and fed with fresh builds.  The store
-        crosses process boundaries (evaluation-pool workers, campaign cells),
-        turning each sibling process's cold build into a single file read;
+        crosses process boundaries (campaign-cell workers), turning each
+        sibling process's cold build into a single file read;
         loaded tables are bit-identical to fresh builds, so attaching a store
         never changes a route.
     """
@@ -122,23 +122,6 @@ class RoutingEngine:
     def attach_store(self, store: "RouteStore | None") -> None:
         """Attach (or detach, with ``None``) a disk-backed warm-start store."""
         self._store = store
-
-    def share_to_store(self, links: tuple[Link, ...]) -> bool:
-        """Persist already-cached tables for a link tuple to the store.
-
-        Used to prime the store with a parent topology before fanning its
-        children out to pool workers, so the workers can repair incrementally
-        instead of cold-building.  True when a new entry was written.
-        """
-        if self._store is None:
-            return False
-        cached = self._cache.get(links)
-        if cached is None:
-            return False
-        if self._store.save(cached):
-            self.store_saves += 1
-            return True
-        return False
 
     def _build(self, design: NocDesign) -> RoutingTables:
         delta = move_delta_of(design)

@@ -9,9 +9,8 @@ Every vectorized function keeps a ``*_reference`` scalar twin with the
 original loop, used by equivalence tests and benchmarks.
 
 :class:`ObjectiveEvaluator` adds LRU caching on top and exposes the batch
-entry point ``evaluate_many(designs, parallel=...)`` — cache-aware
-partitioning into hits/duplicates/misses, with optional process-pool
-evaluation of the misses behind the ``parallel=`` flag.
+entry point ``evaluate_many(designs)`` — cache-aware partitioning into
+hits/duplicates/misses, with serial evaluation of the misses.
 """
 
 from repro.objectives.evaluator import (

@@ -20,17 +20,11 @@ Batch evaluation engine
 :meth:`ObjectiveEvaluator.evaluate_many` is the population-scale hot path of
 the optimisers.  It keys every design exactly once, partitions the batch into
 cache hits, in-batch duplicates and genuine misses, and computes only the
-unique misses — serially by default, or on a ``concurrent.futures`` process
-pool when called with ``parallel=True``.  Pool workers are primed once with
-the workload/scenario via the pool initializer (fork-once) and keep a
-persistent :class:`~repro.noc.routing_engine.RoutingEngine` for the pool's
-lifetime; per task they receive compact ndarray chunk payloads — placements
-as one int32 matrix plus link sets deduplicated within the chunk — instead
-of pickled design objects, and ``with evaluator.parallel(n):`` scopes the
-pool lifecycle deterministically.  Each per-design computation itself runs
+unique misses, serially in this process.  Each per-design computation runs
 on the vectorized objective implementations (sparse incidence-matrix
 products, see :mod:`repro.noc.routing`), so a batch evaluation performs no
-per-pair Python loops at all.
+per-pair Python loops at all.  Parallelism lives one level up: campaign
+cells fan out across processes (see :mod:`repro.experiments.runner`).
 
 Cached vectors are returned as read-only views (``ndarray.setflags(write=False)``)
 instead of per-hit copies; callers that need to mutate a result must copy it
@@ -40,15 +34,11 @@ explicitly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.noc.design import MoveDelta, NocDesign, annotate_move, move_delta_of
-from repro.noc.links import Link
+from repro.noc.design import NocDesign
 from repro.noc.route_store import RouteStore
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
@@ -111,146 +101,6 @@ def scenario_for(num_objectives: int) -> ObjectiveScenario:
     return _SCENARIOS[num_objectives]
 
 
-# --------------------------------------------------------------------- #
-# Process-pool plumbing: workers are primed once per pool with the
-# workload/scenario (fork-once), keep a persistent RoutingEngine for the
-# pool's lifetime, and receive compact ndarray payloads per task — never
-# pickled design objects (whose MoveDelta annotations would drag a full
-# parent link tuple across the boundary for every child).
-# --------------------------------------------------------------------- #
-_WORKER_EVALUATOR: "ObjectiveEvaluator | None" = None
-
-#: Chunks submitted per worker per batch: few enough to amortise payload
-#: pickling, many enough to balance uneven per-design costs.
-_CHUNKS_PER_WORKER = 4
-
-
-def _init_worker(
-    workload: Workload,
-    scenario: "ObjectiveScenario",
-    routing_cache: bool,
-    scenario_model: "ScenarioModel | None" = None,
-    scenario_seed: int = 0,
-    route_store_path: "str | None" = None,
-) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = ObjectiveEvaluator(
-        workload,
-        scenario,
-        cache_size=0,
-        routing_cache=routing_cache,
-        scenario_model=scenario_model,
-        scenario_seed=scenario_seed,
-        route_store_path=route_store_path,
-    )
-
-
-def _pack_chunk(designs: list[NocDesign]) -> tuple[np.ndarray, ...]:
-    """Compact ndarray payload for one pool task.
-
-    Placements travel as one int32 matrix; link sets are deduplicated within
-    the chunk (a placement brood pickles its shared topology exactly once)
-    and flattened into an endpoint array plus per-topology counts.  Parent
-    link sets from :class:`~repro.noc.design.MoveDelta` annotations are
-    deduplicated the same way so workers can repair incrementally.
-    """
-    placements = np.array([design.placement for design in designs], dtype=np.int32)
-    topologies: list[tuple[Link, ...]] = []
-    topology_ids: dict[tuple[Link, ...], int] = {}
-    topology_idx = np.empty(len(designs), dtype=np.int32)
-    parents: list[tuple[Link, ...]] = []
-    parent_ids: dict[tuple[Link, ...], int] = {}
-    parent_idx = np.full(len(designs), -1, dtype=np.int32)
-    for pos, design in enumerate(designs):
-        links = design.links
-        if links not in topology_ids:
-            topology_ids[links] = len(topologies)
-            topologies.append(links)
-        topology_idx[pos] = topology_ids[links]
-        delta = move_delta_of(design)
-        if delta is not None and delta.parent_links and delta.parent_links != links:
-            if delta.parent_links not in parent_ids:
-                parent_ids[delta.parent_links] = len(parents)
-                parents.append(delta.parent_links)
-            parent_idx[pos] = parent_ids[delta.parent_links]
-
-    def flatten(link_sets: list[tuple[Link, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        ends = np.array(
-            [(link.a, link.b) for links in link_sets for link in links], dtype=np.int32
-        ).reshape(-1, 2)
-        counts = np.fromiter(
-            (len(links) for links in link_sets), dtype=np.int64, count=len(link_sets)
-        )
-        return ends, counts
-
-    topology_ends, topology_counts = flatten(topologies)
-    parent_ends, parent_counts = flatten(parents)
-    return (
-        placements,
-        topology_idx,
-        topology_ends,
-        topology_counts,
-        parent_idx,
-        parent_ends,
-        parent_counts,
-    )
-
-
-def _unpack_link_sets(ends: np.ndarray, counts: np.ndarray) -> list[tuple[Link, ...]]:
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    pairs = ends.tolist()
-    return [
-        tuple(Link(a, b) for a, b in pairs[offsets[i] : offsets[i + 1]])
-        for i in range(len(counts))
-    ]
-
-
-def _evaluate_chunk(payload: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Evaluate one compact chunk inside a primed worker, returning an (n, M) block.
-
-    Designs are rebuilt from the payload; children whose parent topology is
-    referenced get a synthetic :class:`MoveDelta` hint so the worker's
-    persistent engine can serve a cache hit or an incremental repair (the
-    parent tables come from earlier tasks or the warm-start store).
-    """
-    placements, topology_idx, topology_ends, topology_counts = payload[:4]
-    parent_idx, parent_ends, parent_counts = payload[4:]
-    evaluator = _WORKER_EVALUATOR
-    assert evaluator is not None, "worker pool was not primed via _init_worker"
-    topologies = _unpack_link_sets(topology_ends, topology_counts)
-    parents = _unpack_link_sets(parent_ends, parent_counts)
-    out = np.empty((placements.shape[0], evaluator.num_objectives), dtype=np.float64)
-    for pos, placement in enumerate(placements.tolist()):
-        design = NocDesign(
-            placement=tuple(placement), links=topologies[int(topology_idx[pos])]
-        )
-        parent = int(parent_idx[pos])
-        if parent >= 0:
-            design = annotate_move(
-                design, MoveDelta(kind="pooled", parent_links=parents[parent])
-            )
-        out[pos] = evaluator._compute(design)
-    return out
-
-
-def _parent_topologies(designs: list[NocDesign]) -> list[tuple[Link, ...]]:
-    """Distinct annotated parent link sets of a batch, in first-seen order."""
-    seen: set[tuple[Link, ...]] = set()
-    parents: list[tuple[Link, ...]] = []
-    for design in designs:
-        delta = move_delta_of(design)
-        if (
-            delta is not None
-            and delta.parent_links
-            and delta.parent_links != design.links
-            and delta.parent_links not in seen
-        ):
-            seen.add(delta.parent_links)
-            parents.append(delta.parent_links)
-    return parents
-
-
 class ObjectiveEvaluator:
     """Evaluates designs against a scenario's objectives with caching.
 
@@ -292,8 +142,8 @@ class ObjectiveEvaluator:
     route_store_path:
         Optional directory of a disk-backed
         :class:`~repro.noc.route_store.RouteStore` attached to the routing
-        engine and propagated to pool workers, letting sibling processes
-        warm-start from each other's builds.
+        engine, letting sibling campaign-cell processes warm-start from each
+        other's builds.
     """
 
     def __init__(
@@ -312,7 +162,6 @@ class ObjectiveEvaluator:
             scenario_model = None
         self.scenario_model = scenario_model
         self.scenario_seed = int(scenario_seed)
-        self.nominal_workload = workload
         if scenario_model is not None:
             workload = scenario_model.transform_workload(workload, self.scenario_seed)
         self.workload = workload
@@ -323,9 +172,6 @@ class ObjectiveEvaluator:
             self.thermal_model = scenario_model.transform_thermal(self.thermal_model)
         self.cache_size = int(cache_size)
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers: int | None = None
-        self._parallel_default = False
         self.route_store_path = route_store_path
         if routing_engine is not None:
             self.routing_engine: RoutingEngine | None = routing_engine
@@ -377,25 +223,13 @@ class ObjectiveEvaluator:
                 self._cache.popitem(last=False)
         return values
 
-    def evaluate_many(
-        self,
-        designs: list[NocDesign],
-        parallel: "bool | None" = None,
-        max_workers: int | None = None,
-    ) -> np.ndarray:
+    def evaluate_many(self, designs: list[NocDesign]) -> np.ndarray:
         """Evaluate several designs, returning a ``len(designs) x M`` matrix.
 
         Designs are keyed exactly once; the batch is partitioned into cache
         hits, in-batch duplicates and unique misses, and only the misses are
-        computed.  With ``parallel=True`` misses travel to a process pool as
-        compact chunk payloads (see :func:`_pack_chunk`); ``parallel=None``
-        inherits the default, which is serial outside a
-        :meth:`parallel` context.  The serial path avoids any pool overhead
-        and is the right choice for small batches and small grids (see
-        ``PARALLEL_EVALUATION_MIN_TILES`` in :mod:`repro.experiments.config`).
+        computed, in batch order.
         """
-        if parallel is None:
-            parallel = self._parallel_default
         num = len(designs)
         out = np.empty((num, self.num_objectives), dtype=np.float64)
         pending_rows: OrderedDict[tuple, list[int]] = OrderedDict()
@@ -412,122 +246,22 @@ class ObjectiveEvaluator:
             else:
                 pending_rows[key] = [row]
                 pending_designs[key] = design
-        if pending_rows:
-            misses = [pending_designs[key] for key in pending_rows]
-            if parallel and len(misses) > 1:
-                computed = self._compute_parallel(misses, max_workers)
+        for key, rows in pending_rows.items():
+            values = self._compute(pending_designs[key])
+            out[rows] = values
+            # Counters mirror the scalar loop: with caching on, a
+            # duplicate would have hit the cache (1 evaluation + hits);
+            # with caching off, the scalar loop recomputes every copy.
+            if self.cache_size > 0:
+                self.evaluations += 1
+                self.cache_hits += len(rows) - 1
+                values.setflags(write=False)
+                self._cache[key] = values
+                if len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
             else:
-                computed = [self._compute(design) for design in misses]
-            for key, values in zip(pending_rows, computed):
-                values = np.asarray(values, dtype=np.float64)
-                rows = pending_rows[key]
-                out[rows] = values
-                # Counters mirror the scalar loop: with caching on, a
-                # duplicate would have hit the cache (1 evaluation + hits);
-                # with caching off, the scalar loop recomputes every copy.
-                if self.cache_size > 0:
-                    self.evaluations += 1
-                    self.cache_hits += len(rows) - 1
-                    values.setflags(write=False)
-                    self._cache[key] = values
-                    if len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
-                else:
-                    self.evaluations += len(rows)
+                self.evaluations += len(rows)
         return out
-
-    def _compute_parallel(
-        self, misses: list[NocDesign], max_workers: int | None
-    ) -> list[np.ndarray]:
-        """Fan unique misses out to the worker pool as compact chunks.
-
-        Results come back as per-chunk ``(n, M)`` blocks concatenated in
-        submission order, so pooled evaluation is bit-identical to the serial
-        loop regardless of worker count or scheduling.  Any failure releases
-        the pool before propagating — a broken batch never leaves orphaned
-        worker processes behind.
-        """
-        pool = self._worker_pool(max_workers)
-        workers = getattr(pool, "_max_workers", None) or 1
-        if self.routing_engine is not None:
-            # Prime the warm-start store (when attached) with cached parent
-            # topologies so workers repair incrementally from the first task.
-            for links in _parent_topologies(misses):
-                self.routing_engine.share_to_store(links)
-        chunk_size = max(1, -(-len(misses) // (workers * _CHUNKS_PER_WORKER)))
-        chunks = [misses[i : i + chunk_size] for i in range(0, len(misses), chunk_size)]
-        try:
-            futures = [pool.submit(_evaluate_chunk, _pack_chunk(chunk)) for chunk in chunks]
-            blocks = [future.result() for future in futures]
-        except BaseException:
-            self.shutdown()
-            raise
-        return [row for block in blocks for row in block]
-
-    def _worker_pool(self, max_workers: int | None) -> ProcessPoolExecutor:
-        """Lazily created, persistent process pool for parallel batches.
-
-        The pool (and the workload/scenario priming of its workers) is reused
-        across ``evaluate_many`` calls; it is only rebuilt when a different
-        ``max_workers`` is requested.  Call :meth:`shutdown` (or use the
-        :meth:`parallel` context) to release the worker processes early.
-        """
-        if self._pool is None or (
-            max_workers is not None and max_workers != self._pool_workers
-        ):
-            self.shutdown()
-            self._pool = ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_init_worker,
-                # Workers are primed with the *nominal* workload plus the
-                # scenario model and re-apply the transforms themselves, so
-                # pooled and inline evaluation share one code path.
-                initargs=(
-                    self.nominal_workload,
-                    self.scenario,
-                    self.routing_engine is not None,
-                    self.scenario_model,
-                    self.scenario_seed,
-                    self.route_store_path,
-                ),
-            )
-            self._pool_workers = max_workers
-        return self._pool
-
-    @contextmanager
-    def parallel(self, max_workers: int | None = None) -> "Iterator[ObjectiveEvaluator]":
-        """Scoped parallel evaluation with a deterministic pool lifecycle.
-
-        Inside ``with evaluator.parallel(4):`` every :meth:`evaluate_many`
-        call defaults to the pool (an explicit ``parallel=`` argument still
-        wins); the pool is primed eagerly on entry and released on exit, even
-        when the block raises.
-        """
-        self._worker_pool(max_workers)
-        previous = self._parallel_default
-        self._parallel_default = True
-        try:
-            yield self
-        finally:
-            self._parallel_default = previous
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        """Release the parallel worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_workers = None
-
-    def close(self) -> None:
-        """Alias of :meth:`shutdown`, matching the usual resource idiom."""
-        self.shutdown()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.shutdown()
-        except Exception:
-            pass
 
     def evaluate_reference(self, design: NocDesign) -> np.ndarray:
         """Objective vector computed by the scalar per-pair reference path.
@@ -562,9 +296,8 @@ class ObjectiveEvaluator:
         ``routing_engine`` parameter) still reports only its own traffic —
         per-cell campaign accounting is unchanged by cross-cell sharing.  For
         an evaluator-owned engine the baseline is zero and the deltas equal
-        the raw counters.  With ``routing_cache=False`` (or when misses were
-        computed on the parallel worker pool, whose engines live in the
-        worker processes) the counters stay at zero.
+        the raw counters.  With ``routing_cache=False`` the counters stay at
+        zero.
         """
         stats: dict[str, "int | float | bool"] = {
             "enabled": self.routing_engine is not None,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import index
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -108,7 +109,6 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "output_dir",
     "max_workers",
     "resume",
-    "parallel_evaluation",
     "event_log",
     "shared_routing_cache",
     "routing_warm_start",
@@ -117,6 +117,25 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "repair_candidates_per_round",
     "repair_max_evaluations",
 )
+
+
+def _flag(settings: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A boolean setting read from a study file; no truthiness coercion."""
+    value = settings.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(settings: Mapping[str, Any], key: str, default: int) -> int:
+    """An integer setting read from a study file; floats and booleans raise."""
+    value = settings.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def resolve_platform(platform: "str | PlatformConfig") -> PlatformConfig:
@@ -306,7 +325,6 @@ class Study:
         output_dir: "str | Path",
         max_workers: int = 1,
         resume: bool = True,
-        parallel_evaluation: "bool | None" = None,
         event_log: bool = True,
         shared_routing_cache: bool = True,
         routing_warm_start: bool = False,
@@ -330,7 +348,6 @@ class Study:
             "output_dir": str(output_dir),
             "max_workers": int(max_workers),
             "resume": bool(resume),
-            "parallel_evaluation": parallel_evaluation,
             "event_log": bool(event_log),
             "shared_routing_cache": bool(shared_routing_cache),
             "routing_warm_start": bool(routing_warm_start),
@@ -373,7 +390,7 @@ class Study:
             evaluations=payload.get("evaluations"),
             seed=payload.get("seed"),
             scenarios=payload.get("scenarios"),
-            routing_cache=bool(payload.get("routing_cache", True)),
+            routing_cache=_flag(payload, "routing_cache", True),
         )
         for entry in payload.get("algorithms", ()):
             if isinstance(entry, str):
@@ -400,16 +417,15 @@ class Study:
                 raise ValueError("campaign configuration requires an output_dir")
             study.campaign(
                 campaign["output_dir"],
-                max_workers=int(campaign.get("max_workers", 1)),
-                resume=bool(campaign.get("resume", True)),
-                parallel_evaluation=campaign.get("parallel_evaluation"),
-                event_log=bool(campaign.get("event_log", True)),
-                shared_routing_cache=bool(campaign.get("shared_routing_cache", True)),
-                routing_warm_start=bool(campaign.get("routing_warm_start", False)),
-                repair_infeasible=bool(campaign.get("repair_infeasible", False)),
-                repair_max_rounds=int(campaign.get("repair_max_rounds", 4)),
-                repair_candidates_per_round=int(campaign.get("repair_candidates_per_round", 8)),
-                repair_max_evaluations=int(campaign.get("repair_max_evaluations", 32)),
+                max_workers=_integer(campaign, "max_workers", 1),
+                resume=_flag(campaign, "resume", True),
+                event_log=_flag(campaign, "event_log", True),
+                shared_routing_cache=_flag(campaign, "shared_routing_cache", True),
+                routing_warm_start=_flag(campaign, "routing_warm_start", False),
+                repair_infeasible=_flag(campaign, "repair_infeasible", False),
+                repair_max_rounds=_integer(campaign, "repair_max_rounds", 4),
+                repair_candidates_per_round=_integer(campaign, "repair_candidates_per_round", 8),
+                repair_max_evaluations=_integer(campaign, "repair_max_evaluations", 32),
             )
         return study
 
@@ -534,7 +550,6 @@ class Study:
             algorithms=tuple(entry.name for entry in entries),
             max_workers=self._campaign["max_workers"],
             resume=self._campaign["resume"],
-            parallel_evaluation=self._campaign["parallel_evaluation"],
             routing_cache=self._routing_cache,
             event_log=self._campaign.get("event_log", True),
             shared_routing_cache=self._campaign.get("shared_routing_cache", True),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.config import CampaignConfig, ExperimentConfig, PARALLEL_EVALUATION_MIN_TILES
+from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
     MANIFEST_NAME,
     CampaignCell,
@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     load_manifest,
     run_campaign,
 )
-from repro.noc.platform import PlatformConfig
 
 
 @pytest.fixture()
@@ -54,6 +53,12 @@ class TestCampaignCells:
     def test_cell_round_trips_through_dict(self, campaign):
         for cell in campaign_cells(campaign):
             assert CampaignCell.from_dict(cell.to_dict()) == cell
+
+    def test_invalid_settings_rejected(self):
+        with pytest.raises(ValueError):
+            CampaignConfig(experiment=ExperimentConfig.smoke(), max_workers=0)
+        with pytest.raises(ValueError):
+            CampaignConfig(experiment=ExperimentConfig.smoke(), max_evaluations=0)
 
 
 class TestRunCampaign:
@@ -138,51 +143,3 @@ class TestRunCampaign:
         assert inline.keys() == pooled.keys()
         for key in inline:
             np.testing.assert_array_equal(inline[key], pooled[key])
-
-
-def _break_even_platform() -> PlatformConfig:
-    """An 8x8x4 (256-tile) platform, the projected pool break-even scale."""
-    return PlatformConfig(
-        n=8, layers=4, num_cpus=32, num_gpus=160, num_llcs=64,
-        num_planar_links=448, num_vertical_links=192, name="bench-8x8x4",
-    )
-
-
-class TestParallelEvaluationPolicy:
-    def test_auto_disabled_for_paper_platform(self):
-        """PR-4 finding: the pool path is *slower* than the vectorized serial
-        path at 64 tiles, so the paper platform must no longer auto-enable it
-        (see docs/performance.md)."""
-        experiment = replace(ExperimentConfig.paper_scale(), applications=("BFS",))
-        assert experiment.platform.num_tiles < PARALLEL_EVALUATION_MIN_TILES
-        assert not CampaignConfig(experiment=experiment, max_workers=1).resolve_parallel_evaluation()
-
-    def test_auto_enabled_at_break_even_scale_when_serial(self):
-        experiment = replace(
-            ExperimentConfig.paper_scale(), platform=_break_even_platform(), applications=("BFS",)
-        )
-        assert experiment.platform.num_tiles >= PARALLEL_EVALUATION_MIN_TILES
-        assert CampaignConfig(experiment=experiment, max_workers=1).resolve_parallel_evaluation()
-
-    def test_auto_disabled_when_campaign_fans_out(self):
-        experiment = replace(
-            ExperimentConfig.paper_scale(), platform=_break_even_platform(), applications=("BFS",)
-        )
-        assert not CampaignConfig(experiment=experiment, max_workers=4).resolve_parallel_evaluation()
-
-    def test_auto_disabled_for_small_platforms(self):
-        assert not CampaignConfig(experiment=ExperimentConfig.smoke()).resolve_parallel_evaluation()
-
-    def test_explicit_override_wins(self):
-        smoke = ExperimentConfig.smoke()
-        assert CampaignConfig(experiment=smoke, parallel_evaluation=True).resolve_parallel_evaluation()
-        experiment = replace(ExperimentConfig.paper_scale(), applications=("BFS",))
-        assert not CampaignConfig(
-            experiment=experiment, parallel_evaluation=False
-        ).resolve_parallel_evaluation()
-
-    def test_invalid_settings_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(experiment=ExperimentConfig.smoke(), max_workers=0)
-        with pytest.raises(ValueError):
-            CampaignConfig(experiment=ExperimentConfig.smoke(), max_evaluations=0)

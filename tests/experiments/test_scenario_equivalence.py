@@ -116,12 +116,6 @@ class TestFaultAxisEquivalence:
         run_campaign(replace(faulted, max_workers=2), tmp_path / "pool")
         assert_bit_identical(arrays_of(tmp_path / "inline"), arrays_of(tmp_path / "pool"))
 
-    def test_parallel_evaluation_matches_bitwise(self, faulted, tmp_path):
-        """The evaluator's own process pool must re-apply transforms in workers."""
-        run_campaign(faulted, tmp_path / "serial")
-        run_campaign(replace(faulted, parallel_evaluation=True), tmp_path / "pooled-eval")
-        assert_bit_identical(arrays_of(tmp_path / "serial"), arrays_of(tmp_path / "pooled-eval"))
-
     def test_kill_resume_matches_uninterrupted(self, faulted, tmp_path):
         run_campaign(faulted, tmp_path / "straight")
         summary = run_campaign(faulted, tmp_path / "killed")

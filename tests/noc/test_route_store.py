@@ -139,10 +139,8 @@ class TestEngineIntegration:
         parent = random_design(PLATFORM, 5)
         first = RoutingEngine(PLATFORM.grid, store=store)
         first.tables(parent)
-        # Fresh builds are auto-saved to an attached store; a later explicit
-        # share is a no-op on the already-persisted entry.
+        # Fresh builds are auto-saved to an attached store.
         assert first.store_saves == 1
-        assert first.share_to_store(parent.links) is False
 
         from repro.noc.moves import MoveGenerator
 

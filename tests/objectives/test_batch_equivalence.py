@@ -120,17 +120,6 @@ class TestScenarioEquivalence:
         looped = np.array([loop_eval.evaluate(d) for d in designs])
         np.testing.assert_array_equal(batch, looped)
 
-    def test_evaluate_many_parallel_matches_serial(self, tiny_config):
-        workload = get_workload("BFS", tiny_config, seed=0)
-        serial = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
-        parallel = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
-        designs = [random_design(tiny_config, seed) for seed in range(4)]
-        np.testing.assert_allclose(
-            parallel.evaluate_many(designs, parallel=True, max_workers=2),
-            serial.evaluate_many(designs),
-            rtol=RTOL,
-        )
-
 
 class TestDisconnectedEquivalence:
     def test_both_paths_raise_on_disconnected_utilization(self, tiny_config):

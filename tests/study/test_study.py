@@ -69,12 +69,37 @@ class TestStudyValidation:
             Study.from_dict({"algorithms": ["NOPE"]})
 
     def test_from_dict_unknown_campaign_key_raises(self):
-        with pytest.raises(ValueError, match="unknown campaign keys"):
-            Study.from_dict({"campaign": {"output_dir": "x", "turbo": True}})
+        for key in ("turbo", "parallel_evaluation"):
+            with pytest.raises(ValueError, match="unknown campaign keys.*accepted: output_dir"):
+                Study.from_dict({"campaign": {"output_dir": "x", key: True}})
 
     def test_campaign_requires_output_dir(self):
         with pytest.raises(ValueError, match="output_dir"):
             Study.from_dict({"campaign": {"max_workers": 2}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("routing_cache", "false"),
+            ("resume", "false"),
+            ("event_log", "no"),
+            ("shared_routing_cache", 0),
+            ("routing_warm_start", 1),
+            ("repair_infeasible", None),
+            ("max_workers", 2.9),
+            ("max_workers", True),
+            ("repair_max_rounds", "4"),
+            ("repair_candidates_per_round", 8.0),
+            ("repair_max_evaluations", False),
+        ],
+    )
+    def test_from_dict_rejects_malformed_settings(self, key, value):
+        if key == "routing_cache":
+            payload = {key: value}
+        else:
+            payload = {"campaign": {"output_dir": "x", key: value}}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            Study.from_dict(payload)
 
 
 class TestSeededEquivalence:

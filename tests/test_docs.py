@@ -62,5 +62,5 @@ class TestDocsTree:
 
     def test_performance_page_records_the_pool_decision(self):
         content = (DOCS / "performance.md").read_text()
-        assert "PARALLEL_EVALUATION_MIN_TILES" in content
+        assert "## Evaluation pool removed" in content
         assert "256" in content and "BENCH_routing.json" in content
