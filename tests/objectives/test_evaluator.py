@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.noc.constraints import random_design
+from repro.noc.moves import MoveGenerator
 from repro.objectives.evaluator import (
     OBJECTIVE_NAMES,
     ObjectiveEvaluator,
@@ -133,3 +135,52 @@ class TestEvaluator:
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_4OBJ)
         assert evaluator.objective_names == SCENARIO_4OBJ.objectives
         assert evaluator.num_objectives == 4
+
+
+def _brood(workload, parent, size=6, seed=3):
+    """Move-annotated children of ``parent`` (placement swaps and rewires)."""
+    moves = MoveGenerator(workload.config, workload)
+    rng = np.random.default_rng(seed)
+    return [moves.random_neighbor(parent, rng) for _ in range(size)]
+
+
+class TestSerialBatchPath:
+    """``evaluate_many`` computes each unique miss once, in this process."""
+
+    def test_duplicates_and_annotated_moves_bitwise(self, tiny_workload):
+        """Duplicates collapse to one computation and move-annotated children
+        take the engine's repair path; the rows stay bit-identical to fresh
+        per-design builds."""
+        parent = random_design(tiny_workload.config, 7)
+        brood = _brood(tiny_workload, parent)
+        batch = [parent] + brood + [brood[0], parent]
+        fresh = ObjectiveEvaluator(tiny_workload, scenario_for(5), routing_cache=False)
+        expected = np.stack([fresh.evaluate(design) for design in batch])
+        evaluator = ObjectiveEvaluator(tiny_workload, scenario_for(5), cache_size=0)
+        np.testing.assert_array_equal(evaluator.evaluate_many(batch), expected)
+        unique = len({design.key() for design in batch})
+        assert evaluator.routing_cache_stats()["requests"] == unique
+
+    def test_store_backed_evaluation_bitwise_and_counted(self, tiny_workload, tmp_path):
+        """With ``route_store_path`` fresh builds are saved to disk, the stats
+        expose the store counters, and a sibling evaluator on the same store
+        loads the parent's tables instead of rebuilding them."""
+        parent = random_design(tiny_workload.config, 8)
+        brood = _brood(tiny_workload, parent, size=8)
+        plain = ObjectiveEvaluator(tiny_workload, scenario_for(5), cache_size=0)
+        expected = plain.evaluate_many([parent] + brood)
+        assert "store_hits" not in plain.routing_cache_stats()
+
+        stored = ObjectiveEvaluator(
+            tiny_workload, scenario_for(5), cache_size=0, route_store_path=str(tmp_path)
+        )
+        np.testing.assert_array_equal(stored.evaluate_many([parent] + brood), expected)
+        assert stored.routing_cache_stats()["store_saves"] >= 1
+        assert any(path.suffix == ".npz" for path in tmp_path.iterdir())
+
+        sibling = ObjectiveEvaluator(
+            tiny_workload, scenario_for(5), cache_size=0, route_store_path=str(tmp_path)
+        )
+        np.testing.assert_array_equal(sibling.evaluate(parent), expected[0])
+        stats = sibling.routing_cache_stats()
+        assert stats["store_hits"] == 1 and stats["store_saves"] == 0

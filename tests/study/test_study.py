@@ -101,6 +101,28 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             Study.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("resume", False),
+            ("event_log", False),
+            ("shared_routing_cache", False),
+            ("routing_warm_start", True),
+            ("repair_infeasible", True),
+            ("max_workers", 3),
+            ("repair_max_rounds", 2),
+            ("repair_candidates_per_round", 5),
+            ("repair_max_evaluations", 9),
+        ],
+    )
+    def test_from_dict_keeps_well_formed_campaign_settings(self, key, value):
+        study = Study.from_dict({"campaign": {"output_dir": "x", key: value}})
+        setting = study.campaign_settings()[key]
+        assert setting == value and type(setting) is type(value)
+
+    def test_from_dict_keeps_routing_cache_false(self):
+        assert Study.from_dict({"routing_cache": False}).to_dict()["routing_cache"] is False
+
 
 class TestSeededEquivalence:
     """Acceptance criterion: Study runs are bit-identical to run_algorithm."""
