@@ -293,10 +293,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         study.preset("paper")
     # Start from the config file's campaign settings (if any) and only let
     # flags the user actually passed override them.
-    settings = study.campaign_settings() or {"max_workers": 1, "resume": True,
-                                             "event_log": True}
-    output_dir = args.output_dir or settings.get("output_dir")
-    if not output_dir:
+    settings = study.campaign_settings() or {}
+    settings["output_dir"] = args.output_dir or settings.get("output_dir")
+    if not settings["output_dir"]:
         print("error: campaign needs --output-dir (or a campaign.output_dir in --config)",
               file=sys.stderr)
         return 2
@@ -304,19 +303,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         settings["max_workers"] = args.workers
     if args.no_resume:
         settings["resume"] = False
-    if args.follow and not settings.get("event_log", True):
-        # --follow streams the durable log by definition; an explicit flag
-        # outranks the config file's event_log=false.
-        print("note: --follow enables the event log despite campaign.event_log=false")
-        settings["event_log"] = True
-    study.campaign(
-        output_dir,
-        max_workers=settings["max_workers"],
-        resume=settings["resume"],
-        event_log=settings.get("event_log", True),
-        shared_routing_cache=settings.get("shared_routing_cache", True),
-        routing_warm_start=settings.get("routing_warm_start", False),
-    )
+    study.campaign(**settings)
     campaign = study.campaign_config()
     experiment = campaign.experiment
     grid = (f"{len(campaign.algorithms)} algorithms x "

@@ -61,7 +61,6 @@ class DecompositionEA:
         evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
         should_stop: Callable[[], bool] | None = None,
         max_children: int | None = None,
-        repair: Callable[[list[Any]], list[Any]] | None = None,
     ) -> np.ndarray:
         """One EA generation; mutates ``designs``/``objectives`` in place.
 
@@ -84,10 +83,6 @@ class DecompositionEA:
         a budget that exhausts mid-generation overshoots by at most
         ``population - 1`` evaluations (the price of scoring the brood in one
         batch call).
-
-        ``repair`` (the optimiser's
-        :meth:`~repro.moo.base.PopulationOptimizer.brood_repairer`) runs the
-        generated brood through directed feasibility repair before scoring.
         """
         rng = ensure_rng(rng)
         evaluate = evaluate if evaluate is not None else self.problem.evaluate
@@ -110,8 +105,6 @@ class DecompositionEA:
             pools.append(pool)
             update_orders.append(rng.permutation(len(pool)))
 
-        if repair is not None:
-            children = repair(children)
         if evaluate_many is not None:
             child_objs = np.asarray(evaluate_many(children), dtype=np.float64)
         else:

@@ -61,7 +61,6 @@ class MoelaLocalSearch:
         rng: RngLike = None,
         evaluate=None,
         evaluate_many=None,
-        repair=None,
     ) -> MoelaSearchOutcome:
         """Run one local search for the sub-problem defined by ``weight``.
 
@@ -77,10 +76,6 @@ class MoelaLocalSearch:
         evaluate_many:
             Optional batch evaluation callable; when given, each step's
             neighbours are scored through one batch call.
-        repair:
-            Optional brood-repair callable applied to each step's neighbours
-            before scoring (the optimiser's
-            :meth:`~repro.moo.base.PopulationOptimizer.brood_repairer`).
         """
         rng = ensure_rng(rng)
         weight = np.asarray(weight, dtype=np.float64)
@@ -100,7 +95,6 @@ class MoelaLocalSearch:
             rng=rng,
             evaluate=evaluate,
             evaluate_many=evaluate_many,
-            repair=repair,
         )
         samples = tuple(
             TrainingSample(

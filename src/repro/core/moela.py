@@ -120,7 +120,6 @@ class MOELA(PopulationOptimizer):
             evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
             should_stop=stop,
             max_children=budget.remaining_evaluations(self.evaluations),
-            repair=self.brood_repairer(),
         )
 
     # ------------------------------------------------------------------ #
@@ -143,7 +142,6 @@ class MOELA(PopulationOptimizer):
             rng=self.rng,
             evaluate=self.evaluate,
             evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
-            repair=self.brood_repairer(),
         )
         self.reference = np.minimum(self.reference, outcome.objectives)
         self._update_population(outcome.design, outcome.objectives, index)

@@ -17,8 +17,6 @@ from repro.noc.crossover import crossover
 from repro.noc.design import NocDesign
 from repro.noc.moves import MoveGenerator, mutate
 from repro.noc.platform import PlatformConfig
-from repro.noc.repair import RepairBudget, RepairPlan
-from repro.noc.repair import repair_design as directed_repair
 from repro.objectives.evaluator import ObjectiveEvaluator, ObjectiveScenario, scenario_for
 from repro.scenarios.models import ScenarioModel
 from repro.scenarios.registry import parse_scenario
@@ -177,29 +175,6 @@ class NocDesignProblem(Problem):
     def feasibility_report(self, design: NocDesign) -> ViolationReport:
         """Structured constraint-violation report (see :mod:`repro.noc.constraints`)."""
         return self.checker.report(design)
-
-    def repair_design(
-        self,
-        design: NocDesign,
-        *,
-        seed: int,
-        budget: "RepairBudget | None" = None,
-    ) -> RepairPlan:
-        """Run the directed feasibility repair walk on ``design``.
-
-        Candidate repairs are scored through this problem's (cached, counted)
-        objective evaluator, so repair effort shows up in
-        :attr:`evaluations` like any other evaluation.  See
-        :func:`repro.noc.repair.repair_design`.
-        """
-        return directed_repair(
-            design,
-            self.config,
-            seed=seed,
-            evaluator=self.evaluator,
-            budget=budget,
-            checker=self.checker,
-        )
 
     def full_report(self, design: NocDesign) -> dict[str, float]:
         """All five objective values plus the peak temperature of a design."""

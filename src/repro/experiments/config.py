@@ -10,10 +10,10 @@ code paths; the full-scale settings remain available via
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 
 from repro.core.config import MOELAConfig
 from repro.noc.platform import PlatformConfig
-from repro.noc.repair import RepairBudget
 from repro.scenarios.registry import canonical_scenario_key
 from repro.workloads.rodinia import RODINIA_APPLICATIONS
 
@@ -124,7 +124,10 @@ class CampaignConfig:
     A campaign runs every cell of the grid defined by ``algorithms`` and the
     experiment's ``applications`` / ``objective_counts``, each with its own
     derived seed, and streams every cell's result to one JSON shard next to a
-    manifest (see :func:`repro.experiments.runner.run_campaign`).
+    manifest (see :func:`repro.experiments.runner.run_campaign`).  Every
+    cell, pooled or inline, appends its events to the durable
+    ``events.jsonl`` next to the manifest, which the caller's subscribers
+    tail.
 
     Parameters
     ----------
@@ -162,28 +165,6 @@ class CampaignConfig:
         *other* processes — pool workers and resumed campaigns — from builds
         a sibling already paid for.  Off by default: the store writes files
         during evaluation, which small inline campaigns do not need.
-    event_log:
-        Appends every campaign event (shard starts/completions and, from
-        every cell — pooled or inline — the per-iteration optimiser events)
-        to a durable ``events.jsonl`` next to the manifest, and replays it
-        into the caller's subscribers, so pooled campaigns stream the same
-        events inline ones do (callbacks cannot cross the process-pool
-        boundary; the log can).  Observation-only: seeded campaign results
-        are bit-identical with the log on or off.  ``False`` falls back to
-        direct in-process callbacks (pool workers then only report shard
-        completions).
-    repair_infeasible:
-        Enables the opt-in directed feasibility repair path inside every
-        cell's optimiser (see :mod:`repro.noc.repair`): infeasible brood
-        members are run through a seeded repair walk before scoring instead
-        of being discarded.  Off by default — seeded campaigns are
-        bit-identical to pre-repair behaviour when off.  Each cell's repair
-        counters (attempted / repaired / evaluations spent) are recorded in
-        its shard and summarised in the campaign manifest.
-    repair_max_rounds, repair_candidates_per_round, repair_max_evaluations:
-        Budget of each repair walk (see
-        :class:`~repro.noc.repair.RepairBudget`); only consulted when
-        ``repair_infeasible`` is on.
     max_evaluations:
         Per-cell evaluation budget override; ``None`` uses the experiment's
         ``max_evaluations``.
@@ -196,29 +177,15 @@ class CampaignConfig:
     routing_cache: bool = True
     shared_routing_cache: bool = True
     routing_warm_start: bool = False
-    event_log: bool = True
-    repair_infeasible: bool = False
-    repair_max_rounds: int = 4
-    repair_candidates_per_round: int = 8
-    repair_max_evaluations: int = 32
     max_evaluations: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_workers < 1:
+        # operator.index raises TypeError for floats and strings instead of
+        # letting a fractional count reach the pool size or the budget.
+        if index(self.max_workers) < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
+        if self.max_evaluations is not None and index(self.max_evaluations) < 1:
             raise ValueError("max_evaluations must be >= 1")
-        # RepairBudget owns the bounds validation; building one here makes a
-        # bad repair configuration fail at construction, not mid-campaign.
-        self.repair_budget()
-
-    def repair_budget(self) -> RepairBudget:
-        """The per-walk repair budget the cells run with (see ``repair_infeasible``)."""
-        return RepairBudget(
-            max_rounds=self.repair_max_rounds,
-            candidates_per_round=self.repair_candidates_per_round,
-            max_evaluations=self.repair_max_evaluations,
-        )
 
     @property
     def cell_budget(self) -> int:

@@ -2,18 +2,19 @@
 
 Besides the single-run helpers (:func:`run_algorithm`,
 :func:`compare_algorithms`), this module hosts the campaign engine: the full
-(algorithm x application x scenario) grid fanned out over a process pool,
-each cell streaming its result to one JSON shard next to a manifest so a
-killed campaign resumes by running only the missing cells
+(algorithm x application x scenario) grid, run inline or fanned out over a
+process pool, each cell streaming its result to one JSON shard next to a
+manifest so a killed campaign resumes by running only the missing cells
 (:func:`run_campaign`).
 
-Campaigns are asynchronous and observable across processes: every cell —
-pool worker or inline — appends its :class:`~repro.study.events.StudyEvent`\\ s
-to a durable ``events.jsonl`` next to the manifest
-(:mod:`repro.study.event_log`), a manifest-side tailer replays them into the
-caller's subscribers, and :func:`submit_campaign` returns a non-blocking
-:class:`CampaignExecution` handle (``.events()`` / ``.progress()`` /
-``.wait()``).  :func:`run_campaign` is simply ``submit + wait``.
+Campaigns are asynchronous and observable across processes, through one
+event path: every cell — pool worker or inline — appends its
+:class:`~repro.study.events.StudyEvent`\\ s to a durable ``events.jsonl``
+next to the manifest (:mod:`repro.study.event_log`), a manifest-side tailer
+replays them into the caller's subscribers, and :func:`submit_campaign`
+returns a non-blocking :class:`CampaignExecution` handle (``.events()`` /
+``.progress()`` / ``.wait()``).  :func:`run_campaign` is simply
+``submit + wait``.
 
 Finished shard directories can be bounded with
 :func:`repro.experiments.compaction.compact_campaign`: completed shards roll
@@ -38,7 +39,6 @@ from repro.core.problem import NocDesignProblem
 from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.moo.result import OptimizationResult
 from repro.moo.termination import Budget
-from repro.noc.repair import RepairBudget
 from repro.noc.routing_engine import RoutingEngine, RoutingEnginePool
 from repro.study.event_log import EVENT_LOG_NAME, EventLogReader, EventLogWriter
 from repro.study.events import EventCallback, StudyEvent
@@ -132,8 +132,6 @@ def run_algorithm(
     seed: int | None = None,
     options: Mapping[str, Any] | None = None,
     on_event: EventCallback | None = None,
-    repair_infeasible: bool = False,
-    repair_budget: "RepairBudget | None" = None,
 ) -> OptimizationResult:
     """Run one algorithm on one problem instance and return its result.
 
@@ -144,24 +142,12 @@ def run_algorithm(
     declared schema; ``on_event`` subscribes the run to streaming
     :class:`~repro.study.events.StudyEvent` progress (observation-only — a
     subscribed run is bit-identical to a silent one).
-
-    ``repair_infeasible`` enables the opt-in directed feasibility repair
-    path (:mod:`repro.noc.repair`): infeasible brood members are repaired
-    before scoring instead of discarded, each walk seeded from the run seed
-    so results replay deterministically; ``repair_budget`` bounds every walk.
-    Like ``on_event``, repair is wired post-construction — off (the default)
-    leaves seeded runs bit-identical to pre-repair behaviour.
     """
     spec = default_registry().spec(algorithm)
     budget = budget if budget is not None else spec.budget_for(experiment)
     if seed is None:
         seed = _derived_seed(experiment, spec.name, problem.workload.name, problem.num_objectives)
     optimizer = spec.create(problem, experiment, seed, **dict(options or {}))
-    if repair_infeasible:
-        optimizer.repair_infeasible = True
-        optimizer.repair_seed = seed
-        if repair_budget is not None:
-            optimizer.repair_budget = repair_budget
     if on_event is not None:
         optimizer.on_event = on_event
         optimizer.event_context = {
@@ -273,7 +259,6 @@ class CampaignSummary:
     executed: list[str]
     skipped: list[str]
     routing_cache: "dict[str, Any] | None" = None  # aggregate engine counters (see manifest)
-    repair: "dict[str, Any] | None" = None  # aggregate repair counters (repair campaigns only)
 
     def shard_path(self, key: str) -> Path:
         """Path of the shard for a cell key."""
@@ -425,40 +410,6 @@ def aggregate_routing_cache_stats(
     }
 
 
-def aggregate_repair_stats(
-    output_dir: "str | Path",
-    cells: list[CampaignCell],
-    rollup: "Mapping[str, Any] | None" = None,
-) -> dict[str, Any]:
-    """Fold the per-shard directed-repair counters into one campaign summary.
-
-    Mirrors :func:`aggregate_routing_cache_stats`: cells whose shard is
-    missing or predates the repair format land in ``cells_missing_stats``
-    instead of silently skewing the totals.
-    """
-    output_dir = Path(output_dir)
-    totals = {"attempted": 0, "repaired": 0, "evaluations": 0}
-    counted = 0
-    missing = 0
-    for cell in cells:
-        payload = cell_payload(output_dir, cell, rollup)
-        if payload is None:
-            continue
-        stats = payload.get("repair")
-        if not isinstance(stats, dict):
-            missing += 1
-            continue
-        counted += 1
-        for field_name in totals:
-            totals[field_name] += int(stats.get(field_name, 0))
-    return {
-        "cells_counted": counted,
-        "cells_missing_stats": missing,
-        **totals,
-        "repair_rate": totals["repaired"] / totals["attempted"] if totals["attempted"] else 0.0,
-    }
-
-
 def campaign_status(output_dir: "str | Path") -> dict[str, bool]:
     """Completion state of every cell recorded in a campaign manifest."""
     output_dir = Path(output_dir)
@@ -489,8 +440,6 @@ def _run_campaign_cell(
     campaign: CampaignConfig,
     cell: CampaignCell,
     output_dir: str,
-    on_event: EventCallback | None = None,
-    event_log: "str | None" = None,
     route_store_path: "str | None" = None,
     engine_pool: "RoutingEnginePool | None" = None,
 ) -> dict[str, Any]:
@@ -500,13 +449,12 @@ def _run_campaign_cell(
     writes the (potentially large) result to disk in the worker instead of
     shipping it back to the parent.  The cell's events — ``shard_started``,
     the optimiser's ``run_started``/``iteration``/``run_finished`` stream and
-    ``shard_finished`` with the routing-cache counters — go to ``on_event``
-    (inline execution only; callbacks do not cross the process boundary)
-    and/or the durable event log named by ``event_log`` (a file name relative
-    to ``output_dir``, appended atomically — this is how pooled cells reach
-    the caller's subscribers).  ``shard_finished`` is appended *after* the
-    shard's atomic write, so a logged completion always refers to a readable
-    shard, however the campaign dies afterwards.
+    ``shard_finished`` with the routing-cache counters — are appended
+    atomically to the durable event log next to the manifest, which is how
+    pooled and inline cells alike reach the caller's subscribers.
+    ``shard_finished`` is appended *after* the shard's atomic write, so a
+    logged completion always refers to a readable shard, however the
+    campaign dies afterwards.
 
     Route-cache sharing: ``engine_pool`` (inline execution only — engines
     cannot cross the process boundary) hands the cell a
@@ -516,21 +464,6 @@ def _run_campaign_cell(
     ``routing_cache`` record stays per-cell either way: the evaluator
     reports counter deltas against the shared engine's state at cell start.
     """
-    callbacks: list[EventCallback] = []
-    writer: EventLogWriter | None = None
-    if on_event is not None:
-        callbacks.append(on_event)
-    if event_log is not None:
-        writer = EventLogWriter(Path(output_dir) / event_log, origin=f"cell-{cell.key}")
-        callbacks.append(writer.append)
-    if not callbacks:
-        emit = None
-    elif len(callbacks) == 1:
-        emit = callbacks[0]
-    else:
-        def emit(event: StudyEvent, _callbacks=tuple(callbacks)) -> None:
-            for callback in _callbacks:
-                callback(event)
     experiment = campaign.experiment
     shared_engine = None
     if engine_pool is not None and campaign.routing_cache:
@@ -545,29 +478,21 @@ def _run_campaign_cell(
         routing_engine=shared_engine,
         route_store_path=route_store_path if campaign.routing_cache else None,
     )
+    writer = EventLogWriter(Path(output_dir) / EVENT_LOG_NAME, origin=f"cell-{cell.key}")
     try:
-        if emit is not None:
-            emit(_cell_event("shard_started", cell))
+        writer.append(_cell_event("shard_started", cell))
         result = run_algorithm(
             cell.algorithm,
             problem,
             experiment,
             budget=Budget.evaluations(campaign.cell_budget),
             seed=cell.seed,
-            on_event=emit,
-            repair_infeasible=campaign.repair_infeasible,
-            repair_budget=campaign.repair_budget() if campaign.repair_infeasible else None,
+            on_event=writer.append,
         )
         routing_stats = problem.routing_cache_stats()
         payload = result_to_dict(result)
         payload["cell"] = cell.to_dict()
         payload["routing_cache"] = routing_stats
-        # Repair counters appear only on repair-enabled campaigns, so default
-        # shards stay byte-identical to the pre-repair format.
-        if campaign.repair_infeasible:
-            payload["repair"] = result.metadata.get(
-                "repair", {"attempted": 0, "repaired": 0, "evaluations": 0}
-            )
         write_json_atomic(payload, Path(output_dir) / cell.shard_name)
         outcome = {
             "key": cell.key,
@@ -575,19 +500,17 @@ def _run_campaign_cell(
             "elapsed_seconds": float(result.elapsed_seconds),
             "routing_cache": routing_stats,
         }
-        if emit is not None:
-            emit(
-                _cell_event(
-                    "shard_finished",
-                    cell,
-                    evaluations=outcome["evaluations"],
-                    elapsed_seconds=outcome["elapsed_seconds"],
-                    routing_cache=routing_stats,
-                )
+        writer.append(
+            _cell_event(
+                "shard_finished",
+                cell,
+                evaluations=outcome["evaluations"],
+                elapsed_seconds=outcome["elapsed_seconds"],
+                routing_cache=routing_stats,
             )
+        )
     finally:
-        if writer is not None:
-            writer.close()
+        writer.close()
     return outcome
 
 
@@ -614,20 +537,15 @@ def _cell_event(kind: str, cell: CampaignCell, **payload: Any) -> StudyEvent:
 def _execute_campaign(
     campaign: CampaignConfig,
     output_dir: Path,
-    emit: EventCallback | None,
-    event_log: "str | None",
+    emit: EventCallback,
 ) -> CampaignSummary:
-    """Blocking campaign body shared by the sync and async front doors.
+    """Blocking campaign body behind :func:`submit_campaign`.
 
-    ``emit`` receives the campaign-level events (``campaign_started``,
-    ``shard_skipped``, ``campaign_finished``) — in event-log mode it is the
-    parent's log writer, otherwise the caller's direct callback.  Cell-level
-    events come from :func:`_run_campaign_cell`: through the log when
-    ``event_log`` names one (pooled and inline cells alike, so both modes
-    produce the identical stream), or through ``emit`` directly in the legacy
-    no-log inline path.  In the no-log *pool* path workers stay silent, so
-    the parent emits submission-time ``shard_started`` events
-    (``payload["queued"] = True``) and completion-time ``shard_finished``.
+    ``emit`` (the parent's event-log writer) receives the campaign-level
+    events: ``campaign_started``, ``shard_skipped`` and
+    ``campaign_finished``.  Cell-level events come from
+    :func:`_run_campaign_cell`, which appends them to the same log, so
+    pooled and inline campaigns produce the identical stream.
     """
     output_dir.mkdir(parents=True, exist_ok=True)
     cells = campaign_cells(campaign)
@@ -662,21 +580,20 @@ def _execute_campaign(
         done = set()
     pending = [cell for cell in cells if cell.key not in done]
 
-    if emit is not None:
-        emit(
-            StudyEvent(
-                kind="campaign_started",
-                payload={
-                    "cells": len(cells),
-                    "pending": len(pending),
-                    "skipped": len(cells) - len(pending),
-                    "output_dir": str(output_dir),
-                },
-            )
+    emit(
+        StudyEvent(
+            kind="campaign_started",
+            payload={
+                "cells": len(cells),
+                "pending": len(pending),
+                "skipped": len(cells) - len(pending),
+                "output_dir": str(output_dir),
+            },
         )
-        for cell in cells:
-            if cell.key in done:
-                emit(_cell_event("shard_skipped", cell))
+    )
+    for cell in cells:
+        if cell.key in done:
+            emit(_cell_event("shard_skipped", cell))
 
     # Cross-cell route-cache sharing.  Inline cells share one engine pool
     # (same process, zero copies); pooled cells cannot, so the disk-backed
@@ -693,44 +610,18 @@ def _execute_campaign(
     if campaign.max_workers > 1 and len(pending) > 1:
         workers = min(campaign.max_workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for cell in pending:
-                if emit is not None and event_log is None:
-                    # Without the log the worker-side start is unobservable,
-                    # so shard_started marks *submission*; payload["queued"]
-                    # distinguishes it from a worker-side start.
-                    emit(_cell_event("shard_started", cell, queued=True))
-                futures[
-                    pool.submit(
-                        _run_campaign_cell,
-                        campaign,
-                        cell,
-                        str(output_dir),
-                        None,
-                        event_log,
-                        route_store_path,
-                    )
-                ] = cell
+            futures = [
+                pool.submit(_run_campaign_cell, campaign, cell, str(output_dir), route_store_path)
+                for cell in pending
+            ]
             for future in as_completed(futures):
-                outcome = future.result()
-                if emit is not None and event_log is None:
-                    emit(
-                        _cell_event(
-                            "shard_finished",
-                            futures[future],
-                            evaluations=outcome["evaluations"],
-                            elapsed_seconds=outcome["elapsed_seconds"],
-                            routing_cache=outcome["routing_cache"],
-                        )
-                    )
+                future.result()
     else:
         for cell in pending:
             _run_campaign_cell(
                 campaign,
                 cell,
                 str(output_dir),
-                on_event=emit if event_log is None else None,
-                event_log=event_log,
                 route_store_path=route_store_path,
                 engine_pool=engine_pool,
             )
@@ -750,24 +641,19 @@ def _execute_campaign(
     if rollup is not None:
         manifest_payload["rollup"] = rollup
     manifest_payload["routing_cache"] = routing_stats
-    repair_stats: "dict[str, Any] | None" = None
-    if campaign.repair_infeasible:
-        repair_stats = aggregate_repair_stats(output_dir, cells, rollup)
-        manifest_payload["repair"] = repair_stats
     write_json_atomic(manifest_payload, manifest_path)
 
-    if emit is not None:
-        emit(
-            StudyEvent(
-                kind="campaign_finished",
-                payload={
-                    "executed": len(pending),
-                    "skipped": len(cells) - len(pending),
-                    "routing_cache": routing_stats,
-                    "output_dir": str(output_dir),
-                },
-            )
+    emit(
+        StudyEvent(
+            kind="campaign_finished",
+            payload={
+                "executed": len(pending),
+                "skipped": len(cells) - len(pending),
+                "routing_cache": routing_stats,
+                "output_dir": str(output_dir),
+            },
         )
+    )
 
     return CampaignSummary(
         output_dir=output_dir,
@@ -776,7 +662,6 @@ def _execute_campaign(
         executed=[cell.key for cell in pending],
         skipped=[cell.key for cell in cells if cell.key in done],
         routing_cache=routing_stats,
-        repair=repair_stats,
     )
 
 
@@ -784,12 +669,10 @@ class CampaignExecution:
     """Non-blocking handle over a running campaign (see :func:`submit_campaign`).
 
     The campaign body runs on a background thread; this handle is the
-    caller's side of the event stream.  With the event log enabled (the
-    default) every event — campaign brackets from the parent, shard and
-    iteration events from the cells, pooled or inline — round-trips through
-    the durable ``events.jsonl`` and is replayed here by a manifest-side
-    tailer; with ``event_log=False`` the in-process callbacks feed an
-    in-memory buffer instead.  Either way, the subscriber passed to
+    caller's side of the event stream.  Every event — campaign brackets from
+    the parent, shard and iteration events from the cells, pooled or inline
+    — round-trips through the durable ``events.jsonl`` and is replayed here
+    by a manifest-side tailer.  The subscriber passed to
     :func:`submit_campaign` is invoked on the thread that consumes the
     handle (:meth:`wait`, :meth:`events` or :meth:`poll`), never
     concurrently with it.
@@ -822,20 +705,15 @@ class CampaignExecution:
         self._summary: CampaignSummary | None = None
         self._error: BaseException | None = None
         self._finished = threading.Event()
-        self._lock = threading.Lock()
-        self._buffer: list[StudyEvent] = []
-        self._reader: EventLogReader | None = None
-        self._writer: EventLogWriter | None = None
         self._counts = {"total": len(campaign_cells(campaign)), "started": 0,
                         "finished": 0, "skipped": 0, "evaluations": 0}
-        if campaign.event_log:
-            self.output_dir.mkdir(parents=True, exist_ok=True)
-            log_path = self.output_dir / EVENT_LOG_NAME
-            # Tail from the current end: a resumed campaign appends to the
-            # previous run's durable log, and subscribers must only see this
-            # invocation's events.
-            self._reader = EventLogReader(log_path, start_at_end=True)
-            self._writer = EventLogWriter(log_path, origin="campaign")
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+        log_path = self.output_dir / EVENT_LOG_NAME
+        # Tail from the current end: a resumed campaign appends to the
+        # previous run's durable log, and subscribers must only see this
+        # invocation's events.
+        self._reader = EventLogReader(log_path, start_at_end=True)
+        self._writer = EventLogWriter(log_path, origin="campaign")
         self._thread = threading.Thread(
             target=self._execute, name="repro-campaign", daemon=True
         )
@@ -848,24 +726,13 @@ class CampaignExecution:
         return self
 
     def _execute(self) -> None:
-        emit: EventCallback = self._writer.append if self._writer is not None else self._enqueue
         try:
-            self._summary = _execute_campaign(
-                self.campaign,
-                self.output_dir,
-                emit,
-                EVENT_LOG_NAME if self._writer is not None else None,
-            )
+            self._summary = _execute_campaign(self.campaign, self.output_dir, self._writer.append)
         except BaseException as error:  # re-raised by wait()
             self._error = error
         finally:
-            if self._writer is not None:
-                self._writer.close()
+            self._writer.close()
             self._finished.set()
-
-    def _enqueue(self, event: StudyEvent) -> None:
-        with self._lock:
-            self._buffer.append(event)
 
     # ------------------------------------------------------------------ #
     # Caller-side consumption
@@ -877,11 +744,7 @@ class CampaignExecution:
         :meth:`progress` counters — this is the single pump every other
         consumption method goes through.
         """
-        if self._reader is not None:
-            events = [record.event for record in self._reader.poll()]
-        else:
-            with self._lock:
-                events, self._buffer = self._buffer, []
+        events = [record.event for record in self._reader.poll()]
         for event in events:
             self._track(event)
             if self._on_event is not None:
@@ -889,9 +752,6 @@ class CampaignExecution:
         return events
 
     def _track(self, event: StudyEvent) -> None:
-        # Queued submissions (the no-log pool path, where worker-side starts
-        # are unobservable) count as started too: "running" then means
-        # "submitted and not yet finished", the closest observable truth.
         if event.kind == "shard_started":
             self._counts["started"] += 1
         elif event.kind == "shard_finished":
@@ -997,13 +857,9 @@ def run_campaign(
     per-iteration optimiser events from every cell, ``shard_finished`` with
     the cell's evaluation count and routing-cache counters (in completion
     order under a process pool), and ``campaign_finished`` with the folded
-    cache summary.  With the default ``campaign.event_log=True`` the stream
-    is identical for pooled and inline campaigns — workers append to the
-    durable ``events.jsonl`` next to the manifest and a tailer replays it
-    into ``on_event``.  With ``event_log=False`` events stay in-process:
-    inline campaigns still forward everything, but pool workers are silent
-    and the parent only reports submissions (``shard_started`` with
-    ``payload["queued"] = True``) and completions.
+    cache summary.  The stream is identical for pooled and inline campaigns:
+    every cell appends to the durable ``events.jsonl`` next to the manifest
+    and a tailer replays it into ``on_event``.
 
     This is the blocking front door: ``submit_campaign(...).wait()``.  Use
     :func:`submit_campaign` directly for the non-blocking handle.

@@ -65,19 +65,6 @@ class PopulationOptimizer:
         # subscribed run stays bit-identical to a silent one.
         self.on_event: EventCallback | None = None
         self.event_context: dict[str, Any] = {}
-        # Directed feasibility repair (see repro.noc.repair): opt-in via the
-        # dispatch layer, like on_event.  Off by default; when off,
-        # repair_brood() returns its input unchanged without consuming RNG or
-        # touching the problem, so seeded runs stay bit-identical to
-        # pre-repair behaviour.  When on, infeasible brood members are
-        # replaced by their repaired counterparts *before* scoring, each
-        # repair walk seeded from (repair_seed, call index) so a run replays
-        # deterministically.
-        self.repair_infeasible: bool = False
-        self.repair_budget: Any = None
-        self.repair_seed: int = 0
-        self.repair_stats: dict[str, int] = {"attempted": 0, "repaired": 0, "evaluations": 0}
-        self._repair_calls = 0
 
     # ------------------------------------------------------------------ #
     # Template method
@@ -87,8 +74,6 @@ class PopulationOptimizer:
         self._watch = StopWatch()
         self.evaluations = 0
         self.history = []
-        self.repair_stats = {"attempted": 0, "repaired": 0, "evaluations": 0}
-        self._repair_calls = 0
         self.initialize()
         self.record_snapshot(iteration=0)
         self.emit_event("run_started", iteration=0)
@@ -111,9 +96,7 @@ class PopulationOptimizer:
         at full effect.  With ``batch_evaluation=False`` every design is scored
         through a scalar :meth:`evaluate` call instead.
         """
-        self.designs = self.repair_brood(
-            [self.problem.random_design(self.rng) for _ in range(self.population_size)]
-        )
+        self.designs = [self.problem.random_design(self.rng) for _ in range(self.population_size)]
         if self.batch_evaluation:
             self.objectives = self.evaluate_batch(self.designs)
         else:
@@ -158,55 +141,6 @@ class PopulationOptimizer:
         for design, vector in zip(designs, objectives):
             self.archive.add(design, vector)
         return objectives
-
-    def repair_brood(self, designs: list[Any]) -> list[Any]:
-        """Replace infeasible brood members with repaired counterparts (opt-in).
-
-        With :attr:`repair_infeasible` unset — the default — this returns
-        ``designs`` unchanged without consuming RNG or touching the problem,
-        so seeded runs are bit-identical to pre-repair behaviour.  When set,
-        each infeasible member runs through the problem's ``repair_design``
-        (see :func:`repro.noc.repair.repair_design`) with a seed derived from
-        ``(repair_seed, call index)``; members whose walk fails stay in the
-        brood unchanged (evaluation remains the final arbiter).  Call this
-        *before* scoring a brood — substituting designs after evaluation
-        would desynchronise populations from their objective rows.
-        """
-        if not self.repair_infeasible or not designs:
-            return designs
-        repair_fn = getattr(self.problem, "repair_design", None)
-        feasible_fn = getattr(self.problem, "is_feasible", None)
-        if not callable(repair_fn) or not callable(feasible_fn):
-            return designs
-        out: list[Any] = []
-        for design in designs:
-            if feasible_fn(design):
-                out.append(design)
-                continue
-            call = self._repair_calls
-            self._repair_calls += 1
-            plan = repair_fn(
-                design,
-                seed=self.repair_seed + call,
-                budget=self.repair_budget,
-            )
-            self.repair_stats["attempted"] += 1
-            self.repair_stats["evaluations"] += plan.evaluations_used
-            if plan.feasible:
-                self.repair_stats["repaired"] += 1
-                out.append(plan.design)
-            else:
-                out.append(design)
-        return out
-
-    def brood_repairer(self) -> "Any | None":
-        """:meth:`repair_brood` when repair is enabled, ``None`` otherwise.
-
-        The local searches (:func:`repro.moo.local_search.greedy_descent`)
-        accept an optional ``repair`` callable; passing ``None`` keeps their
-        signature-stable fast path.
-        """
-        return self.repair_brood if self.repair_infeasible else None
 
     def brood_limit(self, budget: Budget, requested: int) -> int:
         """Largest brood size the evaluation budget still allows.
@@ -309,9 +243,4 @@ class PopulationOptimizer:
         stats_fn = getattr(self.problem, "routing_cache_stats", None)
         if callable(stats_fn):
             result.metadata["routing_cache"] = stats_fn()
-        # Repair counters ride along only when the opt-in path is enabled, so
-        # default-run result dictionaries stay byte-identical to pre-repair
-        # shards.
-        if self.repair_infeasible:
-            result.metadata["repair"] = dict(self.repair_stats)
         return result

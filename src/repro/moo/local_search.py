@@ -25,7 +25,6 @@ def score_neighbor_brood(
     rng,
     evaluate: Callable[[Any], np.ndarray] | None = None,
     evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
-    repair: Callable[[list[Any]], list[Any]] | None = None,
 ) -> tuple[list[Any], np.ndarray]:
     """Generate ``count`` random neighbours of ``current`` and score them.
 
@@ -34,15 +33,8 @@ def score_neighbor_brood(
     RNG identically and visit the same designs — this is the invariant the
     seeded batch-vs-scalar equivalence tests pin down.  Shared by
     :func:`greedy_descent` and the MOOS / MOO-STAGE PHV local searches.
-
-    ``repair`` (pass the optimiser's
-    :meth:`~repro.moo.base.PopulationOptimizer.brood_repairer`) runs the
-    generated brood through directed feasibility repair before scoring;
-    ``None`` — the default — leaves the brood untouched.
     """
     candidates = [problem.neighbor(current, rng) for _ in range(count)]
-    if repair is not None:
-        candidates = repair(candidates)
     if evaluate_many is not None:
         objectives = np.asarray(evaluate_many(candidates), dtype=np.float64)
     else:
@@ -88,7 +80,6 @@ def greedy_descent(
     rng: RngLike = None,
     evaluate: Callable[[Any], np.ndarray] | None = None,
     evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
-    repair: Callable[[list[Any]], list[Any]] | None = None,
 ) -> LocalSearchResult:
     """Greedy first/best-improvement descent on ``scalar_fn``.
 
@@ -111,10 +102,6 @@ def greedy_descent(
         Optional batch evaluation callable mapping a list of designs to an
         objective matrix; when given it scores each step's neighbours in one
         call (pass the optimiser's counting batch wrapper).
-    repair:
-        Optional brood-repair callable applied to each step's neighbours
-        before scoring (pass the optimiser's
-        :meth:`~repro.moo.base.PopulationOptimizer.brood_repairer`).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -137,7 +124,7 @@ def greedy_descent(
         best_candidate_value = current_value
         candidates, candidate_objs = score_neighbor_brood(
             problem, current, neighbors_per_step, rng,
-            evaluate=evaluate, evaluate_many=evaluate_many, repair=repair,
+            evaluate=evaluate, evaluate_many=evaluate_many,
         )
         evaluations += len(candidates)
         for candidate, candidate_obj in zip(candidates, candidate_objs):

@@ -76,7 +76,6 @@ class MOEAD(PopulationOptimizer):
             )
             if self.rng.random() < self.mutation_probability:
                 child = self.problem.mutate(child, self.rng)
-            child = self.repair_brood([child])[0]
             child_obj = self.evaluate(child)
             self.reference = np.minimum(self.reference, child_obj)
             self._update_neighbors(sub_problem, pool, child, child_obj)

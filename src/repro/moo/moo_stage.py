@@ -121,7 +121,6 @@ class MOOStage(PopulationOptimizer):
             candidates, candidate_objs = score_neighbor_brood(
                 self.problem, current, self.neighbors_per_step, self.rng,
                 evaluate_many=self.evaluate_batch,
-                repair=self.brood_repairer(),
             )
             best_candidate = None
             best_candidate_obj = None

@@ -168,7 +168,6 @@ class MOOS(PopulationOptimizer):
             candidates, candidate_objs = score_neighbor_brood(
                 self.problem, current, self.neighbors_per_step, self.rng,
                 evaluate_many=self.evaluate_batch,
-                repair=self.brood_repairer(),
             )
             best_candidate = None
             best_candidate_obj = None

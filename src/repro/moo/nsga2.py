@@ -68,7 +68,7 @@ class NSGA2(PopulationOptimizer):
         brood_size = self.brood_limit(budget, self.population_size)
         if brood_size == 0:
             return
-        offspring_designs = self.repair_brood([self._mate_one() for _ in range(brood_size)])
+        offspring_designs = [self._mate_one() for _ in range(brood_size)]
         offspring_objectives = self.evaluate_batch(offspring_designs)
         combined_designs = self.designs + offspring_designs
         combined_objectives = np.vstack([self.objectives, offspring_objectives])
@@ -86,7 +86,7 @@ class NSGA2(PopulationOptimizer):
         while len(offspring_designs) < self.population_size:
             if budget.exhausted(iteration, self.evaluations, self.elapsed()):
                 break
-            child = self.repair_brood([self._mate_one()])[0]
+            child = self._mate_one()
             offspring_designs.append(child)
             offspring_objectives.append(self.evaluate(child))
         if not offspring_designs:

@@ -109,27 +109,20 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "output_dir",
     "max_workers",
     "resume",
-    "event_log",
     "shared_routing_cache",
     "routing_warm_start",
-    "repair_infeasible",
-    "repair_max_rounds",
-    "repair_candidates_per_round",
-    "repair_max_evaluations",
 )
 
 
-def _flag(settings: Mapping[str, Any], key: str, default: bool) -> bool:
-    """A boolean setting read from a study file; no truthiness coercion."""
-    value = settings.get(key, default)
+def _flag(key: str, value: Any) -> bool:
+    """A boolean study setting; no truthiness coercion."""
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _integer(settings: Mapping[str, Any], key: str, default: int) -> int:
-    """An integer setting read from a study file; floats and booleans raise."""
-    value = settings.get(key, default)
+def _integer(key: str, value: Any) -> int:
+    """An integer study setting; floats and booleans raise."""
     if not isinstance(value, bool):
         try:
             return index(value)
@@ -325,36 +318,25 @@ class Study:
         output_dir: "str | Path",
         max_workers: int = 1,
         resume: bool = True,
-        event_log: bool = True,
         shared_routing_cache: bool = True,
         routing_warm_start: bool = False,
-        repair_infeasible: bool = False,
-        repair_max_rounds: int = 4,
-        repair_candidates_per_round: int = 8,
-        repair_max_evaluations: int = 32,
     ) -> "Study":
         """Execute as a sharded, resumable campaign instead of inline runs.
 
-        ``event_log=True`` (the default) streams every cell's events —
-        pooled or inline — through the durable ``events.jsonl`` next to the
-        manifest; it is also what :meth:`submit`'s non-blocking handle tails.
-        ``shared_routing_cache`` and ``routing_warm_start`` control the
-        cross-cell routing-cache tiers; ``repair_infeasible`` and the
-        ``repair_*`` budget keys control the opt-in directed feasibility
-        repair path inside every cell (see
-        :class:`~repro.experiments.config.CampaignConfig`).
+        Every cell's events — pooled or inline — stream through the durable
+        ``events.jsonl`` next to the manifest; it is also what
+        :meth:`submit`'s non-blocking handle tails.  ``shared_routing_cache``
+        and ``routing_warm_start`` control the cross-cell routing-cache tiers
+        (see :class:`~repro.experiments.config.CampaignConfig`).  The flags
+        must be booleans and ``max_workers`` an integer; anything else raises
+        ``ValueError`` instead of being coerced.
         """
         self._campaign = {
             "output_dir": str(output_dir),
-            "max_workers": int(max_workers),
-            "resume": bool(resume),
-            "event_log": bool(event_log),
-            "shared_routing_cache": bool(shared_routing_cache),
-            "routing_warm_start": bool(routing_warm_start),
-            "repair_infeasible": bool(repair_infeasible),
-            "repair_max_rounds": int(repair_max_rounds),
-            "repair_candidates_per_round": int(repair_candidates_per_round),
-            "repair_max_evaluations": int(repair_max_evaluations),
+            "max_workers": _integer("max_workers", max_workers),
+            "resume": _flag("resume", resume),
+            "shared_routing_cache": _flag("shared_routing_cache", shared_routing_cache),
+            "routing_warm_start": _flag("routing_warm_start", routing_warm_start),
         }
         return self
 
@@ -390,7 +372,7 @@ class Study:
             evaluations=payload.get("evaluations"),
             seed=payload.get("seed"),
             scenarios=payload.get("scenarios"),
-            routing_cache=_flag(payload, "routing_cache", True),
+            routing_cache=_flag("routing_cache", payload.get("routing_cache", True)),
         )
         for entry in payload.get("algorithms", ()):
             if isinstance(entry, str):
@@ -415,18 +397,7 @@ class Study:
                 )
             if "output_dir" not in campaign:
                 raise ValueError("campaign configuration requires an output_dir")
-            study.campaign(
-                campaign["output_dir"],
-                max_workers=_integer(campaign, "max_workers", 1),
-                resume=_flag(campaign, "resume", True),
-                event_log=_flag(campaign, "event_log", True),
-                shared_routing_cache=_flag(campaign, "shared_routing_cache", True),
-                routing_warm_start=_flag(campaign, "routing_warm_start", False),
-                repair_infeasible=_flag(campaign, "repair_infeasible", False),
-                repair_max_rounds=_integer(campaign, "repair_max_rounds", 4),
-                repair_candidates_per_round=_integer(campaign, "repair_candidates_per_round", 8),
-                repair_max_evaluations=_integer(campaign, "repair_max_evaluations", 32),
-            )
+            study.campaign(**campaign)
         return study
 
     @classmethod
@@ -482,23 +453,11 @@ class Study:
         if not self._routing_cache:
             payload["routing_cache"] = False
         if self._campaign is not None:
-            campaign = {k: v for k, v in self._campaign.items() if v is not None}
-            if campaign.get("resume") is True:
+            campaign = dict(self._campaign)
+            if campaign["resume"] is True:
                 del campaign["resume"]
-            if campaign.get("max_workers") == 1:
+            if campaign["max_workers"] == 1:
                 del campaign["max_workers"]
-            if campaign.get("event_log") is True:
-                del campaign["event_log"]
-            if campaign.get("repair_infeasible") is False:
-                # Repair off is the default; dropping the whole block keeps
-                # pre-repair study files byte-identical.
-                for key in (
-                    "repair_infeasible",
-                    "repair_max_rounds",
-                    "repair_candidates_per_round",
-                    "repair_max_evaluations",
-                ):
-                    campaign.pop(key, None)
             payload["campaign"] = campaign
         return payload
 
@@ -551,13 +510,8 @@ class Study:
             max_workers=self._campaign["max_workers"],
             resume=self._campaign["resume"],
             routing_cache=self._routing_cache,
-            event_log=self._campaign.get("event_log", True),
-            shared_routing_cache=self._campaign.get("shared_routing_cache", True),
-            routing_warm_start=self._campaign.get("routing_warm_start", False),
-            repair_infeasible=self._campaign.get("repair_infeasible", False),
-            repair_max_rounds=self._campaign.get("repair_max_rounds", 4),
-            repair_candidates_per_round=self._campaign.get("repair_candidates_per_round", 8),
-            repair_max_evaluations=self._campaign.get("repair_max_evaluations", 32),
+            shared_routing_cache=self._campaign["shared_routing_cache"],
+            routing_warm_start=self._campaign["routing_warm_start"],
         )
 
     def _emit(self, kind: str, **payload: Any) -> None:

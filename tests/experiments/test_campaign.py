@@ -1,5 +1,6 @@
 """Tests for the sharded campaign engine (grid fan-out, manifest, resume)."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,33 @@ class TestRunCampaign:
             if cell.key != victim.key:
                 assert resumed.shard_path(cell.key).stat().st_mtime_ns == shard_mtimes[cell.key]
         assert all(campaign_status(tmp_path).values())
+
+    def test_resume_ignores_retired_repair_records(self, campaign, tmp_path):
+        """Directories written while campaigns could repair infeasible broods
+        carry a ``repair`` record in every shard and in the manifest; they
+        still resume without re-running a cell."""
+        summary = run_campaign(campaign, tmp_path)
+        counters = {"attempted": 0, "repaired": 0, "evaluations": 0}
+        for cell in summary.cells:
+            shard = summary.shard_path(cell.key)
+            payload = json.loads(shard.read_text())
+            payload["repair"] = counters
+            shard.write_text(json.dumps(payload))
+        manifest = load_manifest(tmp_path)
+        manifest["repair"] = {"cells_counted": 4, "cells_missing_stats": 0, **counters}
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        resumed = run_campaign(campaign, tmp_path)
+        assert not resumed.executed and len(resumed.skipped) == 4
+        assert len(dict(load_campaign_results(tmp_path))) == 4
+
+    def test_shards_and_manifest_carry_no_repair_records(self, campaign, tmp_path):
+        summary = run_campaign(campaign, tmp_path)
+        manifest = load_manifest(tmp_path)
+        assert "repair" not in manifest
+        assert all("repair" not in entry for entry in manifest["cells"])
+        for cell in summary.cells:
+            assert "repair" not in json.loads(summary.shard_path(cell.key).read_text())
 
     def test_resume_false_reruns_everything(self, campaign, tmp_path):
         run_campaign(campaign, tmp_path)

@@ -190,12 +190,11 @@ class TestCompactCampaign:
         original = runner_mod._run_campaign_cell
         compacted_during_run: list[int] = []
 
-        def cell_then_compact(campaign_cfg, cell, output_dir, on_event=None, event_log=None, **kwargs):
+        def cell_then_compact(campaign_cfg, cell, output_dir, **kwargs):
             # Compact synchronously right after the first cell completes,
             # while the remaining cells are still pending — deterministic
             # "concurrent repro compact" against the inline campaign body.
-            outcome = original(campaign_cfg, cell, output_dir,
-                               on_event=on_event, event_log=event_log, **kwargs)
+            outcome = original(campaign_cfg, cell, output_dir, **kwargs)
             if not compacted_during_run:
                 compacted_during_run.append(compact_campaign(tmp_path).total)
             return outcome

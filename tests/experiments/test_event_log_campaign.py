@@ -1,15 +1,13 @@
 """Integration tests for async campaign execution over the durable event log.
 
-Covers the tentpole acceptance criteria: a pooled campaign streams
-shard/iteration events to the caller through the manifest-side JSONL log,
-seeded results are bit-identical with the log on or off (rtol=0), the
+A pooled campaign streams shard/iteration events to the caller through the
+manifest-side JSONL log, inline and pooled cells emit identical streams, the
 non-blocking submit/poll handle works, and a killed + resumed campaign's log
 replays a consistent, monotonic event sequence.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import CampaignConfig, ExperimentConfig
@@ -80,8 +78,6 @@ class TestPooledEventStream:
         # the process-pool boundary.
         assert kinds.count("run_started") == 4 and kinds.count("run_finished") == 4
         assert kinds.count("iteration") > 0
-        # Worker-side starts, not parent-side submissions.
-        assert not any(e.payload.get("queued") for e in events if e.kind == "shard_started")
 
         # Every received event round-tripped through the durable log.
         records = read_event_log(tmp_path / EVENT_LOG_NAME)
@@ -98,17 +94,6 @@ class TestPooledEventStream:
         for cell in campaign_cells(campaign):
             assert _cell_stream(inline_events, cell.key) == _cell_stream(pooled_events, cell.key)
 
-    def test_pool_without_log_keeps_legacy_submission_events(self, campaign, tmp_path):
-        events: list[StudyEvent] = []
-        run_campaign(
-            replace(campaign, max_workers=2, event_log=False), tmp_path, on_event=events.append
-        )
-        kinds = [e.kind for e in events]
-        assert "iteration" not in kinds  # callbacks cannot cross the pool
-        started = [e for e in events if e.kind == "shard_started"]
-        assert len(started) == 4 and all(e.payload.get("queued") for e in started)
-        assert not (tmp_path / EVENT_LOG_NAME).exists()
-
     def test_shard_finished_events_carry_counters(self, campaign, tmp_path):
         events: list[StudyEvent] = []
         run_campaign(replace(campaign, max_workers=2), tmp_path, on_event=events.append)
@@ -117,20 +102,6 @@ class TestPooledEventStream:
         for event in finished:
             assert event.evaluations == 40
             assert event.payload["routing_cache"]["requests"] > 0
-
-
-class TestEventLogDeterminism:
-    def test_results_bit_identical_with_log_on_or_off(self, campaign, tmp_path):
-        """Acceptance criterion at rtol=0: the log is observation-only."""
-        run_campaign(replace(campaign, event_log=True, max_workers=2), tmp_path / "on")
-        run_campaign(replace(campaign, event_log=False), tmp_path / "off")
-        on = {c.key: r for c, r in load_campaign_results(tmp_path / "on")}
-        off = {c.key: r for c, r in load_campaign_results(tmp_path / "off")}
-        assert on.keys() == off.keys()
-        for key in on:
-            np.testing.assert_array_equal(on[key].objectives, off[key].objectives)
-            np.testing.assert_array_equal(on[key].final_front(), off[key].final_front())
-            assert on[key].evaluations == off[key].evaluations
 
 
 class TestCampaignExecutionHandle:
@@ -161,17 +132,6 @@ class TestCampaignExecutionHandle:
         execution.wait(timeout=600)
         assert [e.kind for e in events][0] == "campaign_started"
         assert [e.kind for e in events][-1] == "campaign_finished"
-
-    def test_progress_counts_queued_submissions_without_the_log(self, campaign, tmp_path):
-        """In the no-log pool path worker-side starts are unobservable, so
-        queued submissions must count as started — otherwise 'running' would
-        read 0 for the whole campaign."""
-        execution = submit_campaign(
-            replace(campaign, max_workers=2, event_log=False), tmp_path
-        )
-        execution.wait(timeout=600)
-        final = execution.progress()
-        assert final["executed"] == 4 and final["running"] == 0 and final["finished"]
 
     def test_wait_reraises_campaign_errors(self, campaign, tmp_path):
         run_campaign(campaign, tmp_path)

@@ -126,7 +126,10 @@ class TestRepairWalk:
     def test_scoring_uses_the_evaluator_within_budget(self, tiny_config, tiny_problem):
         design = _drop_links(random_design(tiny_config, np.random.default_rng(2)), 2)
         before = tiny_problem.evaluations
-        plan = tiny_problem.repair_design(design, seed=5)
+        plan = repair_design(
+            design, tiny_config, seed=5,
+            evaluator=tiny_problem.evaluator, checker=tiny_problem.checker,
+        )
         assert plan.feasible
         assert 0 < plan.evaluations_used <= RepairBudget().max_evaluations
         # repair evaluations flow through the problem's cached counter
@@ -134,8 +137,13 @@ class TestRepairWalk:
 
     def test_scored_choice_is_deterministic(self, tiny_config, tiny_problem):
         design = _drop_links(random_design(tiny_config, np.random.default_rng(3)), 3)
-        first = tiny_problem.repair_design(design, seed=11)
-        second = tiny_problem.repair_design(design, seed=11)
+        first, second = (
+            repair_design(
+                design, tiny_config, seed=11,
+                evaluator=tiny_problem.evaluator, checker=tiny_problem.checker,
+            )
+            for _ in range(2)
+        )
         assert first.to_dict() == second.to_dict()
 
     def test_budget_exhaustion_returns_partial_progress(self, tiny_config):

@@ -199,9 +199,10 @@ class TestCampaignAndTables:
         assert main(["compact", "--output-dir", str(tmp_path)]) == 1
         assert "no completed cells" in capsys.readouterr().err
 
-    def test_campaign_config_event_log_false_is_honored(self, tmp_path, capsys):
-        """A config file's `campaign.event_log = false` must survive the CLI's
-        settings plumbing (flags merely override, never silently reset)."""
+    def test_campaign_config_with_removed_event_log_key_is_rejected(self, tmp_path, capsys):
+        """Campaigns always write the durable event log, so a config file
+        that still sets `campaign.event_log` fails with the unknown-key error
+        instead of being silently ignored."""
         config = tmp_path / "study.json"
         config.write_text(json.dumps({
             "preset": "smoke",
@@ -210,25 +211,9 @@ class TestCampaignAndTables:
             "evaluations": 30,
             "campaign": {"output_dir": str(tmp_path / "out"), "event_log": False},
         }))
-        assert main(["campaign", "--config", str(config), "--no-progress"]) == 0
-        assert (tmp_path / "out" / "manifest.json").exists()
-        assert not (tmp_path / "out" / "events.jsonl").exists()
-
-    def test_follow_overrides_config_event_log_false(self, tmp_path, capsys):
-        """--follow streams the durable log by definition, so the explicit
-        flag outranks a config file's campaign.event_log = false."""
-        config = tmp_path / "study.json"
-        config.write_text(json.dumps({
-            "preset": "smoke",
-            "applications": ["BFS"],
-            "algorithms": ["NSGA-II"],
-            "evaluations": 30,
-            "campaign": {"output_dir": str(tmp_path / "out"), "event_log": False},
-        }))
-        assert main(["campaign", "--config", str(config), "--follow"]) == 0
-        out = capsys.readouterr().out
-        assert "enables the event log" in out
-        assert (tmp_path / "out" / "events.jsonl").exists()
+        assert main(["campaign", "--config", str(config), "--no-progress"]) == 2
+        assert "unknown campaign keys ['event_log']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_campaign_without_output_dir_fails(self, capsys):
         assert main(["campaign", "--preset", "smoke", "--no-progress"]) == 2

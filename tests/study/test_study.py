@@ -68,10 +68,21 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="available: MOELA"):
             Study.from_dict({"algorithms": ["NOPE"]})
 
-    def test_from_dict_unknown_campaign_key_raises(self):
-        for key in ("turbo", "parallel_evaluation"):
-            with pytest.raises(ValueError, match="unknown campaign keys.*accepted: output_dir"):
-                Study.from_dict({"campaign": {"output_dir": "x", key: True}})
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "turbo",
+            "parallel_evaluation",
+            "event_log",
+            "repair_infeasible",
+            "repair_max_rounds",
+            "repair_candidates_per_round",
+            "repair_max_evaluations",
+        ],
+    )
+    def test_from_dict_unknown_campaign_key_raises(self, key):
+        with pytest.raises(ValueError, match="unknown campaign keys.*accepted: output_dir"):
+            Study.from_dict({"campaign": {"output_dir": "x", key: True}})
 
     def test_campaign_requires_output_dir(self):
         with pytest.raises(ValueError, match="output_dir"):
@@ -82,15 +93,10 @@ class TestStudyValidation:
         [
             ("routing_cache", "false"),
             ("resume", "false"),
-            ("event_log", "no"),
             ("shared_routing_cache", 0),
             ("routing_warm_start", 1),
-            ("repair_infeasible", None),
             ("max_workers", 2.9),
             ("max_workers", True),
-            ("repair_max_rounds", "4"),
-            ("repair_candidates_per_round", 8.0),
-            ("repair_max_evaluations", False),
         ],
     )
     def test_from_dict_rejects_malformed_settings(self, key, value):
@@ -105,14 +111,9 @@ class TestStudyValidation:
         "key, value",
         [
             ("resume", False),
-            ("event_log", False),
             ("shared_routing_cache", False),
             ("routing_warm_start", True),
-            ("repair_infeasible", True),
             ("max_workers", 3),
-            ("repair_max_rounds", 2),
-            ("repair_candidates_per_round", 5),
-            ("repair_max_evaluations", 9),
         ],
     )
     def test_from_dict_keeps_well_formed_campaign_settings(self, key, value):
@@ -122,6 +123,26 @@ class TestStudyValidation:
 
     def test_from_dict_keeps_routing_cache_false(self):
         assert Study.from_dict({"routing_cache": False}).to_dict()["routing_cache"] is False
+
+    @pytest.mark.parametrize(
+        "target, settings, error",
+        [
+            ("study", {"max_workers": 2.9}, ValueError),
+            ("study", {"max_workers": "2"}, ValueError),
+            ("study", {"resume": "no"}, ValueError),
+            ("study", {"shared_routing_cache": 0}, ValueError),
+            ("study", {"routing_warm_start": 1}, ValueError),
+            ("config", {"max_workers": 1.5}, TypeError),
+            ("config", {"max_evaluations": 60.5}, TypeError),
+        ],
+    )
+    def test_campaign_settings_are_not_coerced(self, target, settings, error):
+        """Study.campaign() and CampaignConfig reject what from_dict rejects."""
+        with pytest.raises(error):
+            if target == "study":
+                Study().campaign("x", **settings)
+            else:
+                CampaignConfig(**settings)
 
 
 class TestSeededEquivalence:
