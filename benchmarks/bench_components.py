@@ -25,6 +25,7 @@ from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
+from tests.oracles.objectives import evaluate_reference
 
 PLATFORM = PlatformConfig.small_3x3x3()
 WORKLOAD = get_workload("BFS", PLATFORM, seed=0)
@@ -62,7 +63,7 @@ def test_scalar_reference_evaluation_5obj_population(benchmark):
     """Looped scalar-reference 5-objective evaluation of the same population."""
     evaluator = ObjectiveEvaluator(WORKLOAD, scenario_for(5), cache_size=0)
     matrix = benchmark(
-        lambda: np.array([evaluator.evaluate_reference(d) for d in POPULATION])
+        lambda: np.array([evaluate_reference(evaluator, d) for d in POPULATION])
     )
     assert matrix.shape == (len(POPULATION), 5)
 
@@ -81,14 +82,14 @@ def test_batch_evaluation_speedup_and_equivalence():
     evaluator = ObjectiveEvaluator(WORKLOAD, scenario_for(5), cache_size=0)
     # Warm-up outside the timed sections (imports, allocator, BLAS threads).
     evaluator.evaluate_many(POPULATION[:2])
-    evaluator.evaluate_reference(POPULATION[0])
+    evaluate_reference(evaluator, POPULATION[0])
 
     start = time.perf_counter()
     batch = evaluator.evaluate_many(POPULATION)
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = np.array([evaluator.evaluate_reference(d) for d in POPULATION])
+    scalar = np.array([evaluate_reference(evaluator, d) for d in POPULATION])
     scalar_seconds = time.perf_counter() - start
 
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)
@@ -121,14 +122,14 @@ def test_batched_nsga2_brood_scoring_speedup_and_equivalence():
 
     evaluator = problem.evaluator
     evaluator.evaluate_many(brood[:2])  # warm-up
-    evaluator.evaluate_reference(brood[0])
+    evaluate_reference(evaluator, brood[0])
 
     start = time.perf_counter()
     batch = evaluator.evaluate_many(brood)
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = np.array([evaluator.evaluate_reference(design) for design in brood])
+    scalar = np.array([evaluate_reference(evaluator, design) for design in brood])
     scalar_seconds = time.perf_counter() - start
 
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)

@@ -57,7 +57,6 @@ class DecompositionEA:
         reference: np.ndarray,
         scale: np.ndarray | None = None,
         rng: RngLike = None,
-        evaluate: Callable[[Any], np.ndarray] | None = None,
         evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
         should_stop: Callable[[], bool] | None = None,
         max_children: int | None = None,
@@ -69,12 +68,11 @@ class DecompositionEA:
 
         The pass is generational: every sub-problem's offspring is mated from
         the start-of-generation population, then the whole brood is scored in
-        one batch — through ``evaluate_many`` when provided, per-child via
-        ``evaluate`` otherwise — and finally the Tchebycheff pool updates are
-        applied with the brood-wide updated reference point.  All random draws
-        (mating pools, parents, variation, update permutations) happen during
-        offspring generation, so the batch and per-child evaluation paths
-        consume the RNG identically.
+        one ``evaluate_many`` call (default ``problem.evaluate_many``), and
+        finally the Tchebycheff pool updates are applied with the brood-wide
+        updated reference point.  All random draws (mating pools, parents,
+        variation, update permutations) happen during offspring generation,
+        so a per-child evaluation loop would consume the RNG identically.
 
         ``should_stop`` is consulted once, before the generation starts.  To
         keep evaluation-budget comparisons fair against the sequential
@@ -85,7 +83,8 @@ class DecompositionEA:
         batch call).
         """
         rng = ensure_rng(rng)
-        evaluate = evaluate if evaluate is not None else self.problem.evaluate
+        if evaluate_many is None:
+            evaluate_many = self.problem.evaluate_many
         reference = np.asarray(reference, dtype=np.float64).copy()
         population = len(designs)
         brood_size = population if max_children is None else min(population, max(0, max_children))
@@ -105,10 +104,7 @@ class DecompositionEA:
             pools.append(pool)
             update_orders.append(rng.permutation(len(pool)))
 
-        if evaluate_many is not None:
-            child_objs = np.asarray(evaluate_many(children), dtype=np.float64)
-        else:
-            child_objs = np.array([evaluate(child) for child in children], dtype=np.float64)
+        child_objs = np.asarray(evaluate_many(children), dtype=np.float64)
         reference = np.minimum(reference, child_objs.min(axis=0))
 
         for child, child_obj, pool, order in zip(children, child_objs, pools, update_orders):

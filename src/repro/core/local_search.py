@@ -46,6 +46,8 @@ class MoelaLocalSearch:
             raise ValueError("max_steps must be >= 1")
         if neighbors_per_step < 1:
             raise ValueError("neighbors_per_step must be >= 1")
+        if patience < 1:
+            raise ValueError("patience must be >= 1")
         self.problem = problem
         self.max_steps = max_steps
         self.neighbors_per_step = neighbors_per_step
@@ -59,7 +61,6 @@ class MoelaLocalSearch:
         reference: np.ndarray,
         scale: np.ndarray | None = None,
         rng: RngLike = None,
-        evaluate=None,
         evaluate_many=None,
     ) -> MoelaSearchOutcome:
         """Run one local search for the sub-problem defined by ``weight``.
@@ -70,12 +71,10 @@ class MoelaLocalSearch:
             The reference point ``z`` (running ideal point of the population).
         scale:
             Optional per-objective normalisation span (nadir minus ideal).
-        evaluate:
-            Optional evaluation callable used to count evaluations at the
-            optimiser level; defaults to ``problem.evaluate``.
         evaluate_many:
-            Optional batch evaluation callable; when given, each step's
-            neighbours are scored through one batch call.
+            Batch evaluation callable scoring each step's neighbours in one
+            call; defaults to ``problem.evaluate_many`` (pass the optimiser's
+            counting batch wrapper to count evaluations).
         """
         rng = ensure_rng(rng)
         weight = np.asarray(weight, dtype=np.float64)
@@ -93,7 +92,6 @@ class MoelaLocalSearch:
             neighbors_per_step=self.neighbors_per_step,
             patience=self.patience,
             rng=rng,
-            evaluate=evaluate,
             evaluate_many=evaluate_many,
         )
         samples = tuple(

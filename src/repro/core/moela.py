@@ -43,14 +43,12 @@ class MOELA(PopulationOptimizer):
         problem: Problem,
         config: MOELAConfig | None = None,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
         config = config if config is not None else MOELAConfig()
         super().__init__(
             problem,
             config.population_size,
             ensure_rng(rng if rng is not None else config.seed),
-            batch_evaluation=batch_evaluation,
         )
         self.config = config
         self.weights = uniform_weights(problem.num_objectives, config.population_size, self.rng)
@@ -116,8 +114,7 @@ class MOELA(PopulationOptimizer):
             self.reference,
             scale=self.objective_scale(),
             rng=self.rng,
-            evaluate=self.evaluate,
-            evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
+            evaluate_many=self.evaluate_batch,
             should_stop=stop,
             max_children=budget.remaining_evaluations(self.evaluations),
         )
@@ -140,8 +137,7 @@ class MOELA(PopulationOptimizer):
             self.reference,
             scale=self.objective_scale(),
             rng=self.rng,
-            evaluate=self.evaluate,
-            evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
+            evaluate_many=self.evaluate_batch,
         )
         self.reference = np.minimum(self.reference, outcome.objectives)
         self._update_population(outcome.design, outcome.objectives, index)

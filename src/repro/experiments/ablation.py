@@ -101,7 +101,7 @@ class _TchebycheffLSMoela(MOELA):
             neighbors_per_step=searcher.neighbors_per_step,
             patience=searcher.patience,
             rng=self.rng,
-            evaluate=self.evaluate,
+            evaluate_many=self.evaluate_batch,
         )
         samples = tuple(
             TrainingSample(

@@ -29,13 +29,11 @@ class PopulationOptimizer:
     at the stop budget" come from this archive, so PHV comparisons between
     algorithms measure search quality under exactly the same bookkeeping.
 
-    ``batch_evaluation`` selects between the vectorised hot path (broods of
-    designs scored through one :meth:`evaluate_batch` call) and the scalar
-    reference path (one :meth:`evaluate` call per design, the pre-batch
-    implementation).  Both consume the RNG identically — neighbour/offspring
-    generation always happens before any evaluation — so the two paths visit
-    exactly the same designs; the scalar path exists as the equivalence oracle
-    for the batched one.
+    Broods of designs (initial populations, offspring, local-search
+    neighbours) are scored through one :meth:`evaluate_batch` call.  Every
+    brood is generated before any of it is evaluated, so a per-design scoring
+    loop would consume the RNG identically and visit the same designs; the
+    scalar oracles in ``tests/oracles/optimizers.py`` pin that contract.
     """
 
     name = "base"
@@ -45,13 +43,11 @@ class PopulationOptimizer:
         problem: Problem,
         population_size: int = 50,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
         self.problem = problem
         self.population_size = population_size
-        self.batch_evaluation = batch_evaluation
         self.rng = ensure_rng(rng)
         self.designs: list[Any] = []
         self.objectives: np.ndarray = np.empty((0, problem.num_objectives))
@@ -92,17 +88,10 @@ class PopulationOptimizer:
 
         The whole initial population is scored through one
         :meth:`evaluate_batch` call so problems with a batch evaluation path
-        (shared routing reuse, cache partitioning, parallel workers) are used
-        at full effect.  With ``batch_evaluation=False`` every design is scored
-        through a scalar :meth:`evaluate` call instead.
+        (shared routing reuse, cache partitioning) are used at full effect.
         """
         self.designs = [self.problem.random_design(self.rng) for _ in range(self.population_size)]
-        if self.batch_evaluation:
-            self.objectives = self.evaluate_batch(self.designs)
-        else:
-            self.objectives = np.array(
-                [self.evaluate(design) for design in self.designs], dtype=np.float64
-            )
+        self.objectives = self.evaluate_batch(self.designs)
 
     def step(self, iteration: int, budget: Budget) -> None:
         """One iteration of the algorithm (must be overridden)."""
@@ -131,7 +120,7 @@ class PopulationOptimizer:
         ``len(designs)`` at once, so callers that must respect an evaluation
         budget size their broods with :meth:`brood_limit` *before* calling —
         :class:`~repro.moo.termination.Budget.exhausted` then fires at exactly
-        the same evaluation count as the scalar path, which checks between
+        the same evaluation count as a per-design loop that checks between
         single evaluations.
         """
         if not designs:
@@ -148,8 +137,8 @@ class PopulationOptimizer:
         Returns ``requested`` when the budget has no evaluation limit.  This is
         the budget-aware half of the :meth:`evaluate_batch` contract: trimming
         the brood *before* the batch call makes the batched path stop at
-        exactly the evaluation count where the scalar path's per-design budget
-        check would have stopped (no overshoot from scoring a whole brood).
+        exactly the evaluation count where a per-design budget check would
+        have stopped (no overshoot from scoring a whole brood).
         """
         remaining = budget.remaining_evaluations(self.evaluations)
         return requested if remaining is None else min(requested, remaining)

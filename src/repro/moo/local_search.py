@@ -23,24 +23,20 @@ def score_neighbor_brood(
     current: Any,
     count: int,
     rng,
-    evaluate: Callable[[Any], np.ndarray] | None = None,
     evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
 ) -> tuple[list[Any], np.ndarray]:
-    """Generate ``count`` random neighbours of ``current`` and score them.
+    """Generate ``count`` random neighbours of ``current`` and score them in one call.
 
-    All neighbours are generated *before* any evaluation, so the batched
-    (``evaluate_many``) and scalar (``evaluate``) scoring paths consume the
-    RNG identically and visit the same designs — this is the invariant the
-    seeded batch-vs-scalar equivalence tests pin down.  Shared by
+    ``evaluate_many`` defaults to ``problem.evaluate_many``.  All neighbours
+    are generated *before* any evaluation, so a per-design scoring loop would
+    consume the RNG identically and visit the same designs — the invariant
+    the seeded batch-vs-scalar equivalence tests pin down.  Shared by
     :func:`greedy_descent` and the MOOS / MOO-STAGE PHV local searches.
     """
     candidates = [problem.neighbor(current, rng) for _ in range(count)]
-    if evaluate_many is not None:
-        objectives = np.asarray(evaluate_many(candidates), dtype=np.float64)
-    else:
-        evaluate = evaluate if evaluate is not None else problem.evaluate
-        objectives = np.array([evaluate(candidate) for candidate in candidates], dtype=np.float64)
-    return candidates, objectives
+    if evaluate_many is None:
+        evaluate_many = problem.evaluate_many
+    return candidates, np.asarray(evaluate_many(candidates), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -78,37 +74,32 @@ def greedy_descent(
     neighbors_per_step: int = 4,
     patience: int = 3,
     rng: RngLike = None,
-    evaluate: Callable[[Any], np.ndarray] | None = None,
     evaluate_many: Callable[[list[Any]], np.ndarray] | None = None,
 ) -> LocalSearchResult:
     """Greedy first/best-improvement descent on ``scalar_fn``.
 
     At every step ``neighbors_per_step`` random neighbours of the current
-    design are generated and scored — through one ``evaluate_many`` batch
-    call when provided, per-design otherwise — and the best one is accepted
-    if it improves the scalar value; the search stops after ``patience``
-    consecutive non-improving steps or ``max_steps`` steps.  Neighbour
-    generation happens before any evaluation, so the batch and per-design
-    paths consume the RNG identically and visit the same designs.
+    design are generated and scored through one ``evaluate_many`` call, and
+    the best one is accepted if it improves the scalar value; the search
+    stops after ``patience`` consecutive non-improving steps or
+    ``max_steps`` steps.
 
     Parameters
     ----------
     scalar_fn:
         Maps ``(design, objectives)`` to the scalar value being minimised.
-    evaluate:
-        Objective evaluation callable; defaults to ``problem.evaluate`` (pass
-        the optimiser's counting wrapper to track evaluation effort).
     evaluate_many:
-        Optional batch evaluation callable mapping a list of designs to an
-        objective matrix; when given it scores each step's neighbours in one
-        call (pass the optimiser's counting batch wrapper).
+        Batch evaluation callable mapping a list of designs to an objective
+        matrix; defaults to ``problem.evaluate_many`` (pass the optimiser's
+        counting batch wrapper to track evaluation effort).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if neighbors_per_step < 1:
         raise ValueError("neighbors_per_step must be >= 1")
+    if patience < 1:
+        raise ValueError("patience must be >= 1")
     rng = ensure_rng(rng)
-    evaluate = evaluate if evaluate is not None else problem.evaluate
 
     current = start
     current_obj = np.asarray(start_objectives, dtype=np.float64)
@@ -123,8 +114,7 @@ def greedy_descent(
         best_candidate_obj = None
         best_candidate_value = current_value
         candidates, candidate_objs = score_neighbor_brood(
-            problem, current, neighbors_per_step, rng,
-            evaluate=evaluate, evaluate_many=evaluate_many,
+            problem, current, neighbors_per_step, rng, evaluate_many=evaluate_many
         )
         evaluations += len(candidates)
         for candidate, candidate_obj in zip(candidates, candidate_objs):

@@ -38,9 +38,8 @@ class MOOStage(PopulationOptimizer):
         max_training_samples: int = 10_000,
         forest_size: int = 20,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
-        super().__init__(problem, population_size, rng, batch_evaluation=batch_evaluation)
+        super().__init__(problem, population_size, rng)
         if searches_per_iteration < 1:
             raise ValueError("searches_per_iteration must be >= 1")
         if local_search_steps < 1:
@@ -105,12 +104,9 @@ class MOOStage(PopulationOptimizer):
         Neighbours are generated before any evaluation and scored through one
         counting :meth:`~repro.moo.base.PopulationOptimizer.evaluate_batch`
         call per step; the archive snapshot the gains are measured against is
-        taken first, so the trajectory matches the scalar reference path
-        (:meth:`_phv_local_search_reference`) exactly.
+        taken first, so the trajectory matches a per-neighbour loop that
+        interleaves evaluation with the acceptance test exactly.
         """
-        if not self.batch_evaluation:
-            self._phv_local_search_reference(start_design, start_objectives, iteration, budget)
-            return
         current = start_design
         current_obj = np.asarray(start_objectives, dtype=np.float64)
         start_features = self.problem.features(start_design)
@@ -126,36 +122,6 @@ class MOOStage(PopulationOptimizer):
             best_candidate_obj = None
             best_gain = 0.0
             for candidate, candidate_obj in zip(candidates, candidate_objs):
-                gain = hypervolume_contribution(candidate_obj, front, self.reference)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_candidate = candidate
-                    best_candidate_obj = candidate_obj
-            if best_candidate is None:
-                break
-            current = best_candidate
-            current_obj = best_candidate_obj
-            self.archive.add(current, current_obj)
-        final_phv = hypervolume(self.archive.objectives, self.reference)
-        self._record_training_sample(start_features, final_phv)
-
-    def _phv_local_search_reference(
-        self, start_design, start_objectives, iteration: int, budget: Budget
-    ) -> None:
-        """Pre-batch scalar twin of :meth:`_phv_local_search` (equivalence oracle)."""
-        current = start_design
-        current_obj = np.asarray(start_objectives, dtype=np.float64)
-        start_features = self.problem.features(start_design)
-        for _ in range(self.local_search_steps):
-            if budget.exhausted(iteration, self.evaluations, self.elapsed()):
-                break
-            best_candidate = None
-            best_candidate_obj = None
-            best_gain = 0.0
-            front = self.archive.objectives
-            for _ in range(self.neighbors_per_step):
-                candidate = self.problem.neighbor(current, self.rng)
-                candidate_obj = self.evaluate(candidate)
                 gain = hypervolume_contribution(candidate_obj, front, self.reference)
                 if gain > best_gain:
                     best_gain = gain

@@ -43,9 +43,8 @@ class MOOS(PopulationOptimizer):
         max_training_samples: int = 10_000,
         forest_size: int = 20,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
-        super().__init__(problem, population_size, rng, batch_evaluation=batch_evaluation)
+        super().__init__(problem, population_size, rng)
         if searches_per_iteration < 1:
             raise ValueError("searches_per_iteration must be >= 1")
         if local_search_steps < 1:
@@ -146,15 +145,9 @@ class MOOS(PopulationOptimizer):
         :meth:`~repro.moo.base.PopulationOptimizer.evaluate_batch` call.  The
         archive snapshot (``front``) is taken before the brood is archived and
         the acceptance test runs on the scored matrix afterwards, so the
-        trajectory is identical to the scalar reference path
-        (:meth:`_directed_local_search_reference`), which interleaves
+        trajectory is identical to a per-neighbour loop that interleaves
         evaluation with the acceptance test.
         """
-        if not self.batch_evaluation:
-            self._directed_local_search_reference(
-                start_design, start_objectives, direction, iteration, budget
-            )
-            return
         current = start_design
         current_obj = np.asarray(start_objectives, dtype=np.float64)
         ideal = self.archive.objectives.min(axis=0) if len(self.archive) else current_obj
@@ -178,43 +171,6 @@ class MOOS(PopulationOptimizer):
                 scalar = tchebycheff(candidate_obj, direction, ideal)
                 # Accept moves that grow the archive PHV, preferring moves that
                 # also advance along the chosen scalarisation direction.
-                if gain > 0.0 and (gain > best_score or scalar < best_scalar):
-                    best_score = gain
-                    best_scalar = scalar
-                    best_candidate = candidate
-                    best_candidate_obj = candidate_obj
-            if best_candidate is None:
-                break
-            current = best_candidate
-            current_obj = best_candidate_obj
-            current_scalar = best_scalar
-            self.archive.add(current, current_obj)
-        phv_after = hypervolume(self.archive.objectives, self.reference)
-        self._record_training_sample(start_features, phv_after - phv_before)
-
-    def _directed_local_search_reference(
-        self, start_design, start_objectives, direction: np.ndarray, iteration: int, budget: Budget
-    ) -> None:
-        """Pre-batch scalar twin of :meth:`_directed_local_search` (equivalence oracle)."""
-        current = start_design
-        current_obj = np.asarray(start_objectives, dtype=np.float64)
-        ideal = self.archive.objectives.min(axis=0) if len(self.archive) else current_obj
-        start_features = np.concatenate([self.problem.features(start_design), direction])
-        phv_before = hypervolume(self.archive.objectives, self.reference)
-        current_scalar = tchebycheff(current_obj, direction, ideal)
-        for _ in range(self.local_search_steps):
-            if budget.exhausted(iteration, self.evaluations, self.elapsed()):
-                break
-            best_candidate = None
-            best_candidate_obj = None
-            best_score = 0.0
-            best_scalar = current_scalar
-            front = self.archive.objectives
-            for _ in range(self.neighbors_per_step):
-                candidate = self.problem.neighbor(current, self.rng)
-                candidate_obj = self.evaluate(candidate)
-                gain = hypervolume_contribution(candidate_obj, front, self.reference)
-                scalar = tchebycheff(candidate_obj, direction, ideal)
                 if gain > 0.0 and (gain > best_score or scalar < best_scalar):
                     best_score = gain
                     best_scalar = scalar

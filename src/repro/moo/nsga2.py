@@ -28,9 +28,8 @@ class NSGA2(PopulationOptimizer):
         crossover_probability: float = 0.9,
         mutation_probability: float = 0.3,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
-        super().__init__(problem, population_size, rng, batch_evaluation=batch_evaluation)
+        super().__init__(problem, population_size, rng)
         if not (0.0 <= crossover_probability <= 1.0):
             raise ValueError("crossover_probability must lie in [0, 1]")
         if not (0.0 <= mutation_probability <= 1.0):
@@ -55,14 +54,10 @@ class NSGA2(PopulationOptimizer):
         :meth:`~repro.moo.base.PopulationOptimizer.evaluate_batch` call, so the
         problem's vectorised evaluation path amortises routing and caching
         across the generation.  :meth:`brood_limit` trims the brood when the
-        evaluation budget would exhaust mid-generation, mirroring the per-child
-        budget check of the scalar reference path
-        (:meth:`step_reference`) — both paths stop at the same evaluation
-        count and visit the same designs.
+        evaluation budget would exhaust mid-generation, so the generation stops
+        at the same evaluation count, and visits the same designs, as a
+        per-child loop that checks the budget before every child.
         """
-        if not self.batch_evaluation:
-            self.step_reference(iteration, budget)
-            return
         if budget.exhausted(iteration, self.evaluations, self.elapsed()):
             return
         brood_size = self.brood_limit(budget, self.population_size)
@@ -72,27 +67,6 @@ class NSGA2(PopulationOptimizer):
         offspring_objectives = self.evaluate_batch(offspring_designs)
         combined_designs = self.designs + offspring_designs
         combined_objectives = np.vstack([self.objectives, offspring_objectives])
-        self._survival(combined_designs, combined_objectives)
-
-    def step_reference(self, iteration: int, budget: Budget) -> None:
-        """Pre-batch scalar generation (one :meth:`evaluate` call per child).
-
-        Kept verbatim as the equivalence oracle for the batched :meth:`step`:
-        seeded runs of both paths must produce identical populations,
-        objective matrices and evaluation counts.
-        """
-        offspring_designs = []
-        offspring_objectives = []
-        while len(offspring_designs) < self.population_size:
-            if budget.exhausted(iteration, self.evaluations, self.elapsed()):
-                break
-            child = self._mate_one()
-            offspring_designs.append(child)
-            offspring_objectives.append(self.evaluate(child))
-        if not offspring_designs:
-            return
-        combined_designs = self.designs + offspring_designs
-        combined_objectives = np.vstack([self.objectives, np.asarray(offspring_objectives)])
         self._survival(combined_designs, combined_objectives)
 
     def _mate_one(self):

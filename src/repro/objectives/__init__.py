@@ -5,8 +5,8 @@ The public objective functions (:func:`link_utilizations`,
 are vectorized: they compute from sparse path-link / path-router incidence
 matrices exposed by :class:`repro.noc.routing.RoutingTables` and the
 workload's tile-pair frequency vector, instead of per-pair Python loops.
-Every vectorized function keeps a ``*_reference`` scalar twin with the
-original loop, used by equivalence tests and benchmarks.
+The original per-pair loops live on as scalar oracles in
+``tests/oracles/objectives.py``, used by equivalence tests and benchmarks.
 
 :class:`ObjectiveEvaluator` adds LRU caching on top and exposes the batch
 entry point ``evaluate_many(designs)`` — cache-aware partitioning into
@@ -19,15 +19,10 @@ from repro.objectives.evaluator import (
     ObjectiveScenario,
     scenario_for,
 )
-from repro.objectives.energy import communication_energy, communication_energy_reference
-from repro.objectives.latency import cpu_llc_latency, cpu_llc_latency_reference
+from repro.objectives.energy import communication_energy
+from repro.objectives.latency import cpu_llc_latency
 from repro.objectives.thermal import ThermalModel, thermal_objective
-from repro.objectives.traffic import (
-    link_utilizations,
-    link_utilizations_reference,
-    traffic_mean,
-    traffic_variance,
-)
+from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
 
 __all__ = [
     "OBJECTIVE_NAMES",
@@ -35,11 +30,8 @@ __all__ = [
     "ObjectiveScenario",
     "ThermalModel",
     "communication_energy",
-    "communication_energy_reference",
     "cpu_llc_latency",
-    "cpu_llc_latency_reference",
     "link_utilizations",
-    "link_utilizations_reference",
     "scenario_for",
     "thermal_objective",
     "traffic_mean",

@@ -10,8 +10,6 @@ the precomputed route-length vector (``P @ d``) and per-pair router energy
 from the path-router incidence product ``R @ ports``, both contracted with
 the tile-pair frequency vector in one dot product.  Same-tile pairs cost one
 local-router traversal, which the self-pair rows of ``R`` encode naturally.
-:func:`communication_energy_reference` keeps the original per-pair loop as
-the scalar reference.
 """
 
 from __future__ import annotations
@@ -48,33 +46,3 @@ def communication_energy(
     router_energy = config.router_energy_per_port * (routing.pair_tile_incidence() @ ports)
     return float(frequencies @ (link_energy + router_energy))
 
-
-def communication_energy_reference(
-    design: NocDesign,
-    workload: Workload,
-    routing: RoutingTables | None = None,
-) -> float:
-    """Scalar per-pair reference implementation of :func:`communication_energy`."""
-    config: PlatformConfig = workload.config
-    if routing is None:
-        routing = RoutingTables(design, config.grid)
-    tile_of_pe = design.tile_of_pe()
-    ports = design.degrees().astype(np.float64) + 1.0
-    link_lengths = design.link_lengths(config.grid)
-    e_link = config.link_energy_per_flit
-    e_router = config.router_energy_per_port
-
-    total = 0.0
-    for src_pe, dst_pe, frequency in workload.communicating_pairs():
-        src_tile = int(tile_of_pe[src_pe])
-        dst_tile = int(tile_of_pe[dst_pe])
-        if src_tile == dst_tile:
-            # Same-tile communication traverses only the local router.
-            total += frequency * e_router * ports[src_tile]
-            continue
-        path_links = routing.path_links(src_tile, dst_tile)
-        path_tiles = routing.path_tiles(src_tile, dst_tile)
-        link_energy = e_link * float(link_lengths[path_links].sum())
-        router_energy = e_router * float(ports[path_tiles].sum())
-        total += frequency * (link_energy + router_energy)
-    return total

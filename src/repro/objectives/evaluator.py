@@ -42,15 +42,10 @@ from repro.noc.design import NocDesign
 from repro.noc.route_store import RouteStore
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
-from repro.objectives.energy import communication_energy, communication_energy_reference
-from repro.objectives.latency import cpu_llc_latency, cpu_llc_latency_reference
+from repro.objectives.energy import communication_energy
+from repro.objectives.latency import cpu_llc_latency
 from repro.objectives.thermal import ThermalModel
-from repro.objectives.traffic import (
-    link_utilizations,
-    link_utilizations_reference,
-    traffic_mean,
-    traffic_variance,
-)
+from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
 from repro.scenarios.models import ScenarioModel
 from repro.workloads.workload import Workload
 
@@ -262,31 +257,6 @@ class ObjectiveEvaluator:
             else:
                 self.evaluations += len(rows)
         return out
-
-    def evaluate_reference(self, design: NocDesign) -> np.ndarray:
-        """Objective vector computed by the scalar per-pair reference path.
-
-        Bypasses the cache and the vectorized engine; used by equivalence
-        tests and as the baseline of the batch-evaluation benchmark.  Mirrors
-        the scenario transforms of :meth:`_compute` so faulted evaluation is
-        pinned by the same scalar/vectorized equivalence contract.
-        """
-        design = self._scenario_design(design)
-        routing = RoutingTables(design, self.config.grid)
-        needed = set(self.scenario.objectives)
-        values: dict[str, float] = {}
-        if needed & {"traffic_mean", "traffic_variance"}:
-            utilization = link_utilizations_reference(design, self.workload, routing)
-            utilization = self._scenario_utilization(design, utilization)
-            values["traffic_mean"] = traffic_mean(utilization)
-            values["traffic_variance"] = traffic_variance(utilization)
-        if "cpu_llc_latency" in needed:
-            values["cpu_llc_latency"] = cpu_llc_latency_reference(design, self.workload, routing)
-        if "energy" in needed:
-            values["energy"] = communication_energy_reference(design, self.workload, routing)
-        if "thermal" in needed:
-            values["thermal"] = self.thermal_model.objective_reference(design, self.workload)
-        return np.array([values[name] for name in self.scenario.objectives], dtype=np.float64)
 
     def routing_cache_stats(self) -> dict[str, "int | float | bool"]:
         """Routing-engine counters attributable to this evaluator.

@@ -9,8 +9,7 @@ the route.
 :func:`cpu_llc_latency` is vectorized: it gathers the per-pair hop and length
 vectors of :class:`~repro.noc.routing.RoutingTables` at the CPU-tile x
 LLC-tile index grid and contracts them with the symmetrised CPU/LLC traffic
-sub-matrix in one expression.  :func:`cpu_llc_latency_reference` keeps the
-original nested Python loop as the scalar reference.
+sub-matrix in one expression.
 """
 
 from __future__ import annotations
@@ -50,31 +49,3 @@ def cpu_llc_latency(
     total = float((latencies * frequencies).sum())
     return total / (len(cpu_ids) * len(llc_ids))
 
-
-def cpu_llc_latency_reference(
-    design: NocDesign,
-    workload: Workload,
-    routing: RoutingTables | None = None,
-) -> float:
-    """Scalar per-pair reference implementation of :func:`cpu_llc_latency`."""
-    config: PlatformConfig = workload.config
-    if routing is None:
-        routing = RoutingTables(design, config.grid)
-    cpu_ids = config.cpu_ids
-    llc_ids = config.llc_ids
-    if len(cpu_ids) == 0 or len(llc_ids) == 0:
-        return 0.0
-    tile_of_pe = design.tile_of_pe()
-    stages = config.router_stages
-    total = 0.0
-    for cpu in cpu_ids:
-        cpu_tile = int(tile_of_pe[cpu])
-        for llc in llc_ids:
-            llc_tile = int(tile_of_pe[llc])
-            frequency = float(workload.traffic[cpu, llc] + workload.traffic[llc, cpu])
-            if frequency == 0.0:
-                continue
-            links = routing.path_links(cpu_tile, llc_tile)
-            link_delay = float(routing.link_lengths[links].sum()) if links else 0.0
-            total += (stages * len(links) + link_delay) * frequency
-    return total / (len(cpu_ids) * len(llc_ids))

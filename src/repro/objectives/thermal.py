@@ -86,32 +86,6 @@ class ThermalModel:
             self.config.base_resistance * np.cumsum(powers, axis=1)
         )
 
-    def column_powers_reference(self, design: NocDesign, workload: Workload) -> np.ndarray:
-        """Scalar per-tile reference implementation of :meth:`column_powers`."""
-        config = self.config
-        grid = config.grid
-        tile_power = workload.tile_power(design.placement_array())
-        powers = np.zeros((grid.num_columns, config.layers), dtype=np.float64)
-        for tile_id in range(config.num_tiles):
-            column = grid.column_id(tile_id)
-            layer = grid.layer_of(tile_id)
-            powers[column, layer] = tile_power[tile_id]
-        return powers
-
-    def temperatures_reference(self, design: NocDesign, workload: Workload) -> np.ndarray:
-        """Per-layer-loop reference implementation of :meth:`temperatures`."""
-        powers = self.column_powers_reference(design, workload)
-        cumulative_resistance = np.cumsum(self.resistances)
-        num_columns, layers = powers.shape
-        temperatures = np.zeros_like(powers)
-        for k in range(layers):
-            # Eq. 5: heat generated at or below layer k flows through the
-            # resistances between its source layer and the sink.
-            contributions = powers[:, : k + 1] * cumulative_resistance[: k + 1]
-            base = self.config.base_resistance * powers[:, : k + 1].sum(axis=1)
-            temperatures[:, k] = contributions.sum(axis=1) + base
-        return temperatures
-
     def layer_spread(self, temperatures: np.ndarray) -> np.ndarray:
         """Same-layer temperature spread ``dT(k)`` for every layer, Eq. 6."""
         return temperatures.max(axis=0) - temperatures.min(axis=0)
@@ -127,12 +101,6 @@ class ThermalModel:
         spread = float(self.layer_spread(temperatures).max())
         return peak * spread
 
-    def objective_reference(self, design: NocDesign, workload: Workload) -> float:
-        """Eq. 7 computed through the scalar reference temperature field."""
-        temperatures = self.temperatures_reference(design, workload)
-        peak = float(temperatures.max())
-        spread = float(self.layer_spread(temperatures).max())
-        return peak * spread
 
 
 def thermal_objective(design: NocDesign, workload: Workload) -> float:

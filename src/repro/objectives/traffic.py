@@ -9,8 +9,6 @@ its variance (reducing hotspots improves GPU throughput).
 sparse path-link incidence matrix ``P`` of
 :meth:`~repro.noc.routing.RoutingTables.pair_link_incidence` and the design's
 tile-pair frequency vector ``f`` (:meth:`~repro.workloads.workload.Workload.pair_frequencies`).
-:func:`link_utilizations_reference` keeps the original per-pair Python loop as
-the scalar reference implementation for equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -25,9 +23,10 @@ from repro.workloads.workload import Workload
 def require_routable(routing: RoutingTables, pair_frequencies: np.ndarray) -> None:
     """Raise ``ValueError`` when any communicating tile pair has no route.
 
-    Mirrors the error the scalar per-pair walk raises when it hits an
-    unreachable pair, so the vectorized and reference paths fail identically
-    on disconnected networks.
+    Mirrors the error the scalar per-pair walk (kept as an oracle in
+    ``tests/oracles/objectives.py``) raises when it hits an unreachable pair,
+    so the vectorized and reference paths fail identically on disconnected
+    networks.
     """
     bad = (pair_frequencies > 0.0) & ~routing.reachable_pairs()
     if np.any(bad):
@@ -64,24 +63,6 @@ def link_utilizations(
         frequencies = workload.pair_frequencies(design.placement_array())
     require_routable(routing, frequencies)
     return routing.pair_link_incidence().T @ frequencies
-
-
-def link_utilizations_reference(
-    design: NocDesign, workload: Workload, routing: RoutingTables | None = None
-) -> np.ndarray:
-    """Scalar per-pair reference implementation of :func:`link_utilizations`."""
-    if routing is None:
-        routing = RoutingTables(design, workload.config.grid)
-    tile_of_pe = design.tile_of_pe()
-    utilization = np.zeros(design.num_links, dtype=np.float64)
-    for src_pe, dst_pe, frequency in workload.communicating_pairs():
-        src_tile = int(tile_of_pe[src_pe])
-        dst_tile = int(tile_of_pe[dst_pe])
-        if src_tile == dst_tile:
-            continue
-        for link_idx in routing.path_links(src_tile, dst_tile):
-            utilization[link_idx] += frequency
-    return utilization
 
 
 def traffic_mean(utilization: np.ndarray) -> float:

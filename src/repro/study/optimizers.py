@@ -17,6 +17,7 @@ re-registers the already-added specs cleanly.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import MOELAConfig
@@ -35,16 +36,11 @@ if TYPE_CHECKING:
 #: what ``repro.experiments.runner.ALGORITHMS`` re-exports.
 BUILTIN_ALGORITHMS: tuple[str, ...] = ("MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "NSGA-II")
 
-_BATCH_EVALUATION_DOC = (
-    "False selects the scalar reference evaluation path (the equivalence oracle)"
-)
-
 
 def _moela_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOELA:
-    batch_evaluation = bool(options.pop("batch_evaluation", True))
-    population_size = int(options.pop("population_size", experiment.population_size))
+    population_size = operator.index(options.pop("population_size", experiment.population_size))
     settings: dict[str, Any] = dict(
         population_size=population_size,
         generations=experiment.moela.generations,
@@ -62,13 +58,13 @@ def _moela_factory(
         seed=seed,
     )
     settings.update(options)
-    return MOELA(problem, MOELAConfig(**settings), rng=seed, batch_evaluation=batch_evaluation)
+    return MOELA(problem, MOELAConfig(**settings), rng=seed)
 
 
 def _moead_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOEAD:
-    population_size = int(options.pop("population_size", experiment.population_size))
+    population_size = operator.index(options.pop("population_size", experiment.population_size))
     settings: dict[str, Any] = dict(
         population_size=population_size,
         neighborhood_size=min(experiment.moela.neighborhood_size, population_size),
@@ -82,7 +78,7 @@ def _moos_like_settings(
     experiment: "ExperimentConfig", options: dict[str, Any]
 ) -> dict[str, Any]:
     settings: dict[str, Any] = dict(
-        population_size=int(options.pop("population_size", experiment.population_size)),
+        population_size=operator.index(options.pop("population_size", experiment.population_size)),
         searches_per_iteration=experiment.searches_per_iteration,
         local_search_steps=experiment.local_search_steps,
         neighbors_per_step=experiment.neighbors_per_step,
@@ -107,7 +103,7 @@ def _nsga2_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> NSGA2:
     settings: dict[str, Any] = dict(
-        population_size=int(options.pop("population_size", experiment.population_size)),
+        population_size=operator.index(options.pop("population_size", experiment.population_size)),
     )
     settings.update(options)
     return NSGA2(problem, rng=seed, **settings)
@@ -121,7 +117,6 @@ _LOCAL_SEARCH_HYPERPARAMETERS = {
     "early_random_iterations": "iterations with random restart selection",
     "max_training_samples": "cap on the trajectory training set",
     "forest_size": "random-forest size of the learned restart model",
-    "batch_evaluation": _BATCH_EVALUATION_DOC,
 }
 
 register_optimizer(
@@ -143,7 +138,6 @@ register_optimizer(
             "max_training_samples": "cap on the trajectory training set |S_train|",
             "forest_size": "Eval random-forest size",
             "forest_depth": "Eval random-forest depth",
-            "batch_evaluation": _BATCH_EVALUATION_DOC,
         },
     ),
     overwrite=True,
@@ -198,7 +192,6 @@ register_optimizer(
             "population_size": "population size N",
             "crossover_probability": "per-offspring crossover probability",
             "mutation_probability": "per-offspring mutation probability",
-            "batch_evaluation": _BATCH_EVALUATION_DOC,
         },
     ),
     overwrite=True,

@@ -232,6 +232,8 @@ class Study:
         """
         spec = default_registry().spec(name)
         spec.validate_options(options)
+        if "population_size" in options:
+            _integer("population_size", options["population_size"])
         if any(entry.name == spec.name for entry in self._algorithms):
             raise ValueError(f"algorithm {spec.name!r} is already part of the study")
         self._algorithms.append(_AlgorithmEntry(name=spec.name, options=dict(options)))

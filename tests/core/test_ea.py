@@ -53,17 +53,21 @@ class TestDecompositionEA:
         ea.evolve(designs, objectives, reference, rng=rng, should_stop=lambda: True)
         assert problem.eval_count == evaluations_before
 
-    def test_custom_evaluate_callable_counts(self):
+    def test_custom_evaluate_many_callable_counts(self):
         problem, ea, designs, objectives, rng = _setup(seed=4)
         reference = objectives.min(axis=0)
-        calls = {"n": 0}
+        evaluations_before = problem.eval_count
+        batches = []
 
-        def counting(design):
-            calls["n"] += 1
-            return problem.evaluate(design)
+        def counting(children):
+            batches.append(list(children))
+            return problem.evaluate_many(children)
 
-        ea.evolve(designs, objectives, reference, rng=rng, evaluate=counting)
-        assert calls["n"] == len(designs)
+        ea.evolve(designs, objectives, reference, rng=rng, evaluate_many=counting)
+        # The whole brood (one child per sub-problem) is scored in one call,
+        # and nothing else is evaluated.
+        assert len(batches) == 1 and len(batches[0]) == len(designs)
+        assert problem.eval_count - evaluations_before == len(designs)
 
     def test_invalid_parameters(self):
         problem = GridAnchorProblem(2)

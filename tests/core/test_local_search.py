@@ -60,13 +60,13 @@ class TestMoelaLocalSearch:
         problem = GridAnchorProblem(2)
         count = {"n": 0}
 
-        def counting(design):
-            count["n"] += 1
-            return problem.evaluate(design)
+        def counting(designs):
+            count["n"] += len(designs)
+            return problem.evaluate_many(designs)
 
         searcher = MoelaLocalSearch(problem, max_steps=4, neighbors_per_step=2)
         outcome = searcher.search((5, 5), problem.evaluate((5, 5)), np.array([0.5, 0.5]),
-                                  np.zeros(2), rng=np.random.default_rng(1), evaluate=counting)
+                                  np.zeros(2), rng=np.random.default_rng(1), evaluate_many=counting)
         assert count["n"] == outcome.evaluations
 
     def test_invalid_parameters(self):
@@ -75,3 +75,6 @@ class TestMoelaLocalSearch:
             MoelaLocalSearch(problem, max_steps=0)
         with pytest.raises(ValueError):
             MoelaLocalSearch(problem, neighbors_per_step=0)
+        for patience in (0, -3):
+            with pytest.raises(ValueError, match="patience must be >= 1"):
+                MoelaLocalSearch(problem, patience=patience)

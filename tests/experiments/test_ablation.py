@@ -6,12 +6,14 @@ import pytest
 from repro.core.config import MOELAConfig
 from repro.experiments.ablation import (
     ABLATION_VARIANTS,
+    _TchebycheffLSMoela,
     build_variant,
     format_ablation,
     run_ablation,
 )
 from repro.moo.termination import Budget
 from tests.moo.toyproblem import GridAnchorProblem
+from tests.oracles.optimizers import PerDesignEvaluation
 
 
 def _smoke_config():
@@ -64,6 +66,26 @@ class TestVariantConstruction:
         # Without the EA stage, evaluations come only from the initial
         # population and local searches (2 searches x 3 steps x 2 neighbours).
         assert result.evaluations <= 8 + 3 * (2 * 3 * 2)
+
+    def test_tchebycheff_ls_matches_per_design_oracle(self):
+        """The Eq.-9 variant's batched local search visits the oracle's designs."""
+
+        class ScalarTchebycheffLSMoela(PerDesignEvaluation, _TchebycheffLSMoela):
+            pass
+
+        batched = build_variant("tchebycheff-ls", GridAnchorProblem(3), _smoke_config(), seed=5)
+        scalar = ScalarTchebycheffLSMoela(GridAnchorProblem(3), _smoke_config(), rng=5)
+        result_b = batched.run(Budget.evaluations(90))
+        result_s = scalar.run(Budget.evaluations(90))
+        assert result_b.designs == result_s.designs
+        np.testing.assert_array_equal(result_b.objectives, result_s.objectives)
+        assert result_b.evaluations == result_s.evaluations
+        assert batched.problem.eval_count == scalar.problem.eval_count
+        assert [snap.evaluations for snap in result_b.history] == [
+            snap.evaluations for snap in result_s.history
+        ]
+        for snap_b, snap_s in zip(result_b.history, result_s.history):
+            np.testing.assert_array_equal(snap_b.front, snap_s.front)
 
 
 class TestRunAblation:

@@ -1,12 +1,12 @@
 """Seeded batch-vs-scalar equivalence for the baseline optimisers.
 
 Every baseline (NSGA-II, MOOS, MOO-STAGE) scores its broods through one
-``evaluate_many`` batch call on the hot path, but keeps the pre-batch scalar
-implementation (one ``evaluate`` call per design) as a ``*_reference`` twin
-selected by ``batch_evaluation=False``.  These tests pin the contract that
-makes the vectorised engine trustworthy: with the same RNG seed, both paths
-must produce *identical* design trajectories, objective matrices and
-evaluation counts — including when the evaluation budget exhausts in the
+``evaluate_many`` batch call.  The pre-batch scalar implementations (one
+``evaluate`` call per design) live on as oracles in
+``tests/oracles/optimizers.py``.  These tests pin the contract that makes the
+vectorised engine trustworthy: with the same RNG seed, each optimizer and its
+scalar oracle must produce *identical* design trajectories, objective matrices
+and evaluation counts — including when the evaluation budget exhausts in the
 middle of a brood.
 """
 
@@ -18,21 +18,20 @@ from repro.moo.moos import MOOS
 from repro.moo.nsga2 import NSGA2
 from repro.moo.termination import Budget
 from tests.moo.toyproblem import GridAnchorProblem
+from tests.oracles.optimizers import ScalarMOELA, ScalarMOOS, ScalarMOOStage, ScalarNSGA2
 
 #: Local-search shapes for the two STAGE-style baselines, small enough that a
 #: run takes milliseconds but large enough that model training kicks in.
 SEARCH_SHAPE = dict(searches_per_iteration=2, local_search_steps=3, neighbors_per_step=3)
 
+#: The scalar oracle of each batched optimizer.
+SCALAR = {NSGA2: ScalarNSGA2, MOOS: ScalarMOOS, MOOStage: ScalarMOOStage}
 
-def make_optimizer(cls, batch_evaluation: bool, num_objectives: int = 3, seed: int = 42):
+
+def make_optimizer(cls, batched: bool, num_objectives: int = 3, seed: int = 42):
     kwargs = {} if cls is NSGA2 else dict(SEARCH_SHAPE)
-    return cls(
-        GridAnchorProblem(num_objectives),
-        population_size=8,
-        rng=seed,
-        batch_evaluation=batch_evaluation,
-        **kwargs,
-    )
+    cls = cls if batched else SCALAR[cls]
+    return cls(GridAnchorProblem(num_objectives), population_size=8, rng=seed, **kwargs)
 
 
 def run_pair(cls, budget: Budget, num_objectives: int = 3, seed: int = 42):
@@ -114,16 +113,17 @@ class TestEvaluationAccounting:
 
     def test_nsga2_counts_per_iteration_are_pinned(self):
         expected = [8, 16, 24, 32, 35]  # init + three full broods + trimmed brood
-        for batch_evaluation in (True, False):
-            optimizer = make_optimizer(NSGA2, batch_evaluation)
+        for batched in (True, False):
+            optimizer = make_optimizer(NSGA2, batched)
             result = optimizer.run(Budget.evaluations(35))
             assert [snap.evaluations for snap in result.history] == expected
             assert result.evaluations == 35
 
     def test_nsga2_never_overshoots_evaluation_budget(self):
-        for batch_evaluation in (True, False):
+        for batched in (True, False):
             problem = GridAnchorProblem(3)
-            optimizer = NSGA2(problem, population_size=8, rng=5, batch_evaluation=batch_evaluation)
+            cls = NSGA2 if batched else ScalarNSGA2
+            optimizer = cls(problem, population_size=8, rng=5)
             result = optimizer.run(Budget.evaluations(50))
             assert result.evaluations == 50
             assert problem.eval_count == 50
@@ -131,8 +131,8 @@ class TestEvaluationAccounting:
     @pytest.mark.parametrize("cls", [MOOS, MOOStage])
     def test_stage_counts_match_problem_counter(self, cls):
         """The optimiser's evaluation counter and the problem's agree exactly."""
-        for batch_evaluation in (True, False):
-            optimizer = make_optimizer(cls, batch_evaluation)
+        for batched in (True, False):
+            optimizer = make_optimizer(cls, batched)
             result = optimizer.run(Budget.evaluations(60))
             assert result.evaluations == optimizer.problem.eval_count
 
@@ -145,26 +145,21 @@ class TestEvaluationAccounting:
 
 
 class TestMoelaEquivalence:
-    """MOELA's hybrid loop (EA brood + local searches) is path-equivalent too."""
+    """MOELA's hybrid loop (EA brood + local searches) matches its scalar oracle too."""
 
     def test_seeded_batch_vs_scalar(self):
         from repro.core.config import MOELAConfig
         from repro.core.moela import MOELA
 
         results = []
-        for batch_evaluation in (True, False):
-            optimizer = MOELA(
-                GridAnchorProblem(3),
-                MOELAConfig.smoke(),
-                rng=42,
-                batch_evaluation=batch_evaluation,
-            )
+        for cls in (MOELA, ScalarMOELA):
+            optimizer = cls(GridAnchorProblem(3), MOELAConfig.smoke(), rng=42)
             results.append(optimizer.run(Budget.evaluations(90)))
         assert_trajectories_identical(*results)
 
 
 class TestNocProblemEquivalence:
-    """Batched NSGA-II on the real NoC problem matches the scalar path.
+    """Batched NSGA-II on the real NoC problem matches its scalar oracle.
 
     This closes the loop end to end: the vectorised ``evaluate_many`` engine
     (matrix products over sparse pair-link incidence) drives the batched
@@ -177,11 +172,9 @@ class TestNocProblemEquivalence:
 
         experiment = ExperimentConfig.smoke()
         results = []
-        for batch_evaluation in (True, False):
+        for cls in (NSGA2, ScalarNSGA2):
             problem = make_problem(experiment, "BFS", 3)
-            optimizer = NSGA2(
-                problem, population_size=6, rng=9, batch_evaluation=batch_evaluation
-            )
+            optimizer = cls(problem, population_size=6, rng=9)
             results.append(optimizer.run(Budget.evaluations(45)))
         batched, scalar = results
         assert [d.key() for d in batched.designs] == [d.key() for d in scalar.designs]

@@ -107,25 +107,31 @@ class TestGreedyDescent:
         assert result.best_design == start
         assert result.evaluations <= 50 * 2
 
-    def test_custom_evaluate_callable_is_used(self):
+    def test_custom_evaluate_many_callable_is_used(self):
         problem = QuadraticProblem()
-        calls = []
+        batches = []
 
-        def counting_evaluate(design):
-            calls.append(design)
-            return problem.evaluate(design)
+        def counting_evaluate_many(designs):
+            batches.append(list(designs))
+            return problem.evaluate_many(designs)
 
-        greedy_descent(
+        start_obj = problem.evaluate((5, 5))
+        result = greedy_descent(
             problem,
             (5, 5),
-            problem.evaluate((5, 5)),
+            start_obj,
             scalar_fn=lambda design, obj: obj[0],
             max_steps=3,
             neighbors_per_step=2,
             rng=np.random.default_rng(4),
-            evaluate=counting_evaluate,
+            evaluate_many=counting_evaluate_many,
         )
-        assert len(calls) > 0
+        # One batch per descent step, and every scored neighbour (the whole
+        # trajectory after the start) passed through the callable exactly once.
+        assert batches and all(len(batch) == 2 for batch in batches)
+        scored = [design for batch in batches for design in batch]
+        assert scored == [point.design for point in result.trajectory[1:]]
+        assert result.evaluations == len(scored) == problem.eval_count - 1
 
     def test_invalid_arguments(self):
         problem = QuadraticProblem()
@@ -135,3 +141,8 @@ class TestGreedyDescent:
             greedy_descent(
                 problem, (0, 0), problem.evaluate((0, 0)), lambda d, o: o[0], neighbors_per_step=0
             )
+        for patience in (0, -3):
+            with pytest.raises(ValueError, match="patience must be >= 1"):
+                greedy_descent(
+                    problem, (0, 0), problem.evaluate((0, 0)), lambda d, o: o[0], patience=patience
+                )

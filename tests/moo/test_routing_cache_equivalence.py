@@ -19,6 +19,7 @@ from repro.moo.moo_stage import MOOStage
 from repro.moo.moos import MOOS
 from repro.moo.nsga2 import NSGA2
 from repro.moo.termination import Budget
+from tests.oracles.optimizers import ScalarNSGA2
 
 SEARCH_SHAPE = dict(searches_per_iteration=2, local_search_steps=3, neighbors_per_step=2)
 
@@ -82,9 +83,9 @@ class TestRoutingCacheEquivalence:
         assert result.metadata["routing_cache"]["enabled"]
 
     def test_scalar_and_batch_paths_share_the_engine(self, tiny_workload):
-        """batch_evaluation=False still routes through the same engine instance."""
+        """The per-design scalar oracle still routes through the same engine instance."""
         problem = NocDesignProblem(tiny_workload, scenario=3, routing_cache=True)
-        optimizer = NSGA2(problem, population_size=6, rng=4, batch_evaluation=False)
+        optimizer = ScalarNSGA2(problem, population_size=6, rng=4)
         optimizer.run(Budget.evaluations(80))
         stats = problem.routing_cache_stats()
         assert stats["requests"] > 0 and stats["hits"] > 0

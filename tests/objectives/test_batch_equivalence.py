@@ -1,9 +1,9 @@
 """Equivalence tests: vectorized/batch objective paths vs. scalar references.
 
 The vectorized engine (sparse incidence-matrix products, batch evaluation)
-must reproduce the original per-pair scalar loops exactly (up to summation
-order) across random designs, all three paper scenarios and disconnected
-error cases.
+must reproduce the original per-pair scalar loops of
+``tests/oracles/objectives.py`` exactly (up to summation order) across random
+designs, all three paper scenarios and disconnected error cases.
 """
 
 from __future__ import annotations
@@ -15,13 +15,22 @@ from repro.noc.constraints import random_design
 from repro.noc.design import NocDesign
 from repro.noc.mesh import mesh_design
 from repro.noc.routing import RoutingTables
-from repro.objectives.energy import communication_energy, communication_energy_reference
+from repro.objectives.energy import communication_energy
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
-from repro.objectives.latency import cpu_llc_latency, cpu_llc_latency_reference
+from repro.objectives.latency import cpu_llc_latency
 from repro.objectives.thermal import ThermalModel
-from repro.objectives.traffic import link_utilizations, link_utilizations_reference
+from repro.objectives.traffic import link_utilizations
 from repro.workloads.registry import get_workload
 from repro.workloads.workload import Workload
+from tests.oracles.objectives import (
+    column_powers_reference,
+    communication_energy_reference,
+    cpu_llc_latency_reference,
+    evaluate_reference,
+    link_utilizations_reference,
+    objective_reference,
+    temperatures_reference,
+)
 
 RTOL = 1e-12
 
@@ -73,16 +82,16 @@ class TestObjectiveFunctionEquivalence:
         model = ThermalModel(small_config)
         np.testing.assert_allclose(
             model.column_powers(design, small_workload),
-            model.column_powers_reference(design, small_workload),
+            column_powers_reference(model, design, small_workload),
             rtol=RTOL,
         )
         np.testing.assert_allclose(
             model.temperatures(design, small_workload),
-            model.temperatures_reference(design, small_workload),
+            temperatures_reference(model, design, small_workload),
             rtol=RTOL,
         )
         assert model.objective(design, small_workload) == pytest.approx(
-            model.objective_reference(design, small_workload), rel=1e-9
+            objective_reference(model, design, small_workload), rel=1e-9
         )
 
     def test_all_pairs_workload_equivalence(self, small_config):
@@ -107,7 +116,7 @@ class TestScenarioEquivalence:
         evaluator = ObjectiveEvaluator(workload, scenario_for(num_objectives), cache_size=0)
         design = random_design(small_config, seed)
         np.testing.assert_allclose(
-            evaluator.evaluate(design), evaluator.evaluate_reference(design), rtol=RTOL
+            evaluator.evaluate(design), evaluate_reference(evaluator, design), rtol=RTOL
         )
 
     @pytest.mark.parametrize("num_objectives", [3, 4, 5])

@@ -52,6 +52,28 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             smoke_study().algorithm("nsga2", warp_factor=9)
 
+    @pytest.mark.parametrize("name", ["MOELA", "MOOS", "MOO-STAGE", "NSGA-II"])
+    def test_removed_batch_evaluation_hyperparameter_raises(self, name):
+        match = r"unknown hyperparameters \['batch_evaluation'\]"
+        with pytest.raises(ValueError, match=match):
+            default_registry().spec(name).validate_options({"batch_evaluation": False})
+        with pytest.raises(ValueError, match=match):
+            smoke_study().algorithm(name, batch_evaluation=True)
+
+    @pytest.mark.parametrize("population_size", [8.7, "9"])
+    @pytest.mark.parametrize("name", ["MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "NSGA-II"])
+    def test_population_size_override_is_not_coerced(self, name, population_size):
+        study = smoke_study()
+        experiment = study.experiment()
+        problem = make_problem(experiment, "BFS", 3)
+        with pytest.raises(TypeError):
+            default_registry().create(
+                name, problem, experiment, 1, population_size=population_size
+            )
+        entry = {"name": name, "options": {"population_size": population_size}}
+        with pytest.raises(ValueError, match="population_size must be an integer"):
+            Study.from_dict({"algorithms": [entry]})
+
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already part of the study"):
             smoke_study().algorithm("moead").algorithm("MOEA/D")
