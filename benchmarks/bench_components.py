@@ -358,13 +358,17 @@ def run_big_grid_bench(
     Serial batch evaluation of neighbour broods of a common parent (the
     state a local search is in) with the routing engine off (fresh builds)
     vs on (hits / incremental repairs), per brood kind.  The rewire brood is
-    the row-block pair-table repair's gate.
+    the row-block pair-table repair's gate.  ``table_bytes`` is the array
+    memory of the parent's routing table once every objective has read it:
+    what each cached topology costs the engine.
     """
     platform = BIG_GRID_PLATFORMS[platform_name]()
     workload = get_workload("BFS", platform, seed=0)
     parent, broods = _neighbor_broods(
         size=brood_size, platform=platform, workload=workload
     )
+    evaluator = ObjectiveEvaluator(workload, scenario_for(5), cache_size=0)
+    evaluator.evaluate(parent)
     entry: dict = {
         "name": f"big_grid/{platform.name}",
         "platform": platform.name,
@@ -372,6 +376,7 @@ def run_big_grid_bench(
         "workload": workload.name,
         "scenario": "5-obj",
         "brood_size": brood_size,
+        "table_bytes": evaluator.routing_engine.tables(parent).nbytes,
         "broods": {},
     }
     for name, brood in broods.items():
@@ -403,7 +408,8 @@ def _big_grid_entry(platform_name: str) -> dict:
 
 
 def _print_big_grid_entry(entry: dict) -> None:
-    print(f"{entry['platform']} ({entry['tiles']} tiles, brood {entry['brood_size']}):")
+    print(f"{entry['platform']} ({entry['tiles']} tiles, brood {entry['brood_size']}, "
+          f"table {entry['table_bytes'] / 2**20:.2f} MiB):")
     for name, brood in entry["broods"].items():
         print(f"  {name}: fresh {brood['fresh_seconds'] * 1e3:.1f} ms vs "
               f"cached {brood['cached_seconds'] * 1e3:.1f} ms -> {brood['speedup']:.2f}x")

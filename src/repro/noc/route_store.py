@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.noc.geometry import Grid3D
 from repro.noc.links import Link
-from repro.noc.routing import RoutingTables
+from repro.noc.routing import NO_PREDECESSOR, RoutingTables
 
 #: Default maximum number of persisted topologies per store.
 DEFAULT_MAX_ENTRIES = 64
@@ -90,7 +90,10 @@ class RouteStore:
 
         The stored link endpoints are verified against the request before
         reconstruction, so a (vanishingly unlikely) key collision or a stale
-        file degrades to a miss instead of wrong routes.
+        file degrades to a miss instead of wrong routes.  So do state arrays
+        of the wrong shape, and predecessors that are not integers or are
+        neither :data:`~repro.noc.routing.NO_PREDECESSOR` nor a tile id
+        (checked before the int16 cast, so no value can wrap into range).
         """
         ordered = tuple(sorted(links))
         entry_path = self._entry_path(self.key_for(ordered, num_tiles, grid))
@@ -110,11 +113,18 @@ class RouteStore:
             return None
         expected = np.array([(link.a, link.b) for link in ordered], dtype=np.int64)
         expected = expected.reshape(-1, 2)
+        square = (num_tiles, num_tiles)
         if (
             tuple(dims.tolist()) != (grid.n, grid.layers, num_tiles)
             or ends.shape != expected.shape
             or not np.array_equal(ends, expected)
+            or distance.shape != square
+            or predecessors.shape != square
+            or predecessors.dtype.kind not in "iu"
         ):
+            return None
+        in_range = (predecessors >= 0) & (predecessors < num_tiles)
+        if not np.all(in_range | (predecessors == NO_PREDECESSOR)):
             return None
         return RoutingTables.from_state(ordered, num_tiles, grid, distance, predecessors)
 

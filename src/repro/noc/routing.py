@@ -32,35 +32,38 @@ key a cross-design route cache on the link tuple alone.
 
 Batch path tables
 -----------------
-Besides the per-pair query API, :class:`RoutingTables` exposes sparse batch
+Besides the per-pair query API, :class:`RoutingTables` exposes compact batch
 structures used by the vectorized objective engine in :mod:`repro.objectives`.
 They are reconstructed lazily, in a single vectorized sweep over the
 predecessor matrix (one iteration per path-length step, all pairs at once),
 instead of walking predecessors pair-by-pair:
 
-* :meth:`pair_link_incidence` — CSR matrix ``P`` of shape
-  ``(num_tiles**2, num_links)``; ``P[p, k] = 1`` iff the route of the ordered
-  tile pair ``p = src * num_tiles + dst`` traverses link ``k``.  Link
-  utilisation for a pair-frequency vector ``f`` is then ``P.T @ f``.
-* :meth:`pair_tile_incidence` — CSR matrix ``R`` of shape
-  ``(num_tiles**2, num_tiles)``; ``R[p, t] = 1`` iff tile (router) ``t`` lies
-  on the route of pair ``p``, endpoints included (a self pair visits only its
-  own tile).  Router-energy sums are ``R @ ports``.
+* :meth:`pair_link_pattern` — the CSR pattern ``(indptr, indices)`` (int32)
+  of the path-link incidence ``P`` of shape ``(num_tiles**2, num_links)``:
+  row ``p = src * num_tiles + dst`` lists the links the route of the ordered
+  tile pair ``p`` traverses.  Every entry of ``P`` is 1, so no data array is
+  stored.
+* :meth:`link_loads` — ``P.T @ f`` for a pair-frequency vector ``f`` (link
+  utilisation), as one ``bincount`` over the pattern.
+* :meth:`pair_router_ports` — per-pair sums of router port counts
+  (``degree + 1``) over every router on the route, endpoints included (a
+  self pair visits only its own router): the router-energy term.  It is
+  derived from ``P`` and the table's own degrees, so no pair-router
+  incidence is stored.
 * :meth:`pair_hops` / :meth:`pair_lengths` — dense per-pair hop counts
-  ``h_ij`` and physical route lengths ``d_ij``.
+  ``h_ij`` (int16) and physical route lengths ``d_ij``.
 * :meth:`reachable_pairs` — boolean per-pair reachability in the same flat
   ``src * num_tiles + dst`` order.
 
 Minimal routes are simple paths, so every incidence entry is 0/1 and
-``pair_hops`` equals the per-row sums of ``P``.
+``pair_hops`` equals the row lengths of ``P``.
 
-The incidence rows are stored in *route order*, not sorted by column: the
+The rows of ``P`` are stored in *route order*, not sorted by column: the
 sweep writes the ``s``-th step of a pair's route straight into slot ``s`` of
-its row, so a row of ``R`` reads ``dst, ..., src`` and a row of ``P`` lists
-the last hop first (:meth:`RoutingTables._route_order_csr`).  No sort is
-needed, and the objectives do not depend on the in-row order: ``P.T @ f``
-accumulates into each link in pair order, and ``P @ lengths`` / ``R @
-ports`` add integer-valued floats, which is exact in any order.
+its row, so a row lists the last hop first (:meth:`RoutingTables._route_order_pattern`).
+No sort is needed, and the objectives do not depend on the in-row order:
+``P.T @ f`` accumulates into each link in pair order, and the route lengths
+and port sums add integers, which is exact in any order.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from repro.noc.geometry import Grid3D
 from repro.noc.links import Link, link_ends, link_lengths_array
 
 #: scipy's "no predecessor" sentinel (source itself or unreachable pair).
+#: Predecessors are tile ids or this sentinel, so they are stored as int16.
 NO_PREDECESSOR = -9999
 
 
@@ -166,12 +170,12 @@ class RoutingTables:
     def _reset_lazy(self) -> None:
         self._path_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         # Lazily built batch structures (see _build_pair_tables).
-        self._pair_links: csr_matrix | None = None
-        self._pair_tiles: csr_matrix | None = None
+        self._pair_indptr: np.ndarray | None = None
+        self._pair_links: np.ndarray | None = None
         self._pair_hops: np.ndarray | None = None
         self._pair_lengths: np.ndarray | None = None
+        self._pair_ports: np.ndarray | None = None
         self._reachable: np.ndarray | None = None
-        self._edge_link: np.ndarray | None = None
 
     def _canonical_predecessors(self, distance_rows: np.ndarray) -> np.ndarray:
         """Derive lexicographic-minimal predecessors from a distance block.
@@ -186,7 +190,7 @@ class RoutingTables:
         """
         num_sources = distance_rows.shape[0]
         num_tiles = self.num_tiles
-        predecessors = np.full((num_sources, num_tiles), num_tiles, dtype=np.int64)
+        predecessors = np.full((num_sources, num_tiles), num_tiles, dtype=np.int16)
         if self.num_links:
             # Sort directed edges by head node so a single reduceat computes,
             # per (source, head), the minimum tail satisfying the tie test.
@@ -217,8 +221,8 @@ class RoutingTables:
         tables stay untouched ("repair" returns a new instance), because the
         parent's entry remains live under its own topology key.
 
-        The result is bit-identical (routes, hops, incidence matrices) to a
-        fresh :class:`RoutingTables` build for ``new_links``.
+        The result is bit-identical (routes, hops, pair tables) to a fresh
+        :class:`RoutingTables` build for ``new_links``.
         """
         updated = object.__new__(RoutingTables)
         updated._setup_static(tuple(sorted(new_links)), self.num_tiles, self.grid)
@@ -290,7 +294,7 @@ class RoutingTables:
         tables = object.__new__(cls)
         tables._setup_static(tuple(sorted(links)), int(num_tiles), grid)
         tables._distance = np.ascontiguousarray(distance, dtype=np.float64)
-        tables._predecessors = np.ascontiguousarray(predecessors, dtype=np.int64)
+        tables._predecessors = np.ascontiguousarray(predecessors, dtype=np.int16)
         tables._reset_lazy()
         return tables
 
@@ -346,20 +350,53 @@ class RoutingTables:
         """Flat index of the ordered tile pair ``(src, dst)`` in the batch tables."""
         return src * self.num_tiles + dst
 
-    def pair_link_incidence(self) -> csr_matrix:
-        """Sparse 0/1 path-link incidence ``P`` of shape ``(num_tiles**2, num_links)``."""
+    def pair_link_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR pattern ``(indptr, indices)`` of the path-link incidence ``P``.
+
+        ``P`` has shape ``(num_tiles**2, num_links)`` and every stored entry
+        is 1, so the pattern is the whole matrix.  Both arrays are read-only
+        int32, and each row lists its route's links last hop first.
+        """
         if self._pair_links is None:
             self._build_pair_tables()
-        return self._pair_links
+        return self._pair_indptr, self._pair_links
 
-    def pair_tile_incidence(self) -> csr_matrix:
-        """Sparse 0/1 path-router incidence ``R`` of shape ``(num_tiles**2, num_tiles)``."""
-        if self._pair_tiles is None:
-            self._build_pair_tables()
-        return self._pair_tiles
+    def link_loads(self, pair_weights: np.ndarray) -> np.ndarray:
+        """``P.T @ pair_weights``: the summed weight of the pairs routed over each link.
+
+        ``bincount`` adds into each link in pair order, the order scipy's
+        ``P.T @ w`` uses, so the result is bit-identical to the sparse
+        product.
+        """
+        _, links = self.pair_link_pattern()
+        weights = np.repeat(pair_weights, self.pair_hops())
+        return np.bincount(links, weights=weights, minlength=self.num_links)
+
+    def pair_router_ports(self) -> np.ndarray:
+        """Per-pair sum of router port counts over the route (int32, read-only).
+
+        A router has ``degree + 1`` ports (its links plus the local PE port),
+        from this table's own link set.  Every router on a route is counted,
+        endpoints included; a self pair counts its own router, an unreachable
+        pair is 0.  Each interior router touches two of the route's links and
+        each endpoint one, so the sum is half of the links' end-port sums plus
+        both endpoints' ports — all integers, so the result is exact.
+        """
+        if self._pair_ports is None:
+            ends = np.concatenate((self._ends_a, self._ends_b))
+            ports = np.bincount(ends, minlength=self.num_tiles) + 1
+            indptr, links = self.pair_link_pattern()
+            route_sums = np.zeros(links.size + 1, dtype=np.int64)
+            np.cumsum((ports[self._ends_a] + ports[self._ends_b])[links], out=route_sums[1:])
+            doubled = route_sums[indptr[1:]] - route_sums[indptr[:-1]]
+            doubled += np.add.outer(ports, ports).ravel()
+            doubled[~self.reachable_pairs()] = 0
+            self._pair_ports = (doubled // 2).astype(np.int32)
+            self._pair_ports.setflags(write=False)
+        return self._pair_ports
 
     def pair_hops(self) -> np.ndarray:
-        """Per-pair hop counts ``h_ij`` (0 for self pairs and unreachable pairs)."""
+        """Per-pair hop counts ``h_ij`` (int16; 0 for self and unreachable pairs)."""
         if self._pair_hops is None:
             self._build_pair_tables()
         return self._pair_hops
@@ -381,6 +418,17 @@ class RoutingTables:
         """Boolean tile-to-tile reachability matrix."""
         return self.reachable_pairs().reshape(self.num_tiles, self.num_tiles)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by this table's numpy arrays, the sparse graph included."""
+        total = 0
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                total += value.nbytes
+            elif isinstance(value, csr_matrix):
+                total += value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+        return total
+
     def _build_pair_tables(self) -> None:
         """Reconstruct every route at once from the predecessor matrix."""
         self._route_pair_tables(np.ones(self.num_tiles, dtype=bool))
@@ -389,9 +437,11 @@ class RoutingTables:
         """Repair the batch structures from a parent's, re-sweeping only affected rows.
 
         An unaffected source keeps its canonical routes, and those routes
-        never traverse a removed link, so its incidence rows survive verbatim
-        with the link columns remapped to the new link indexing.  No-op
-        (tables stay lazy) when the parent never built its batch structures.
+        never traverse a removed link, so its rows of ``P`` survive verbatim
+        with the link ids remapped to the new link indexing.  No-op (tables
+        stay lazy) when the parent never built its batch structures.  Router
+        port sums are never adopted: a rewire changes router degrees on
+        routes that did not move, so the child derives its own.
         """
         if parent._pair_links is None:
             return
@@ -403,150 +453,118 @@ class RoutingTables:
             old_to_new = np.where(self._link_keys[positions] == parent._link_keys, positions, -1)
         else:
             old_to_new = np.full(parent.num_links, -1, dtype=np.int64)
-        self._route_pair_tables(affected, parent, old_to_new)
+        self._route_pair_tables(affected, parent.pair_link_pattern(), old_to_new)
 
     def _route_pair_tables(
         self,
         affected: np.ndarray,
-        parent: "RoutingTables | None" = None,
+        parent: "tuple[np.ndarray, np.ndarray] | None" = None,
         link_remap: "np.ndarray | None" = None,
     ) -> None:
-        """Build ``P``, ``R``, hops and lengths: sweep affected sources, copy the rest.
+        """Build ``P``'s pattern, hops and lengths: sweep affected sources, copy the rest.
 
         The one builder behind fresh builds (every source affected, no
-        parent) and adoption (rows of unaffected sources come from
-        ``parent``, link columns renumbered through ``link_remap``).
+        parent) and adoption (rows of unaffected sources come from the
+        ``parent`` pattern, link ids renumbered through ``link_remap``).
         """
-        num_pairs = self.num_tiles * self.num_tiles
-        link_steps, tile_steps = self._route_steps(np.flatnonzero(affected))
-        parent_links = parent_tiles = None
-        if parent is not None:
-            parent_links, parent_tiles = parent._pair_links, parent._pair_tiles
-        self._pair_links = self._route_order_csr(
-            link_steps, (num_pairs, self.num_links), affected, parent_links, link_remap
-        )
-        self._pair_tiles = self._route_order_csr(
-            tile_steps, (num_pairs, self.num_tiles), affected, parent_tiles
-        )
+        steps = self._route_steps(np.flatnonzero(affected))
+        indptr, links = self._route_order_pattern(steps, affected, parent, link_remap)
         # Minimal routes are simple paths, so h_ij is exactly the number of
-        # incidence entries in the pair's row.
-        self._pair_hops = np.diff(self._pair_links.indptr)
-        # Link lengths are integer-valued floats, so the route-order row sum
-        # is exact (identical to any other summation order).
-        self._pair_lengths = self._pair_links @ self.link_lengths
-        self._pair_hops.setflags(write=False)
-        self._pair_lengths.setflags(write=False)
+        # entries in the pair's row.
+        hops = np.diff(indptr).astype(np.int16)
+        # Link lengths are integer-valued floats, so the running sum and its
+        # differences are exact (identical to any other summation order).
+        route_lengths = np.zeros(links.size + 1, dtype=np.float64)
+        np.cumsum(self.link_lengths[links], out=route_lengths[1:])
+        lengths = route_lengths[indptr[1:]] - route_lengths[indptr[:-1]]
+        for array in (indptr, links, hops, lengths):
+            array.setflags(write=False)
+        self._pair_indptr, self._pair_links = indptr, links
+        self._pair_hops, self._pair_lengths = hops, lengths
 
-    def _edge_link_lookup(self) -> np.ndarray:
-        """Dense ``(num_tiles, num_tiles)`` edge -> link-index lookup.
-
-        One int64 cell per ordered tile pair (512 KiB at 256 tiles), so the
-        route sweep maps each traversed ``(prev, cur)`` edge to its link with
-        a single fancy-index gather.
-        """
-        if self._edge_link is None:
-            edge_link = np.full((self.num_tiles, self.num_tiles), -1, dtype=np.int64)
-            indices = np.arange(self.num_links, dtype=np.int64)
-            edge_link[self._ends_a, self._ends_b] = indices
-            edge_link[self._ends_b, self._ends_a] = indices
-            self._edge_link = edge_link
-        return self._edge_link
-
-    def _route_steps(
-        self, sources: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+    def _route_steps(self, sources: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Route reconstruction sweep for every pair whose source is in ``sources``.
 
         Walks all destination-to-source chains simultaneously: iteration ``s``
-        advances every still-active pair one predecessor step, emitting the
-        traversed ``(prev, cur)`` edge and the visited router.  The loop runs
+        advances every still-active pair one predecessor step and emits the
+        link of the traversed ``(prev, cur)`` edge.  The loop runs
         ``max_ij h_ij`` times (the network diameter), with all per-pair work
         vectorized.
 
-        Returns ``(link_steps, tile_steps)``: lists of ``(pair rows,
-        columns)`` chunks with *global* flat pair rows (``src * num_tiles +
-        dst``).  Chunk ``s`` holds entry ``s`` of each listed row in route
-        order, from the destination back to the source: a tile row is
-        ``dst, ..., src`` and a link row lists the last hop first.  Each
-        chunk lists a row at most once, in ascending row order.
+        Returns a list of ``(pair rows, link ids)`` chunks with *global* flat
+        pair rows (``src * num_tiles + dst``).  Chunk ``s`` holds link ``s``
+        of each listed row in route order, from the destination back to the
+        source, so a row lists the last hop first.  Each chunk lists a row at
+        most once, in ascending row order.
         """
         num_tiles = self.num_tiles
         src = np.repeat(sources, num_tiles)
         dst = np.tile(np.arange(num_tiles), len(sources))
         rows = src * num_tiles + dst
         reachable = np.isfinite(self._distance[src, dst])
-        edge_link = self._edge_link_lookup()
+        # Dense (tile, tile) -> link lookup, so each step maps its traversed
+        # edges to links with one gather.  It lives only for this sweep.
+        edge_link = np.full((num_tiles, num_tiles), -1, dtype=np.int32)
+        link_ids = np.arange(self.num_links, dtype=np.int32)
+        edge_link[self._ends_a, self._ends_b] = link_ids
+        edge_link[self._ends_b, self._ends_a] = link_ids
 
-        tile_steps = [(rows[reachable], dst[reachable])]
-        link_steps: list[tuple[np.ndarray, np.ndarray]] = []
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
         cur = dst.copy()
         active = np.nonzero(reachable & (src != dst))[0]
         while active.size:
             prev = self._predecessors[src[active], cur[active]]
-            active_rows = rows[active]
-            link_steps.append((active_rows, edge_link[prev, cur[active]]))
-            tile_steps.append((active_rows, prev))
+            steps.append((rows[active], edge_link[prev, cur[active]]))
             cur[active] = prev
             active = active[prev != src[active]]
-        return link_steps, tile_steps
+        return steps
 
-    @staticmethod
-    def _route_order_csr(
+    def _route_order_pattern(
+        self,
         steps: list[tuple[np.ndarray, np.ndarray]],
-        shape: tuple[int, int],
         affected: np.ndarray,
-        parent: "csr_matrix | None" = None,
-        col_remap: "np.ndarray | None" = None,
-    ) -> csr_matrix:
-        """Route-order CSR from swept step chunks, plus rows kept from a parent.
+        parent: "tuple[np.ndarray, np.ndarray] | None" = None,
+        link_remap: "np.ndarray | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route-order int32 CSR pattern from swept steps, plus rows kept from a parent.
 
         Entry ``s`` of a swept row goes straight into slot ``indptr[row] +
-        s``, so every row lists its entries in route order and no sort is
-        needed.  With a ``parent`` (itself route-ordered), the rows of
-        sources not in ``affected`` are copied from it: all ``num_tiles``
+        s``, so every row lists its links in route order and no sort is
+        needed.  With a ``parent`` pattern (itself route-ordered), the rows
+        of sources not in ``affected`` are copied from it: all ``num_tiles``
         rows of a source are consecutive in the source-major row order, so
-        each run of unaffected sources is one slice copy, with columns
-        renumbered through ``col_remap`` when given.  A repaired table
-        therefore holds the same arrays as a fresh build byte for byte.
-
-        Products over these rows equal those over any other in-row order bit
-        for bit: ``P.T @ f`` adds into each column in row (pair) order, and
-        ``P @ lengths`` / ``R @ ports`` sum integer-valued floats exactly.
+        each run of unaffected sources is one slice copy, with link ids
+        renumbered through ``link_remap``.  A repaired table therefore holds
+        the same arrays as a fresh build byte for byte.
         """
-        num_rows, num_cols = shape
-        num_tiles = affected.size
-        counts = np.zeros(num_rows, dtype=np.int64)
+        num_tiles = self.num_tiles
+        num_pairs = num_tiles * num_tiles
+        counts = np.zeros(num_pairs, dtype=np.int32)
         for rows, _ in steps:
             counts[rows] += 1
         if parent is not None:
+            parent_indptr, parent_links = parent
             keep_row = np.repeat(~affected, num_tiles)
-            counts = np.where(keep_row, np.diff(parent.indptr), counts)
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+            counts = np.where(keep_row, np.diff(parent_indptr), counts)
+        indptr = np.zeros(num_pairs + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        links = np.empty(int(indptr[-1]), dtype=np.int32)
         if parent is not None:
             unaffected = np.flatnonzero(~affected)
             if unaffected.size:
                 breaks = np.flatnonzero(np.diff(unaffected) > 1)
                 run_starts = np.r_[unaffected[0], unaffected[breaks + 1]] * num_tiles
                 run_ends = (np.r_[unaffected[breaks], unaffected[-1]] + 1) * num_tiles
-                parent_indptr = parent.indptr
                 for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-                    block = parent.indices[parent_indptr[start] : parent_indptr[end]]
-                    if col_remap is not None:
-                        block = col_remap[block]
-                    indices[indptr[start] : indptr[end]] = block
+                    block = parent_links[parent_indptr[start] : parent_indptr[end]]
+                    links[indptr[start] : indptr[end]] = link_remap[block]
         row_starts = indptr[:-1]
-        for step, (rows, cols) in enumerate(steps):
-            indices[row_starts[rows] + step] = cols
-        if col_remap is not None:
-            assert indices.size == 0 or indices.min() >= 0, (
-                "route of an unaffected source crossed a removed link"
-            )
-        return csr_matrix(
-            (np.ones(indices.size, dtype=np.float64), indices, indptr),
-            shape=(num_rows, num_cols),
+        for step, (rows, step_links) in enumerate(steps):
+            links[row_starts[rows] + step] = step_links
+        assert links.size == 0 or links.min() >= 0, (
+            "route of an unaffected source crossed a removed link"
         )
+        return indptr, links
 
     # ------------------------------------------------------------------ #
     # Internals

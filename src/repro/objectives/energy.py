@@ -6,10 +6,11 @@ and router traversal energy (per-port energy ``E_r`` times the port count
 ``P_k`` of every router on the route).
 
 :func:`communication_energy` is vectorized: per-pair link energy comes from
-the precomputed route-length vector (``P @ d``) and per-pair router energy
-from the path-router incidence product ``R @ ports``, both contracted with
-the tile-pair frequency vector in one dot product.  Same-tile pairs cost one
-local-router traversal, which the self-pair rows of ``R`` encode naturally.
+the precomputed route-length vector and per-pair router energy from the
+route's summed router port counts
+(:meth:`~repro.noc.routing.RoutingTables.pair_router_ports`), both contracted
+with the tile-pair frequency vector in one dot product.  Same-tile pairs cost
+one local-router traversal, which the self-pair port sums encode naturally.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def communication_energy(
     if frequencies is None:
         frequencies = workload.pair_frequencies(design.placement_array())
     require_routable(routing, frequencies)
-    # Port count of every router: attached links plus the local PE injection port.
-    ports = design.degrees().astype(np.float64) + 1.0
     link_energy = config.link_energy_per_flit * routing.pair_lengths()
-    router_energy = config.router_energy_per_port * (routing.pair_tile_incidence() @ ports)
+    # Summed port counts (attached links plus the local PE injection port)
+    # of every router on each pair's route.
+    router_energy = config.router_energy_per_port * routing.pair_router_ports()
     return float(frequencies @ (link_energy + router_energy))
 

@@ -45,7 +45,8 @@ def cpu_llc_latency(
         cpu_i, llc_j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         src, dst = divmod(int(pair_idx[cpu_i, llc_j]), routing.num_tiles)
         raise ValueError(f"no route from tile {src} to tile {dst}: network is disconnected")
-    latencies = config.router_stages * routing.pair_hops()[pair_idx] + routing.pair_lengths()[pair_idx]
+    hops = routing.pair_hops()[pair_idx].astype(np.int64)  # int16 would wrap
+    latencies = config.router_stages * hops + routing.pair_lengths()[pair_idx]
     total = float((latencies * frequencies).sum())
     return total / (len(cpu_ids) * len(llc_ids))
 

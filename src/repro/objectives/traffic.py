@@ -5,10 +5,12 @@ indicates whether the route from PE ``i`` to PE ``j`` traverses link ``k``.
 Objective 1 minimises the mean of ``u`` over all links; objective 2 minimises
 its variance (reducing hotspots improves GPU throughput).
 
-:func:`link_utilizations` is vectorized: it computes ``u = P.T @ f`` from the
-sparse path-link incidence matrix ``P`` of
-:meth:`~repro.noc.routing.RoutingTables.pair_link_incidence` and the design's
-tile-pair frequency vector ``f`` (:meth:`~repro.workloads.workload.Workload.pair_frequencies`).
+:func:`link_utilizations` is vectorized: it computes ``u = P.T @ f``, where
+``P`` is the path-link incidence whose pattern
+:meth:`~repro.noc.routing.RoutingTables.pair_link_pattern` stores, and ``f`` is
+the design's tile-pair frequency vector
+(:meth:`~repro.workloads.workload.Workload.pair_frequencies`), with one
+``bincount`` (:meth:`~repro.noc.routing.RoutingTables.link_loads`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def link_utilizations(
     if frequencies is None:
         frequencies = workload.pair_frequencies(design.placement_array())
     require_routable(routing, frequencies)
-    return routing.pair_link_incidence().T @ frequencies
+    return routing.link_loads(frequencies)
 
 
 def traffic_mean(utilization: np.ndarray) -> float:

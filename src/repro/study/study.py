@@ -273,13 +273,13 @@ class Study:
         return self
 
     def evaluations(self, budget: int) -> "Study":
-        """Set the per-run evaluation budget."""
-        self._evaluations = int(budget)
+        """Set the per-run evaluation budget (an integer; floats and strings raise)."""
+        self._evaluations = _integer("evaluations", budget)
         return self
 
     def population_size(self, size: int) -> "Study":
-        """Set the population / archive size for every algorithm."""
-        self._population_size = int(size)
+        """Set the population / archive size for every algorithm (an integer)."""
+        self._population_size = _integer("population_size", size)
         return self
 
     def seed(self, seed: int) -> "Study":

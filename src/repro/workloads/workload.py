@@ -1,4 +1,11 @@
-"""Workload container: communication frequencies and PE power profile."""
+"""Workload container: communication frequencies and PE power profile.
+
+:meth:`Workload.pair_frequencies` flattens a placement's tile-to-tile traffic
+into the ``src * num_tiles + dst`` pair order of the routing tables, the
+vector ``f`` that link utilisation (``P.T @ f``, computed by
+:meth:`repro.noc.routing.RoutingTables.link_loads`) and the energy objective
+contract with per-pair route data.
+"""
 
 from __future__ import annotations
 
@@ -108,8 +115,8 @@ class Workload:
 
         Flattened row-major, this is the pair-frequency vector consumed by the
         vectorized objective engine: its order matches the flat
-        ``src * num_tiles + dst`` pair indexing of
-        :meth:`repro.noc.routing.RoutingTables.pair_link_incidence`.
+        ``src * num_tiles + dst`` pair indexing of the routing tables' pair
+        structures (:meth:`repro.noc.routing.RoutingTables.pair_link_pattern`).
         """
         placement = np.asarray(placement, dtype=np.int64)
         return self.traffic[np.ix_(placement, placement)]

@@ -16,8 +16,9 @@ import pytest
 from repro.noc.constraints import random_design
 from repro.noc.platform import PlatformConfig
 from repro.noc.route_store import DEFAULT_MAX_ENTRIES, RouteStore
-from repro.noc.routing import RoutingTables
+from repro.noc.routing import NO_PREDECESSOR, RoutingTables
 from repro.noc.routing_engine import RoutingEngine
+from tests.oracles.routing import router_ports
 
 PLATFORM = PlatformConfig.small_3x3x3()
 
@@ -37,12 +38,11 @@ class TestRoundTrip:
         assert loaded.links == tables.links
         assert loaded._distance.tobytes() == tables._distance.tobytes()
         assert loaded._predecessors.tobytes() == tables._predecessors.tobytes()
-        for name in ("pair_link_incidence", "pair_tile_incidence"):
-            a, b = getattr(loaded, name)(), getattr(tables, name)()
-            assert a.indptr.tobytes() == b.indptr.tobytes()
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.data.tobytes() == b.data.tobytes()
+        for ours, theirs in zip(loaded.pair_link_pattern(), tables.pair_link_pattern()):
+            assert ours.tobytes() == theirs.tobytes()
         assert loaded.pair_hops().tobytes() == tables.pair_hops().tobytes()
+        assert loaded.pair_router_ports().tobytes() == tables.pair_router_ports().tobytes()
+        assert np.array_equal(loaded.pair_router_ports(), router_ports(loaded))
 
     def test_missing_key_is_none(self, tmp_path, tables):
         store = RouteStore(tmp_path)
@@ -113,6 +113,53 @@ class TestMissNotError:
         (entry,) = list(tmp_path.iterdir())
         entry.write_bytes(b"not an npz archive")
         assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+
+    @staticmethod
+    def _overwrite_state(store, **arrays):
+        """Rewrite the saved entry with some state arrays replaced."""
+        (entry,) = list(store.root.iterdir())
+        with np.load(entry) as payload:
+            state = dict(payload)
+        state.update(arrays)
+        with open(entry, "wb") as handle:
+            np.savez(handle, **state)
+
+    @pytest.mark.parametrize("name", ["distance", "predecessors"])
+    def test_misshaped_state_degrades_to_miss(self, tmp_path, tables, name):
+        """Matching dims and links but a 3x3 state array: a miss, not an
+        IndexError on the first route query."""
+        store = RouteStore(tmp_path)
+        store.save(tables)
+        self._overwrite_state(store, **{name: np.zeros((3, 3), dtype=np.int64)})
+        assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+
+    @pytest.mark.parametrize("bad", [-1, NO_PREDECESSOR + 1, 27, 70_000, 65_541])
+    def test_out_of_range_predecessor_degrades_to_miss(self, tmp_path, tables, bad):
+        """Every predecessor must be a tile id or the sentinel; 65541 would
+        wrap to tile 5 if the int16 cast came first."""
+        store = RouteStore(tmp_path)
+        store.save(tables)
+        predecessors = tables.table_state()["predecessors"].astype(np.int64)
+        predecessors[1, 2] = bad
+        self._overwrite_state(store, predecessors=predecessors)
+        assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+
+    def test_float_predecessors_degrade_to_miss(self, tmp_path, tables):
+        store = RouteStore(tmp_path)
+        store.save(tables)
+        floats = tables.table_state()["predecessors"] + 0.5
+        self._overwrite_state(store, predecessors=floats)
+        assert store.load(tables.links, tables.num_tiles, tables.grid) is None
+
+    def test_wide_predecessors_load_narrowed(self, tmp_path, tables):
+        """Entries written with int64 predecessors still load, as int16."""
+        store = RouteStore(tmp_path)
+        store.save(tables)
+        wide = tables.table_state()["predecessors"].astype(np.int64)
+        self._overwrite_state(store, predecessors=wide)
+        loaded = store.load(tables.links, tables.num_tiles, tables.grid)
+        assert loaded is not None
+        assert loaded._predecessors.tobytes() == tables._predecessors.tobytes()
 
     def test_truncated_file_degrades_to_miss(self, tmp_path, tables, monkeypatch):
         """A failed parse is a miss that leaves no open file behind: the

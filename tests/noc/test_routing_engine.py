@@ -9,14 +9,17 @@ from repro.noc.moves import MoveGenerator, mutate
 from repro.noc.crossover import crossover
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
+from tests.oracles.routing import router_ports
 
 
 def assert_tables_identical(left: RoutingTables, right: RoutingTables) -> None:
-    """Full structural equality: distances, routes, incidence matrices."""
+    """Full structural equality: distances, routes, pair tables."""
     np.testing.assert_array_equal(left._predecessors, right._predecessors)
     assert np.allclose(left._distance, right._distance, rtol=0, atol=1e-9)
-    assert (left.pair_link_incidence() != right.pair_link_incidence()).nnz == 0
-    assert (left.pair_tile_incidence() != right.pair_tile_incidence()).nnz == 0
+    for ours, theirs in zip(left.pair_link_pattern(), right.pair_link_pattern()):
+        np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(left.pair_router_ports(), right.pair_router_ports())
+    np.testing.assert_array_equal(left.pair_router_ports(), router_ports(left))
     np.testing.assert_array_equal(left.pair_hops(), right.pair_hops())
     np.testing.assert_array_equal(left.pair_lengths(), right.pair_lengths())
     np.testing.assert_array_equal(left.reachable_pairs(), right.reachable_pairs())

@@ -1,0 +1,109 @@
+"""Memory pin: a materialised 256-tile routing table holds at most 3 MiB.
+
+The ``RoutingEngine`` keeps up to 256 tables alive, so one table's size
+decides the memory of a 256-tile search.  Each table here has had every
+objective evaluated on it, so all of its lazy pair structures exist.  That
+holds for a fresh build, an incremental repair and a ``RouteStore`` round
+trip alike.  The budget is counted in ndarray bytes, not timed.
+"""
+
+import numpy as np
+import pytest
+from scipy.sparse import csr_matrix
+
+from repro.noc.constraints import random_design
+from repro.noc.moves import MoveGenerator
+from repro.noc.platform import PlatformConfig
+from repro.noc.route_store import RouteStore
+from repro.noc.routing import RoutingTables
+from repro.objectives.energy import communication_energy
+from repro.objectives.latency import cpu_llc_latency
+from repro.objectives.thermal import ThermalModel
+from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
+from repro.workloads.registry import get_workload
+
+BIG = PlatformConfig.big_8x8x4()
+BUDGET_BYTES = 3 * 2**20
+
+
+def _held_array_bytes(tables: RoutingTables) -> int:
+    """Bytes of every ndarray (and sparse matrix) the table references."""
+    total = 0
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, csr_matrix):
+            total += value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+    return total
+
+
+def _objectives(design, workload, tables) -> list[float]:
+    utilization = link_utilizations(design, workload, tables)
+    thermal = ThermalModel(workload.config)
+    return [
+        traffic_mean(utilization),
+        traffic_variance(utilization),
+        cpu_llc_latency(design, workload, tables),
+        communication_energy(design, workload, tables),
+        thermal.objective(design, workload),
+    ]
+
+
+@pytest.fixture(scope="module")
+def evaluated_tables(tmp_path_factory):
+    """``(kind, objectives, tables)`` for a fresh, a repaired and a loaded table."""
+    workload = get_workload("BFS", BIG, seed=0)
+    rng = np.random.default_rng(4)
+    parent = random_design(BIG, rng)
+    parent_tables = RoutingTables(parent, BIG.grid)
+    _objectives(parent, workload, parent_tables)
+    child = None
+    while child is None:
+        child = MoveGenerator(BIG, workload).rewire_link(parent, rng)
+
+    fresh = RoutingTables(child, BIG.grid)
+    repaired = parent_tables.incremental_update(child.links)
+    store = RouteStore(tmp_path_factory.mktemp("routes"))
+    store.save(fresh)
+    loaded = store.load(child.links, BIG.num_tiles, BIG.grid)
+    assert loaded is not None
+    return [
+        (kind, _objectives(child, workload, tables), tables)
+        for kind, tables in (("fresh", fresh), ("repaired", repaired), ("loaded", loaded))
+    ]
+
+
+def test_materialised_tables_fit_the_budget(evaluated_tables):
+    for kind, _, tables in evaluated_tables:
+        held = _held_array_bytes(tables)
+        assert tables.nbytes == held
+        assert held <= BUDGET_BYTES, f"{kind} table holds {held / 2**20:.2f} MiB"
+
+
+def test_edge_lookup_is_not_retained(evaluated_tables):
+    """The sweep's dense edge -> link lookup dies with the sweep: the only
+    tile-by-tile integer array a table keeps is its predecessor matrix."""
+    square = (BIG.num_tiles, BIG.num_tiles)
+    for kind, _, tables in evaluated_tables:
+        assert getattr(tables, "_edge_link", None) is None, kind
+        tile_by_tile = [
+            name
+            for name, value in vars(tables).items()
+            if isinstance(value, np.ndarray) and value.shape == square and value.dtype.kind == "i"
+        ]
+        assert tile_by_tile == ["_predecessors"], kind
+
+
+def test_predecessors_and_hops_are_narrow(evaluated_tables):
+    for _, _, tables in evaluated_tables:
+        assert tables._predecessors.dtype == np.int16
+        assert tables.pair_hops().dtype == np.int16
+        indptr, links = tables.pair_link_pattern()
+        assert indptr.dtype == links.dtype == np.int32
+        assert tables.pair_router_ports().dtype == np.int32
+
+
+def test_all_three_tables_score_identically(evaluated_tables):
+    (_, reference, _), *others = evaluated_tables
+    for kind, values, _ in others:
+        assert values == reference, kind

@@ -1,12 +1,13 @@
 """Pair-table rows are stored in route order, and the objectives do not notice.
 
 ``RoutingTables`` writes the ``s``-th step of each route straight into slot
-``s`` of the pair's CSR row: a row of ``R`` reads ``dst, ..., src`` and a row
-of ``P`` lists the last hop first.  These tests pin that layout on random
-256-tile designs (fresh and incrementally repaired tables), and check that
-every product the objectives take — ``P.T @ f``, ``P @ lengths`` and
-``R @ ports`` — is byte-identical to the same product over the sorted-index
-CSR the tables used to build (``tests/oracles/routing.py``).
+``s`` of the pair's row of the ``P`` pattern, so a row lists the last hop
+first.  These tests pin that layout on random 256-tile designs (fresh and
+incrementally repaired tables), against the retired route-order ``R`` builder
+whose rows read ``dst, ..., src``.  They also check that every quantity the
+objectives read — ``P.T @ f``, the route lengths and the router port sums —
+is byte-identical to the same product over the sorted-index CSR the tables
+used to build (``tests/oracles/routing.py``).
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.noc.constraints import random_design
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
-from tests.oracles.routing import canonical_csr
+from tests.oracles.routing import canonical_csr, pair_link_incidence, pair_tile_incidence
 
 BIG = PlatformConfig.big_8x8x4()
 
@@ -29,7 +30,7 @@ def _tables(seed):
     rng = np.random.default_rng(seed)
     design = random_design(BIG, rng)
     fresh = RoutingTables(design, BIG.grid)
-    fresh.pair_link_incidence()  # materialise, so the repair below adopts rows
+    fresh.pair_link_pattern()  # materialise, so the repair below adopts rows
     child = MoveGenerator(BIG).random_neighbor(design, rng)
     return [(design, fresh), (child, fresh.incremental_update(child.links))]
 
@@ -42,7 +43,7 @@ def designs_and_tables(request):
 def test_rows_run_from_destination_back_to_source(designs_and_tables):
     for _, tables in designs_and_tables:
         n = tables.num_tiles
-        links, tiles = tables.pair_link_incidence(), tables.pair_tile_incidence()
+        links, tiles = pair_link_incidence(tables), pair_tile_incidence(tables)
         pairs = np.arange(n * n)
         src, dst = pairs // n, pairs % n
         # Connected designs: every pair has a route of hops + 1 routers.
@@ -64,7 +65,7 @@ def test_sampled_rows_equal_reversed_paths(designs_and_tables):
     rng = np.random.default_rng(0)
     for _, tables in designs_and_tables:
         n = tables.num_tiles
-        links, tiles = tables.pair_link_incidence(), tables.pair_tile_incidence()
+        links, tiles = pair_link_incidence(tables), pair_tile_incidence(tables)
         for src, dst in rng.integers(n, size=(200, 2)).tolist():
             pair = tables.pair_index(src, dst)
             link_row = links.indices[links.indptr[pair] : links.indptr[pair + 1]]
@@ -76,7 +77,7 @@ def test_sampled_rows_equal_reversed_paths(designs_and_tables):
 def test_products_are_byte_identical_to_the_sorted_index_oracle(designs_and_tables):
     rng = np.random.default_rng(1)
     for design, tables in designs_and_tables:
-        links, tiles = tables.pair_link_incidence(), tables.pair_tile_incidence()
+        links, tiles = pair_link_incidence(tables), pair_tile_incidence(tables)
         oracle_links = canonical_csr(_row_ids(links), links.indices, *links.shape)
         oracle_tiles = canonical_csr(_row_ids(tiles), tiles.indices, *tiles.shape)
         # Same entries, different in-row order (so the check is not vacuous).
@@ -85,6 +86,8 @@ def test_products_are_byte_identical_to_the_sorted_index_oracle(designs_and_tabl
         frequencies = rng.random(links.shape[0]) * rng.choice([0.0, 1e-3, 1.0, 1e4], links.shape[0])
         ports = design.degrees().astype(np.float64) + 1.0
         assert (links.T @ frequencies).tobytes() == (oracle_links.T @ frequencies).tobytes()
+        assert tables.link_loads(frequencies).tobytes() == (oracle_links.T @ frequencies).tobytes()
         assert (links @ tables.link_lengths).tobytes() == (oracle_links @ tables.link_lengths).tobytes()
         assert tables.pair_lengths().tobytes() == (oracle_links @ tables.link_lengths).tobytes()
         assert (tiles @ ports).tobytes() == (oracle_tiles @ ports).tobytes()
+        assert np.array_equal(tables.pair_router_ports(), oracle_tiles @ ports)

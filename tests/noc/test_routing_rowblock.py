@@ -2,7 +2,7 @@
 
 ``RoutingTables.incremental_update`` no longer rebuilds the lazy pair tables
 from scratch: surviving parent rows are spliced block-wise into the child's
-CSR incidences (``_adopt_pair_tables`` / ``_spliced_csr``).  These tests pin
+``P`` pattern (``_adopt_pair_tables`` / ``_route_order_pattern``).  These tests pin
 the contract that adoption is invisible — every array a fresh
 ``from_links`` build produces is byte-for-byte identical, on the 256-tile
 grid the optimisation targets and across delta shapes (single link, multiple
@@ -20,6 +20,7 @@ from repro.noc.links import Link, candidate_links
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
+from tests.oracles.routing import router_ports
 
 BIG = PlatformConfig.big_8x8x4()
 SMALL = PlatformConfig.small_3x3x3()
@@ -31,7 +32,10 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
 
     ``tobytes()`` equality is stricter than ``==``: it also pins dtypes and
     element order, so a splice that produced the right values in a different
-    dtype (e.g. int64 indices where scipy downcasts to int32) still fails.
+    dtype (e.g. int64 indices where the tables store int32) still fails.
+    The router port sums are also pinned to the retired ``R @ (degrees +
+    1)`` oracle, since a repaired child must derive them from its own
+    degrees.
 
     The raw Dijkstra ``_distance`` is the one exception: for equal-cost path
     ties, scipy's traversal order (and thus float summation grouping) depends
@@ -41,14 +45,14 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
     (routes, hops, incidences, objectives) is byte-checked above; the raw
     distances are pinned to the tolerance instead.
     """
-    for name in ("pair_link_incidence", "pair_tile_incidence"):
-        a, b = getattr(adopted, name)(), getattr(fresh, name)()
-        assert a.shape == b.shape
-        for attr in ("indptr", "indices", "data"):
-            left, right = getattr(a, attr), getattr(b, attr)
-            assert left.dtype == right.dtype, f"{name}.{attr} dtype"
-            assert left.tobytes() == right.tobytes(), f"{name}.{attr} bytes"
+    for attr, left, right in zip(
+        ("indptr", "indices"), adopted.pair_link_pattern(), fresh.pair_link_pattern()
+    ):
+        assert left.dtype == right.dtype, f"pattern {attr} dtype"
+        assert left.tobytes() == right.tobytes(), f"pattern {attr} bytes"
     assert adopted.pair_hops().tobytes() == fresh.pair_hops().tobytes()
+    assert adopted.pair_router_ports().tobytes() == fresh.pair_router_ports().tobytes()
+    assert np.array_equal(adopted.pair_router_ports(), router_ports(adopted))
     assert adopted.pair_lengths().tobytes() == fresh.pair_lengths().tobytes()
     np.testing.assert_array_equal(adopted._predecessors, fresh._predecessors)
     np.testing.assert_allclose(
@@ -111,7 +115,8 @@ class TestBigGridAdoption:
         """Splicing reads the parent's built tables; building them first (the
         cache-warm case an engine is always in) must not change the child."""
         design, tables = parent
-        tables.pair_link_incidence()  # force the lazy build
+        tables.pair_link_pattern()  # force the lazy build
+        tables.pair_router_ports()
         rng = np.random.default_rng(3)
         child_links, fresh = rewired_links(design.links, rng, moves=2)
         assert_byte_identical(tables.incremental_update(child_links), fresh)

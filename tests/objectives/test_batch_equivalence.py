@@ -1,6 +1,6 @@
 """Equivalence tests: vectorized/batch objective paths vs. scalar references.
 
-The vectorized engine (sparse incidence-matrix products, batch evaluation)
+The vectorized engine (compact route tables, batch evaluation)
 must reproduce the original per-pair scalar loops of
 ``tests/oracles/objectives.py`` exactly (up to summation order) across random
 designs, all three paper scenarios and disconnected error cases.
@@ -31,6 +31,7 @@ from tests.oracles.objectives import (
     objective_reference,
     temperatures_reference,
 )
+from tests.oracles.routing import pair_link_incidence, pair_tile_incidence, router_ports
 
 RTOL = 1e-12
 
@@ -59,6 +60,10 @@ class TestObjectiveFunctionEquivalence:
         fast = link_utilizations(design, small_workload, routing)
         reference = link_utilizations_reference(design, small_workload, routing)
         np.testing.assert_allclose(fast, reference, rtol=RTOL)
+        # The bincount over P's pattern adds in the sparse product's order.
+        frequencies = small_workload.pair_frequencies(design.placement_array())
+        oracle = pair_link_incidence(routing).T @ frequencies
+        assert fast.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cpu_llc_latency_matches(self, small_config, small_workload, seed):
@@ -179,8 +184,8 @@ class TestRoutingBatchTables:
     def test_incidence_rows_match_walked_paths(self, small_config):
         design = random_design(small_config, 1)
         routing = RoutingTables(design, small_config.grid)
-        incidence = routing.pair_link_incidence()
-        tiles_incidence = routing.pair_tile_incidence()
+        incidence = pair_link_incidence(routing)
+        tiles_incidence = pair_tile_incidence(routing)
         for src in range(0, design.num_tiles, 4):
             for dst in range(0, design.num_tiles, 3):
                 pair = routing.pair_index(src, dst)
@@ -209,5 +214,7 @@ class TestRoutingBatchTables:
         assert reachable[0, 1]
         # Unreachable pairs carry empty incidence rows instead of garbage.
         pair = routing.pair_index(0, isolated)
-        assert routing.pair_link_incidence().getrow(pair).nnz == 0
+        assert pair_link_incidence(routing).getrow(pair).nnz == 0
         assert routing.pair_hops()[pair] == 0
+        assert routing.pair_router_ports()[pair] == 0
+        np.testing.assert_array_equal(routing.pair_router_ports(), router_ports(routing))

@@ -19,6 +19,7 @@ from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
+from tests.oracles.routing import router_ports
 
 TINY = PlatformConfig.tiny_2x2x2()
 SMALL = PlatformConfig.small_3x3x3()
@@ -34,8 +35,10 @@ SETTINGS = settings(
 
 def assert_engine_matches_fresh(engine_tables: RoutingTables, fresh: RoutingTables) -> None:
     np.testing.assert_array_equal(engine_tables._predecessors, fresh._predecessors)
-    assert (engine_tables.pair_link_incidence() != fresh.pair_link_incidence()).nnz == 0
-    assert (engine_tables.pair_tile_incidence() != fresh.pair_tile_incidence()).nnz == 0
+    for ours, theirs in zip(engine_tables.pair_link_pattern(), fresh.pair_link_pattern()):
+        np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(engine_tables.pair_router_ports(), fresh.pair_router_ports())
+    np.testing.assert_array_equal(engine_tables.pair_router_ports(), router_ports(engine_tables))
     np.testing.assert_array_equal(engine_tables.pair_hops(), fresh.pair_hops())
     np.testing.assert_array_equal(engine_tables.pair_lengths(), fresh.pair_lengths())
     np.testing.assert_array_equal(engine_tables.reachable_pairs(), fresh.reachable_pairs())

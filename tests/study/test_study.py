@@ -74,6 +74,18 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="population_size must be an integer"):
             Study.from_dict({"algorithms": [entry]})
 
+    @pytest.mark.parametrize("value", [150.7, "9", True])
+    @pytest.mark.parametrize("setter", ["evaluations", "population_size"])
+    def test_fluent_integer_settings_are_not_coerced(self, setter, value):
+        with pytest.raises(ValueError, match=f"{setter} must be an integer"):
+            getattr(smoke_study(), setter)(value)
+
+    @pytest.mark.parametrize("setter", ["evaluations", "population_size"])
+    def test_fluent_integer_settings_accept_integer_like_values(self, setter):
+        study = getattr(smoke_study(), setter)(np.int64(12))
+        value = study.to_dict()[setter]
+        assert value == 12 and type(value) is int
+
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already part of the study"):
             smoke_study().algorithm("moead").algorithm("MOEA/D")
