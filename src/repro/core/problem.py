@@ -39,10 +39,11 @@ class NocDesignProblem(Problem):
     mutation_strength:
         Number of random moves applied by :meth:`mutate`.
     routing_cache:
-        Routes all evaluation through the evaluator's shared
+        Routes all evaluation through the evaluator's own
         :class:`~repro.noc.routing_engine.RoutingEngine` (cross-design route
-        cache with incremental repair).  ``False`` selects the historical
-        fresh-build-per-design path; results are bit-identical either way.
+        cache with incremental repair, private to this problem).  ``False``
+        selects the historical fresh-build-per-design path; results are
+        bit-identical either way.
     scenario_model:
         Optional fault/scenario model (a :class:`~repro.scenarios.ScenarioModel`
         or its canonical key, e.g. ``"link_failure(k=1,mode=remove)"``)
@@ -51,16 +52,6 @@ class NocDesignProblem(Problem):
         nominal design space while evaluation answers for the degraded one.
     scenario_seed:
         Seed for the scenario model's deterministic streams.
-    routing_engine:
-        Optional externally-owned
-        :class:`~repro.noc.routing_engine.RoutingEngine` shared with other
-        problems (e.g. a campaign's
-        :class:`~repro.noc.routing_engine.RoutingEnginePool`); ``None`` with
-        ``routing_cache=True`` keeps the historical private engine.
-    route_store_path:
-        Optional directory of a disk-backed
-        :class:`~repro.noc.route_store.RouteStore` warm-starting routing
-        across campaign-cell processes.
     """
 
     def __init__(
@@ -72,8 +63,6 @@ class NocDesignProblem(Problem):
         routing_cache: bool = True,
         scenario_model: "ScenarioModel | str | None" = None,
         scenario_seed: int = 0,
-        routing_engine=None,
-        route_store_path: "str | None" = None,
     ):
         if isinstance(scenario, int):
             scenario = scenario_for(scenario)
@@ -92,8 +81,6 @@ class NocDesignProblem(Problem):
             routing_cache=routing_cache,
             scenario_model=scenario_model,
             scenario_seed=scenario_seed,
-            routing_engine=routing_engine,
-            route_store_path=route_store_path,
         )
         self.moves = MoveGenerator(self.config, workload)
         self.checker = ConstraintChecker(self.config)

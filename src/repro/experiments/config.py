@@ -147,24 +147,10 @@ class CampaignConfig:
         Routes every cell's evaluation through the cross-design
         :class:`~repro.noc.routing_engine.RoutingEngine` route cache (the
         default); ``False`` is the escape hatch selecting the historical
-        fresh-build-per-design path.  Each cell's hit/miss/repair counters are
-        recorded in its shard and summarised in the campaign manifest.
-    shared_routing_cache:
-        Shares one :class:`~repro.noc.routing_engine.RoutingEnginePool`
-        across every *inline* cell (``max_workers == 1``), so topologies one
-        cell solved are cache hits for the next — the initial random
-        population's all-pairs builds otherwise repeat per cell.  Cached
-        tables are read-only and bit-identical to fresh builds, so shards
-        differ from a cold-start campaign only in their cache counters.
-        Pooled cells (``max_workers > 1``) each live in their own process and
-        are unaffected; ``routing_warm_start`` is the cross-process analogue.
-    routing_warm_start:
-        Persists routing solutions to a ``routing_store`` directory next to
-        the manifest (a bounded, content-keyed
-        :class:`~repro.noc.route_store.RouteStore`), warm-starting cells in
-        *other* processes — pool workers and resumed campaigns — from builds
-        a sibling already paid for.  Off by default: the store writes files
-        during evaluation, which small inline campaigns do not need.
+        fresh-build-per-design path.  Every cell owns its route cache (cells
+        share no routing state, inline or pooled); each cell's
+        hit/miss/repair counters are recorded in its shard and summarised in
+        the campaign manifest.
     max_evaluations:
         Per-cell evaluation budget override; ``None`` uses the experiment's
         ``max_evaluations``.
@@ -175,8 +161,6 @@ class CampaignConfig:
     max_workers: int = 1
     resume: bool = True
     routing_cache: bool = True
-    shared_routing_cache: bool = True
-    routing_warm_start: bool = False
     max_evaluations: int | None = None
 
     def __post_init__(self) -> None:

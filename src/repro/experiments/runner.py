@@ -39,7 +39,6 @@ from repro.core.problem import NocDesignProblem
 from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.moo.result import OptimizationResult
 from repro.moo.termination import Budget
-from repro.noc.routing_engine import RoutingEngine, RoutingEnginePool
 from repro.study.event_log import EVENT_LOG_NAME, EventLogReader, EventLogWriter
 from repro.study.events import EventCallback, StudyEvent
 from repro.study.optimizers import BUILTIN_ALGORITHMS
@@ -75,18 +74,13 @@ def make_problem(
     routing_cache: bool = True,
     scenario_model: str = "identity",
     scenario_seed: int = 0,
-    routing_engine: "RoutingEngine | None" = None,
-    route_store_path: "str | None" = None,
 ) -> NocDesignProblem:
     """Build the NoC design problem for one application and objective scenario.
 
     ``scenario_model`` optionally degrades the evaluation landscape (see
     :mod:`repro.scenarios`); ``scenario_seed`` seeds its deterministic
-    streams (campaign cells pass their derived cell seed).
-    ``routing_engine`` shares an externally-owned route cache with other
-    problems (campaign cells on the same platform); ``route_store_path``
-    points the evaluator at a disk-backed warm-start store spanning
-    processes.  Both only affect speed and cache counters, never a route.
+    streams (campaign cells pass their derived cell seed).  Every problem
+    owns its evaluator's route cache; nothing is shared between problems.
     """
     workload = get_workload(application, experiment.platform, seed=experiment.seed)
     return NocDesignProblem(
@@ -95,8 +89,6 @@ def make_problem(
         routing_cache=routing_cache,
         scenario_model=scenario_model,
         scenario_seed=scenario_seed,
-        routing_engine=routing_engine,
-        route_store_path=route_store_path,
     )
 
 
@@ -376,10 +368,6 @@ def aggregate_routing_cache_stats(
     """
     output_dir = Path(output_dir)
     totals = {"hits": 0, "misses": 0, "incremental_repairs": 0}
-    # Warm-start store counters appear in shards only when the campaign ran
-    # with a store attached; the summary mirrors that (absent keys stay
-    # absent, so store-less manifests keep their historical shape).
-    store_totals: dict[str, int] = {}
     counted = 0
     missing = 0
     for cell in cells:
@@ -396,15 +384,11 @@ def aggregate_routing_cache_stats(
         counted += 1
         for field_name in totals:
             totals[field_name] += int(stats.get(field_name, 0))
-        for field_name in ("store_hits", "store_saves"):
-            if field_name in stats:
-                store_totals[field_name] = store_totals.get(field_name, 0) + int(stats[field_name])
     requests = totals["hits"] + totals["misses"] + totals["incremental_repairs"]
     return {
         "cells_counted": counted,
         "cells_missing_stats": missing,
         **totals,
-        **store_totals,
         "requests": requests,
         "hit_rate": totals["hits"] / requests if requests else 0.0,
     }
@@ -440,8 +424,6 @@ def _run_campaign_cell(
     campaign: CampaignConfig,
     cell: CampaignCell,
     output_dir: str,
-    route_store_path: "str | None" = None,
-    engine_pool: "RoutingEnginePool | None" = None,
 ) -> dict[str, Any]:
     """Run one grid cell and stream its result to the cell's shard.
 
@@ -456,18 +438,11 @@ def _run_campaign_cell(
     logged completion always refers to a readable shard, however the
     campaign dies afterwards.
 
-    Route-cache sharing: ``engine_pool`` (inline execution only — engines
-    cannot cross the process boundary) hands the cell a
-    :class:`~repro.noc.routing_engine.RoutingEngine` shared with its
-    siblings; ``route_store_path`` (picklable, so it *does* reach pool
-    workers) warm-starts the cell's engine from a disk store.  The shard's
-    ``routing_cache`` record stays per-cell either way: the evaluator
-    reports counter deltas against the shared engine's state at cell start.
+    Each cell builds its own problem and therefore its own route cache, so
+    the shard's ``routing_cache`` record counts this cell's traffic alone
+    and is the same whether the cell runs inline or in a pool worker.
     """
     experiment = campaign.experiment
-    shared_engine = None
-    if engine_pool is not None and campaign.routing_cache:
-        shared_engine = engine_pool.engine_for(experiment.platform.grid)
     problem = make_problem(
         experiment,
         cell.application,
@@ -475,8 +450,6 @@ def _run_campaign_cell(
         routing_cache=campaign.routing_cache,
         scenario_model=cell.scenario,
         scenario_seed=cell.seed,
-        routing_engine=shared_engine,
-        route_store_path=route_store_path if campaign.routing_cache else None,
     )
     writer = EventLogWriter(Path(output_dir) / EVENT_LOG_NAME, origin=f"cell-{cell.key}")
     try:
@@ -595,36 +568,18 @@ def _execute_campaign(
         if cell.key in done:
             emit(_cell_event("shard_skipped", cell))
 
-    # Cross-cell route-cache sharing.  Inline cells share one engine pool
-    # (same process, zero copies); pooled cells cannot, so the disk-backed
-    # warm-start store is their sharing medium.  The store directory lives
-    # next to the manifest, so a resumed campaign warm-starts from the
-    # previous run's builds.
-    route_store_path: "str | None" = None
-    if campaign.routing_cache and campaign.routing_warm_start:
-        route_store_path = str(output_dir / "routing_store")
-    engine_pool: "RoutingEnginePool | None" = None
-    if campaign.routing_cache and campaign.shared_routing_cache:
-        engine_pool = RoutingEnginePool()
-
     if campaign.max_workers > 1 and len(pending) > 1:
         workers = min(campaign.max_workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_campaign_cell, campaign, cell, str(output_dir), route_store_path)
+                pool.submit(_run_campaign_cell, campaign, cell, str(output_dir))
                 for cell in pending
             ]
             for future in as_completed(futures):
                 future.result()
     else:
         for cell in pending:
-            _run_campaign_cell(
-                campaign,
-                cell,
-                str(output_dir),
-                route_store_path=route_store_path,
-                engine_pool=engine_pool,
-            )
+            _run_campaign_cell(campaign, cell, str(output_dir))
 
     # Fold every completed shard's routing-engine counters into the manifest
     # so a finished campaign reports its cache effectiveness without anyone

@@ -265,40 +265,6 @@ class RoutingTables:
         return updated
 
     # ------------------------------------------------------------------ #
-    # State round trip (disk warm-start stores)
-    # ------------------------------------------------------------------ #
-    def table_state(self) -> dict[str, np.ndarray]:
-        """The arrays that determine every route: distance + predecessors.
-
-        Together with the link set (and grid) these reconstruct the instance
-        exactly via :meth:`from_state`; batch structures are not part of the
-        state because they rebuild deterministically from the predecessors.
-        """
-        return {"distance": self._distance, "predecessors": self._predecessors}
-
-    @classmethod
-    def from_state(
-        cls,
-        links: "Sequence[Link] | Iterable[Link]",
-        num_tiles: int,
-        grid: Grid3D,
-        distance: np.ndarray,
-        predecessors: np.ndarray,
-    ) -> "RoutingTables":
-        """Rebuild tables from a :meth:`table_state` snapshot without Dijkstra.
-
-        The caller vouches that ``distance``/``predecessors`` came from tables
-        built for exactly this link set; the result is bit-identical to the
-        instance that produced the snapshot (and therefore to a fresh build).
-        """
-        tables = object.__new__(cls)
-        tables._setup_static(tuple(sorted(links)), int(num_tiles), grid)
-        tables._distance = np.ascontiguousarray(distance, dtype=np.float64)
-        tables._predecessors = np.ascontiguousarray(predecessors, dtype=np.int16)
-        tables._reset_lazy()
-        return tables
-
-    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def is_reachable(self, src: int, dst: int) -> bool:

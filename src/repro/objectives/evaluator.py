@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.noc.design import NocDesign
-from repro.noc.route_store import RouteStore
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
 from repro.objectives.energy import communication_energy
@@ -47,6 +46,7 @@ from repro.objectives.latency import cpu_llc_latency
 from repro.objectives.thermal import ThermalModel
 from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
 from repro.scenarios.models import ScenarioModel
+from repro.utils.validation import require_count
 from repro.workloads.workload import Workload
 
 #: Canonical objective order used by every scenario.
@@ -106,16 +106,15 @@ class ObjectiveEvaluator:
     scenario:
         Which objectives to report (defaults to the 5-objective scenario).
     cache_size:
-        Maximum number of memoised designs (0 disables caching).
+        Maximum number of memoised designs, an integer >= 0 (0 disables
+        caching).
     routing_cache:
-        When True (the default) routing tables come from a shared
-        :class:`~repro.noc.routing_engine.RoutingEngine` that caches them
-        across designs by link set and repairs them incrementally for small
-        link deltas.  ``False`` is the escape hatch selecting the historical
-        fresh-build-per-design path; both settings produce bit-identical
-        objective vectors.
-    routing_cache_size:
-        Maximum number of cached topologies in the routing engine.
+        When True (the default) routing tables come from the evaluator's own
+        :class:`~repro.noc.routing_engine.RoutingEngine` (``routing_engine``
+        attribute), which caches them across designs by link set and repairs
+        them incrementally for small link deltas.  ``False`` is the escape
+        hatch selecting the historical fresh-build-per-design path; both
+        settings produce bit-identical objective vectors.
     scenario_model:
         Optional fault/scenario model (see :mod:`repro.scenarios`) applied
         pre-evaluation: workload and thermal transforms run once here,
@@ -127,18 +126,6 @@ class ObjectiveEvaluator:
         link sets.
     scenario_seed:
         Seed mixed into the scenario model's sha256-derived streams.
-    routing_engine:
-        Optional externally-owned :class:`RoutingEngine` to use instead of
-        creating one — campaign cells sharing a platform inject one engine so
-        later cells reuse earlier cells' topologies.
-        :meth:`routing_cache_stats` still reports *this evaluator's* share of
-        the traffic (counters are snapshotted at construction and deltas
-        reported), so per-cell accounting survives the sharing.
-    route_store_path:
-        Optional directory of a disk-backed
-        :class:`~repro.noc.route_store.RouteStore` attached to the routing
-        engine, letting sibling campaign-cell processes warm-start from each
-        other's builds.
     """
 
     def __init__(
@@ -147,11 +134,8 @@ class ObjectiveEvaluator:
         scenario: ObjectiveScenario = SCENARIO_5OBJ,
         cache_size: int = 50_000,
         routing_cache: bool = True,
-        routing_cache_size: int = 256,
         scenario_model: "ScenarioModel | None" = None,
         scenario_seed: int = 0,
-        routing_engine: "RoutingEngine | None" = None,
-        route_store_path: "str | None" = None,
     ):
         if scenario_model is not None and scenario_model.is_identity:
             scenario_model = None
@@ -165,21 +149,10 @@ class ObjectiveEvaluator:
         self.thermal_model = ThermalModel(self.config)
         if scenario_model is not None:
             self.thermal_model = scenario_model.transform_thermal(self.thermal_model)
-        self.cache_size = int(cache_size)
+        self.cache_size = require_count(cache_size, "cache_size", 0)
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self.route_store_path = route_store_path
-        if routing_engine is not None:
-            self.routing_engine: RoutingEngine | None = routing_engine
-        else:
-            self.routing_engine = (
-                RoutingEngine(self.config.grid, cache_size=routing_cache_size)
-                if routing_cache
-                else None
-            )
-        if self.routing_engine is not None and route_store_path is not None:
-            self.routing_engine.attach_store(RouteStore(route_store_path))
-        self._engine_baseline = (
-            self.routing_engine.stats() if self.routing_engine is not None else None
+        self.routing_engine: RoutingEngine | None = (
+            RoutingEngine(self.config.grid) if routing_cache else None
         )
         self.evaluations = 0
         self.cache_hits = 0
@@ -259,36 +232,18 @@ class ObjectiveEvaluator:
         return out
 
     def routing_cache_stats(self) -> dict[str, "int | float | bool"]:
-        """Routing-engine counters attributable to this evaluator.
-
-        Counters are reported as deltas against the engine state at
-        construction time, so an evaluator using a *shared* engine (see the
-        ``routing_engine`` parameter) still reports only its own traffic —
-        per-cell campaign accounting is unchanged by cross-cell sharing.  For
-        an evaluator-owned engine the baseline is zero and the deltas equal
-        the raw counters.  With ``routing_cache=False`` the counters stay at
-        zero.
-        """
-        stats: dict[str, "int | float | bool"] = {
-            "enabled": self.routing_engine is not None,
-            "hits": 0,
-            "misses": 0,
-            "incremental_repairs": 0,
-            "requests": 0,
-            "hit_rate": 0.0,
-            "cached_topologies": 0,
-        }
-        if self.routing_engine is not None:
-            current = self.routing_engine.stats()
-            baseline = self._engine_baseline or {}
-            for name, value in current.items():
-                if name in ("hit_rate", "cached_topologies"):
-                    continue
-                stats[name] = value - baseline.get(name, 0)
-            requests = int(stats["requests"])
-            stats["hit_rate"] = int(stats["hits"]) / requests if requests else 0.0
-            stats["cached_topologies"] = current["cached_topologies"]
-        return stats
+        """The routing engine's counters (all zero with ``routing_cache=False``)."""
+        if self.routing_engine is None:
+            return {
+                "enabled": False,
+                "hits": 0,
+                "misses": 0,
+                "incremental_repairs": 0,
+                "requests": 0,
+                "hit_rate": 0.0,
+                "cached_topologies": 0,
+            }
+        return {"enabled": True, **self.routing_engine.stats()}
 
     def full_report(self, design: NocDesign) -> dict[str, float]:
         """All five objective values for a design, regardless of scenario."""

@@ -109,8 +109,6 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "output_dir",
     "max_workers",
     "resume",
-    "shared_routing_cache",
-    "routing_warm_start",
 )
 
 
@@ -320,25 +318,20 @@ class Study:
         output_dir: "str | Path",
         max_workers: int = 1,
         resume: bool = True,
-        shared_routing_cache: bool = True,
-        routing_warm_start: bool = False,
     ) -> "Study":
         """Execute as a sharded, resumable campaign instead of inline runs.
 
         Every cell's events — pooled or inline — stream through the durable
         ``events.jsonl`` next to the manifest; it is also what
-        :meth:`submit`'s non-blocking handle tails.  ``shared_routing_cache``
-        and ``routing_warm_start`` control the cross-cell routing-cache tiers
-        (see :class:`~repro.experiments.config.CampaignConfig`).  The flags
-        must be booleans and ``max_workers`` an integer; anything else raises
-        ``ValueError`` instead of being coerced.
+        :meth:`submit`'s non-blocking handle tails.  Every cell owns its
+        route cache (see :class:`~repro.experiments.config.CampaignConfig`).
+        ``resume`` must be a boolean and ``max_workers`` an integer; anything
+        else raises ``ValueError`` instead of being coerced.
         """
         self._campaign = {
             "output_dir": str(output_dir),
             "max_workers": _integer("max_workers", max_workers),
             "resume": _flag("resume", resume),
-            "shared_routing_cache": _flag("shared_routing_cache", shared_routing_cache),
-            "routing_warm_start": _flag("routing_warm_start", routing_warm_start),
         }
         return self
 
@@ -512,8 +505,6 @@ class Study:
             max_workers=self._campaign["max_workers"],
             resume=self._campaign["resume"],
             routing_cache=self._routing_cache,
-            shared_routing_cache=self._campaign["shared_routing_cache"],
-            routing_warm_start=self._campaign["routing_warm_start"],
         )
 
     def _emit(self, kind: str, **payload: Any) -> None:

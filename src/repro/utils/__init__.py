@@ -3,6 +3,7 @@
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.validation import (
     require,
+    require_count,
     require_positive,
     require_probability,
 )
@@ -11,6 +12,7 @@ __all__ = [
     "ensure_rng",
     "spawn_rng",
     "require",
+    "require_count",
     "require_positive",
     "require_probability",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import index
 from typing import Any
 
 
@@ -21,3 +22,18 @@ def require_probability(value: float, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` lies in [0, 1]."""
     if value is None or not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+
+
+def require_count(value: Any, name: str, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``; never coerced.
+
+    Floats, strings and booleans raise ``TypeError`` (``operator.index``
+    rejects the first two; ``True`` would otherwise count as 1); values
+    below ``minimum`` raise ``ValueError``.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    count = index(value)
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count

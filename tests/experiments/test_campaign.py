@@ -116,6 +116,31 @@ class TestRunCampaign:
         assert not resumed.executed and len(resumed.skipped) == 4
         assert len(dict(load_campaign_results(tmp_path))) == 4
 
+    def test_resume_ignores_retired_store_records(self, campaign, tmp_path):
+        """Directories written while campaigns could persist routes to disk
+        hold a ``routing_store/`` directory, and their shards and manifest
+        count ``store_hits``/``store_saves``; they still resume without
+        re-running a cell, and the rewritten manifest drops the store keys."""
+        summary = run_campaign(campaign, tmp_path)
+        store_dir = tmp_path / "routing_store"
+        store_dir.mkdir()
+        (store_dir / "0123abcd.npz").write_bytes(b"retired route table")
+        for cell in summary.cells:
+            shard = summary.shard_path(cell.key)
+            payload = json.loads(shard.read_text())
+            payload["routing_cache"].update(store_hits=3, store_saves=5)
+            shard.write_text(json.dumps(payload))
+        manifest = load_manifest(tmp_path)
+        manifest["routing_cache"].update(store_hits=12, store_saves=20)
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        resumed = run_campaign(campaign, tmp_path)
+        assert not resumed.executed and len(resumed.skipped) == 4
+        assert len(dict(load_campaign_results(tmp_path))) == 4
+        stats = load_manifest(tmp_path)["routing_cache"]
+        assert stats["cells_counted"] == 4
+        assert not [key for key in stats if key.startswith("store_")]
+
     def test_shards_and_manifest_carry_no_repair_records(self, campaign, tmp_path):
         summary = run_campaign(campaign, tmp_path)
         manifest = load_manifest(tmp_path)

@@ -138,16 +138,6 @@ class TestRoutingEngine:
         assert engine.tables_for_links(designs[0].links) is None
         assert engine.tables_for_links(designs[-1].links) is not None
 
-    def test_incremental_false_disables_repairs(self, small_config, rng):
-        engine = RoutingEngine(small_config.grid, incremental=False)
-        moves = MoveGenerator(small_config)
-        design = random_design(small_config, rng)
-        engine.tables(design)
-        rewired = moves.rewire_link(design, rng)
-        engine.tables(rewired)
-        assert engine.incremental_repairs == 0
-        assert engine.misses == 2
-
     def test_zero_repair_fraction_disables_repairs(self, small_config, rng):
         engine = RoutingEngine(small_config.grid, max_repair_fraction=0.0)
         moves = MoveGenerator(small_config)
@@ -163,6 +153,16 @@ class TestRoutingEngine:
             RoutingEngine(small_config.grid, cache_size=0)
         with pytest.raises(ValueError):
             RoutingEngine(small_config.grid, max_repair_fraction=1.5)
+
+    @pytest.mark.parametrize("cache_size", [2.7, "5", True])
+    def test_non_integer_cache_size_raises_type_error(self, small_config, cache_size):
+        """Fractions, strings and bools are not truncated to a cache size."""
+        with pytest.raises(TypeError):
+            RoutingEngine(small_config.grid, cache_size=cache_size)
+
+    def test_integer_like_cache_size_is_accepted(self, small_config):
+        engine = RoutingEngine(small_config.grid, cache_size=np.int64(3))
+        assert engine.cache_size == 3 and type(engine.cache_size) is int
 
 
 class TestFromLinks:

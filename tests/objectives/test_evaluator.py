@@ -73,6 +73,17 @@ class TestEvaluator:
         evaluator.evaluate(tiny_designs[0])
         assert evaluator.evaluations == 2
 
+    @pytest.mark.parametrize("cache_size", [2.7, "5", True])
+    def test_non_integer_cache_size_raises_type_error(self, tiny_workload, cache_size):
+        """A string or float is not coerced into a cache bound."""
+        with pytest.raises(TypeError):
+            ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, cache_size=cache_size)
+
+    def test_negative_cache_size_raises_value_error(self, tiny_workload):
+        """A negative size used to disable the vector cache silently."""
+        with pytest.raises(ValueError, match="cache_size"):
+            ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, cache_size=-3)
+
     def test_results_are_readonly_views_protecting_the_cache(self, tiny_workload, tiny_designs):
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
         first = evaluator.evaluate(tiny_designs[0])
@@ -161,27 +172,3 @@ class TestSerialBatchPath:
         np.testing.assert_array_equal(evaluator.evaluate_many(batch), expected)
         unique = len({design.key() for design in batch})
         assert evaluator.routing_cache_stats()["requests"] == unique
-
-    def test_store_backed_evaluation_bitwise_and_counted(self, tiny_workload, tmp_path):
-        """With ``route_store_path`` fresh builds are saved to disk, the stats
-        expose the store counters, and a sibling evaluator on the same store
-        loads the parent's tables instead of rebuilding them."""
-        parent = random_design(tiny_workload.config, 8)
-        brood = _brood(tiny_workload, parent, size=8)
-        plain = ObjectiveEvaluator(tiny_workload, scenario_for(5), cache_size=0)
-        expected = plain.evaluate_many([parent] + brood)
-        assert "store_hits" not in plain.routing_cache_stats()
-
-        stored = ObjectiveEvaluator(
-            tiny_workload, scenario_for(5), cache_size=0, route_store_path=str(tmp_path)
-        )
-        np.testing.assert_array_equal(stored.evaluate_many([parent] + brood), expected)
-        assert stored.routing_cache_stats()["store_saves"] >= 1
-        assert any(path.suffix == ".npz" for path in tmp_path.iterdir())
-
-        sibling = ObjectiveEvaluator(
-            tiny_workload, scenario_for(5), cache_size=0, route_store_path=str(tmp_path)
-        )
-        np.testing.assert_array_equal(sibling.evaluate(parent), expected[0])
-        stats = sibling.routing_cache_stats()
-        assert stats["store_hits"] == 1 and stats["store_saves"] == 0

@@ -141,26 +141,23 @@ class TestCampaignAndTables:
         assert "workers=2" in out
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    def test_campaign_config_routing_warm_start_is_respected(self, tmp_path, capsys):
-        """A config file's `campaign.routing_warm_start = true` must survive
-        the CLI's settings plumbing: the store directory is created and the
-        manifest aggregates store counters."""
+    def test_campaign_config_resume_false_survives_flag_merge(self, tmp_path, capsys):
+        """A config file's `campaign.resume = false` must survive the CLI's
+        settings plumbing when another campaign flag (--workers) is passed:
+        the second run re-executes the completed cell instead of skipping it."""
         config = tmp_path / "study.json"
         config.write_text(json.dumps({
             "preset": "smoke",
             "applications": ["BFS"],
             "algorithms": ["NSGA-II"],
             "evaluations": 30,
-            "campaign": {
-                "output_dir": str(tmp_path / "out"),
-                "routing_warm_start": True,
-            },
+            "campaign": {"output_dir": str(tmp_path / "out"), "resume": False},
         }))
-        assert main(["campaign", "--config", str(config), "--no-progress"]) == 0
-        capsys.readouterr()
-        assert list((tmp_path / "out" / "routing_store").glob("*.npz"))
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["routing_cache"]["store_saves"] >= 1
+        argv = ["campaign", "--config", str(config), "--workers", "1", "--no-progress"]
+        assert main(argv) == 0
+        assert "executed 1 cells, skipped 0" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "executed 1 cells, skipped 0" in capsys.readouterr().out
 
     def test_campaign_follow_streams_worker_events(self, campaign_dir, capsys):
         """--follow on a pooled campaign renders per-iteration events that

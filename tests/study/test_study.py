@@ -112,6 +112,8 @@ class TestStudyValidation:
             "repair_max_rounds",
             "repair_candidates_per_round",
             "repair_max_evaluations",
+            "shared_routing_cache",
+            "routing_warm_start",
         ],
     )
     def test_from_dict_unknown_campaign_key_raises(self, key):
@@ -127,8 +129,6 @@ class TestStudyValidation:
         [
             ("routing_cache", "false"),
             ("resume", "false"),
-            ("shared_routing_cache", 0),
-            ("routing_warm_start", 1),
             ("max_workers", 2.9),
             ("max_workers", True),
         ],
@@ -145,8 +145,6 @@ class TestStudyValidation:
         "key, value",
         [
             ("resume", False),
-            ("shared_routing_cache", False),
-            ("routing_warm_start", True),
             ("max_workers", 3),
         ],
     )
@@ -164,8 +162,6 @@ class TestStudyValidation:
             ("study", {"max_workers": 2.9}, ValueError),
             ("study", {"max_workers": "2"}, ValueError),
             ("study", {"resume": "no"}, ValueError),
-            ("study", {"shared_routing_cache": 0}, ValueError),
-            ("study", {"routing_warm_start": 1}, ValueError),
             ("config", {"max_workers": 1.5}, TypeError),
             ("config", {"max_evaluations": 60.5}, TypeError),
         ],
