@@ -43,6 +43,17 @@ class TestRoutingCacheStats:
             assert stats["requests"] == stats["hits"] + stats["misses"] + stats["incremental_repairs"]
             assert stats["requests"] > 0
 
+    def test_each_cell_caches_only_its_own_topologies(self, finished_campaign):
+        """Cells share no routing state: a cell's engine holds at most the
+        topologies that cell built itself, and nothing is persisted to disk."""
+        campaign, summary = finished_campaign
+        for cell in summary.cells:
+            stats = json.loads((summary.output_dir / cell.shard_name).read_text())["routing_cache"]
+            assert 0 < stats["cached_topologies"] <= stats["misses"] + stats["incremental_repairs"]
+            assert not [key for key in stats if key.startswith("store_")]
+        assert not (summary.output_dir / "routing_store").exists()
+        assert not [key for key in load_manifest(summary.output_dir)["routing_cache"] if key.startswith("store_")]
+
     def test_manifest_summarises_the_whole_grid(self, finished_campaign):
         campaign, summary = finished_campaign
         manifest = load_manifest(summary.output_dir)

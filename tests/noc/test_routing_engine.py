@@ -164,6 +164,37 @@ class TestRoutingEngine:
         engine = RoutingEngine(small_config.grid, cache_size=np.int64(3))
         assert engine.cache_size == 3 and type(engine.cache_size) is int
 
+    @pytest.mark.parametrize("cache_size", [0, -1, np.int64(-5)])
+    def test_cache_size_below_one_raises_value_error(self, small_config, cache_size):
+        with pytest.raises(ValueError, match="cache_size must be >= 1"):
+            RoutingEngine(small_config.grid, cache_size=cache_size)
+
+    def test_cache_size_one_keeps_only_the_latest_topology(self, small_config):
+        engine = RoutingEngine(small_config.grid, cache_size=1)
+        first, second = (random_design(small_config, seed) for seed in range(2))
+        engine.tables(first)
+        engine.tables(second)
+        engine.tables(second)
+        assert len(engine) == 1
+        assert engine.tables_for_links(first.links) is None
+        assert (engine.hits, engine.misses) == (1, 2)
+
+    def test_stats_hold_only_the_engine_counters(self, small_config, rng):
+        engine = RoutingEngine(small_config.grid)
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        engine.tables(design)
+        engine.tables(design)
+        engine.tables(moves.rewire_link(design, rng))
+        assert engine.stats() == {
+            "hits": 1,
+            "misses": 1,
+            "incremental_repairs": 1,
+            "requests": 3,
+            "hit_rate": 1 / 3,
+            "cached_topologies": 2,
+        }
+
 
 class TestFromLinks:
     def test_from_links_matches_design_constructor(self, small_config, rng):

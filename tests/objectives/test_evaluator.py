@@ -84,6 +84,41 @@ class TestEvaluator:
         with pytest.raises(ValueError, match="cache_size"):
             ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, cache_size=-3)
 
+    def test_integer_like_cache_size_bounds_the_vector_cache(self, tiny_workload, tiny_designs):
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, cache_size=np.int64(1))
+        assert evaluator.cache_size == 1 and type(evaluator.cache_size) is int
+        evaluator.evaluate(tiny_designs[0])
+        evaluator.evaluate(tiny_designs[1])
+        evaluator.evaluate(tiny_designs[0])
+        assert (evaluator.evaluations, evaluator.cache_hits) == (3, 0)
+
+    def test_each_evaluator_owns_a_private_routing_engine(self, tiny_workload, tiny_designs):
+        first = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
+        second = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
+        assert first.routing_engine is not second.routing_engine
+        first.evaluate_many(list(tiny_designs))
+        assert first.routing_cache_stats()["requests"] > 0
+        assert second.routing_cache_stats()["requests"] == 0
+        assert len(second.routing_engine) == 0
+
+    def test_routing_cache_stats_are_the_engine_counters(self, tiny_workload, tiny_designs):
+        """No baseline is subtracted: the report is the engine's own snapshot,
+        including requests served to callers other than the evaluator."""
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, cache_size=0)
+        evaluator.evaluate_many(list(tiny_designs) + [tiny_designs[0]])
+        evaluator.routing_engine.tables(tiny_designs[0])
+        stats = evaluator.routing_cache_stats()
+        assert stats == {"enabled": True, **evaluator.routing_engine.stats()}
+        assert stats["requests"] == len({design.key() for design in tiny_designs}) + 1
+
+    def test_disabled_routing_cache_reports_the_same_keys(self, tiny_workload, tiny_designs):
+        enabled = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
+        disabled = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, routing_cache=False)
+        disabled.evaluate(tiny_designs[0])
+        assert disabled.routing_engine is None
+        assert disabled.routing_cache_stats().keys() == enabled.routing_cache_stats().keys()
+        assert disabled.routing_cache_stats()["requests"] == 0
+
     def test_results_are_readonly_views_protecting_the_cache(self, tiny_workload, tiny_designs):
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
         first = evaluator.evaluate(tiny_designs[0])

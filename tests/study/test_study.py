@@ -164,6 +164,8 @@ class TestStudyValidation:
             ("study", {"resume": "no"}, ValueError),
             ("config", {"max_workers": 1.5}, TypeError),
             ("config", {"max_evaluations": 60.5}, TypeError),
+            ("config", {"max_workers": "2"}, TypeError),
+            ("config", {"max_evaluations": "60"}, TypeError),
         ],
     )
     def test_campaign_settings_are_not_coerced(self, target, settings, error):
@@ -173,6 +175,18 @@ class TestStudyValidation:
                 Study().campaign("x", **settings)
             else:
                 CampaignConfig(**settings)
+
+
+    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start"])
+    def test_campaign_config_has_no_retired_route_sharing_fields(self, key):
+        with pytest.raises(TypeError, match=key):
+            CampaignConfig(**{key: True})
+
+    def test_campaign_to_dict_round_trips_the_surviving_keys(self):
+        study = Study(preset="smoke").campaign("x", max_workers=2, resume=False)
+        campaign = study.to_dict()["campaign"]
+        assert campaign == {"output_dir": "x", "max_workers": 2, "resume": False}
+        assert Study.from_dict(study.to_dict()).campaign_settings() == study.campaign_settings()
 
 
 class TestSeededEquivalence:

@@ -1,8 +1,9 @@
 """Tests for validation helpers."""
 
+import numpy as np
 import pytest
 
-from repro.utils.validation import require, require_positive, require_probability
+from repro.utils.validation import require, require_count, require_positive, require_probability
 
 
 class TestRequire:
@@ -34,3 +35,25 @@ class TestRequireProbability:
     def test_rejects_outside_unit_interval(self, value):
         with pytest.raises(ValueError):
             require_probability(value, "p")
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value", [0, 7, np.int32(7), np.int64(7), np.uint16(7)])
+    def test_returns_a_plain_int(self, value):
+        count = require_count(value, "n", 0)
+        assert count == value and type(count) is int
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            require_count(value, "n", 0)
+
+    @pytest.mark.parametrize("value", [2.0, 2.7, np.float64(3.0), "3", None])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(TypeError):
+            require_count(value, "n", 0)
+
+    @pytest.mark.parametrize("value, minimum", [(-1, 0), (0, 1), (4, 5)])
+    def test_below_minimum_raises_value_error(self, value, minimum):
+        with pytest.raises(ValueError, match=f"n must be >= {minimum}, got {value}"):
+            require_count(value, "n", minimum)
