@@ -358,7 +358,7 @@ def run_big_grid_bench(
     Serial batch evaluation of neighbour broods of a common parent (the
     state a local search is in) with the routing engine off (fresh builds)
     vs on (hits / incremental repairs), per brood kind.  The rewire brood is
-    the row-block pair-table repair's gate.  ``table_bytes`` is the array
+    the pair-granular repair's gate.  ``table_bytes`` is the array
     memory of the parent's routing table once every objective has read it:
     what each cached topology costs the engine.
     """
@@ -433,17 +433,18 @@ def test_big_grid_trajectory_writes_json():
 
 @pytest.mark.perf
 def test_big_grid_rewire_repair_speedup():
-    """Row-block repair gate: rewire-brood engine >= 1.0x fresh at 256 tiles.
+    """Pair-granular repair gate: rewire-brood engine >= 1.5x fresh at 256 tiles.
 
     The v1 trajectory measured 0.83x here — canonical pair-table assembly
-    swamped the saved Dijkstra re-runs.  Row-block adoption splices the
-    surviving parent rows instead, so incremental repair must now at least
-    break even on the repair-heaviest brood at the scale that motivated it.
+    swamped the saved Dijkstra re-runs — and row-block adoption lifted it to
+    1.06-1.30x.  A repair now re-derives only the routes a rewire changes
+    (about 1% of them), so it must clearly beat a fresh build on the
+    repair-heaviest brood at the scale that motivated it.
     """
     entry = _big_grid_entry("big-8x8x4")
     speedup = entry["broods"]["rewire"]["speedup"]
     print(f"256-tile rewire-brood repair speedup: {speedup:.2f}x")
-    assert speedup >= 1.0, f"rewire repair only {speedup:.2f}x vs fresh at 256 tiles"
+    assert speedup >= 1.5, f"rewire repair only {speedup:.2f}x vs fresh at 256 tiles"
 
 
 @pytest.mark.benchmark(group="components")

@@ -8,13 +8,17 @@ unchanged, and ``rewire_link``-style moves touch only a couple of links.  The
 *link set alone* (routing never depends on the PE placement):
 
 * **hit** — the design's link tuple is already cached; the full
-  :class:`~repro.noc.routing.RoutingTables` (incidence matrices included) is
-  shared read-only.  Every placement-only move lands here for free.
+  :class:`~repro.noc.routing.RoutingTables` (the ``P`` pattern and per-pair
+  hops, lengths and router ports included) is shared read-only.  Every
+  placement-only move lands here for free.
 * **incremental repair** — the design carries a
   :class:`~repro.noc.design.MoveDelta` whose parent topology is cached and
   whose link delta is small; the parent's tables are repaired via
-  :meth:`~repro.noc.routing.RoutingTables.incremental_update`, re-running
-  Dijkstra only for sources whose route tree crosses a changed link.
+  :meth:`~repro.noc.routing.RoutingTables.incremental_update`.  The repair
+  is pair-granular: only sources whose route tree a changed link touches
+  get new distances, only their predecessors whose inputs changed are
+  re-derived, and only the (src, dst) routes that actually moved are
+  re-swept; every other pair's entries are copied from the parent.
 * **miss** — anything else gets a fresh build.
 
 Move deltas are *hints*, never trusted for correctness: the repair path

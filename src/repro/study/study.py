@@ -142,9 +142,9 @@ def resolve_platform(platform: "str | PlatformConfig") -> PlatformConfig:
 
 
 def _normalize_objectives(objectives: "int | list[int] | tuple[int, ...]") -> tuple[int, ...]:
-    if isinstance(objectives, int):
-        return (objectives,)
-    return tuple(int(m) for m in objectives)
+    if isinstance(objectives, (list, tuple)):
+        return tuple(_integer("objectives", m) for m in objectives)
+    return (_integer("objectives", objectives),)
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,13 @@ class Study:
         self._platform = resolve_platform(platform) if platform is not None else None
         self._objectives = _normalize_objectives(objectives) if objectives is not None else None
         self._apps = tuple(str(a).upper() for a in apps) if apps is not None else None
-        self._population_size = population_size
-        self._evaluations = evaluations
-        self._seed = seed
+        self._population_size = (
+            None if population_size is None else _integer("population_size", population_size)
+        )
+        self._evaluations = None if evaluations is None else _integer("evaluations", evaluations)
+        self._seed = None if seed is None else _integer("seed", seed)
         self._scenarios = self._normalize_scenarios(scenarios)
-        self._routing_cache = bool(routing_cache)
+        self._routing_cache = _flag("routing_cache", routing_cache)
         self._algorithms: list[_AlgorithmEntry] = []
         self._campaign: "dict[str, Any] | None" = None
         self._on_event: EventCallback | None = None
@@ -281,13 +283,13 @@ class Study:
         return self
 
     def seed(self, seed: int) -> "Study":
-        """Set the base seed per-cell seeds are derived from."""
-        self._seed = int(seed)
+        """Set the base seed per-cell seeds are derived from (an integer)."""
+        self._seed = _integer("seed", seed)
         return self
 
     def routing_cache(self, enabled: bool) -> "Study":
-        """Toggle the cross-design routing cache (performance only)."""
-        self._routing_cache = bool(enabled)
+        """Toggle the cross-design routing cache (performance only; a bool)."""
+        self._routing_cache = _flag("routing_cache", enabled)
         return self
 
     @staticmethod
@@ -367,7 +369,7 @@ class Study:
             evaluations=payload.get("evaluations"),
             seed=payload.get("seed"),
             scenarios=payload.get("scenarios"),
-            routing_cache=_flag("routing_cache", payload.get("routing_cache", True)),
+            routing_cache=payload.get("routing_cache", True),
         )
         for entry in payload.get("algorithms", ()):
             if isinstance(entry, str):

@@ -20,7 +20,7 @@ from repro.noc.links import Link, candidate_links
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
-from tests.oracles.routing import router_ports
+from tests.oracles.routing import changed_route_pairs, pair_link_incidence, router_ports
 
 BIG = PlatformConfig.big_8x8x4()
 SMALL = PlatformConfig.small_3x3x3()
@@ -151,3 +151,182 @@ def test_adopted_rows_byte_identical_property(seed, steps):
         tables = tables.incremental_update(design.links)
         fresh = RoutingTables.from_links(design.links, TINY.num_tiles, TINY.grid)
         assert_byte_identical(tables, fresh)
+
+
+# ---------------------------------------------------------------------- #
+# Pair-granular repair: only the routes a rewire changes are re-swept
+# ---------------------------------------------------------------------- #
+PAPER = PlatformConfig.paper_4x4x4()
+
+
+def repair_and_swept_pairs(tables, links, monkeypatch):
+    """``tables.incremental_update(links)`` plus the flat pairs it re-swept.
+
+    Spies on the pair-table builder, which a repair calls once with the
+    pairs whose routes it re-derives (the parent's tables must be built).
+    """
+    swept = []
+    original = RoutingTables._route_pair_tables
+
+    def spy(self, changed_pairs, *args):
+        swept.append(np.array(changed_pairs))
+        return original(self, changed_pairs, *args)
+
+    monkeypatch.setattr(RoutingTables, "_route_pair_tables", spy)
+    child = tables.incremental_update(links)
+    monkeypatch.undo()
+    assert len(swept) == 1, "a repair of built tables adopts them exactly once"
+    return child, swept[0]
+
+
+def fresh_tables(links, platform):
+    return RoutingTables.from_links(links, platform.num_tiles, platform.grid)
+
+
+class TestChangedPairSet:
+    """The re-swept pairs are exactly the pairs whose tile path changed."""
+
+    @pytest.mark.parametrize("platform", [SMALL, PAPER], ids=lambda p: p.name)
+    def test_swept_pairs_match_brute_force_path_diff(self, platform, monkeypatch):
+        moves = MoveGenerator(platform)
+        rng = np.random.default_rng(21)
+        design = random_design(platform, 4)
+        tables = RoutingTables(design, platform.grid)
+        tables.pair_link_pattern()
+        nonempty = 0
+        for _ in range(4):
+            child = None
+            while child is None:
+                child = moves.rewire_link(design, rng)
+            repaired, swept = repair_and_swept_pairs(tables, child.links, monkeypatch)
+            np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
+            assert_byte_identical(repaired, fresh_tables(child.links, platform))
+            nonempty += swept.size > 0
+        assert nonempty, "no rewire changed a route: the check proved nothing"
+
+    def test_crossover_sized_delta(self, monkeypatch):
+        """A delta that changes about 40% of the links (NSGA-II crossover
+        children are that large) leaves most predecessors stale; the repair
+        must still match a fresh build and sweep exactly the changed pairs."""
+        design = random_design(PAPER, 8)
+        tables = RoutingTables(design, PAPER.grid)
+        tables.pair_link_pattern()
+        rng = np.random.default_rng(12)
+        pool = [c for c in candidate_links(PAPER) if c not in set(design.links)]
+        moves = int(0.4 * len(design.links))
+        for _ in range(50):
+            dropped = set(rng.choice(len(design.links), size=moves, replace=False).tolist())
+            kept = [link for i, link in enumerate(design.links) if i not in dropped]
+            added = [pool[i] for i in rng.choice(len(pool), size=moves, replace=False).tolist()]
+            links = tuple(sorted(kept + added))
+            fresh = fresh_tables(links, PAPER)
+            if np.isfinite(fresh._distance).all():
+                break
+        repaired, swept = repair_and_swept_pairs(tables, links, monkeypatch)
+        assert_byte_identical(repaired, fresh)
+        np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
+
+    def test_placement_delta_sweeps_nothing(self, monkeypatch):
+        design = random_design(PAPER, 2)
+        tables = RoutingTables(design, PAPER.grid)
+        tables.pair_link_pattern()
+        repaired, swept = repair_and_swept_pairs(tables, design.links, monkeypatch)
+        assert swept.size == 0
+        assert_byte_identical(repaired, fresh_tables(design.links, PAPER))
+
+
+class TestDisconnectReconnect:
+    """Cutting every link of a tile, then restoring them, stays byte-exact."""
+
+    def test_tile_cut_off_and_restored(self, monkeypatch):
+        design = random_design(PAPER, 6)
+        tables = RoutingTables(design, PAPER.grid)
+        tables.pair_link_pattern()
+        tile = 5
+        cut = tuple(link for link in design.links if tile not in link)
+        assert len(cut) < len(design.links)
+        isolated, swept = repair_and_swept_pairs(tables, cut, monkeypatch)
+        assert_byte_identical(isolated, fresh_tables(cut, PAPER))
+        assert not isolated.reachable_matrix()[tile, :tile].any()
+        # Every route to or from the cut tile disappeared, so each was swept.
+        num_tiles = PAPER.num_tiles
+        to_tile = np.arange(num_tiles) * num_tiles + tile
+        from_tile = tile * num_tiles + np.arange(num_tiles)
+        lost = np.setdiff1d(np.r_[to_tile, from_tile], [tile * num_tiles + tile])
+        assert np.isin(lost, swept).all()
+        np.testing.assert_array_equal(swept, changed_route_pairs(tables, isolated))
+
+        restored, swept = repair_and_swept_pairs(isolated, design.links, monkeypatch)
+        assert_byte_identical(restored, fresh_tables(design.links, PAPER))
+        np.testing.assert_array_equal(swept, changed_route_pairs(isolated, restored))
+
+
+def tie_only_link(platform, seed):
+    """An absent link plus a source whose distances it ties but never beats.
+
+    Adding the link leaves that source's distance row unchanged (within the
+    tie tolerance) yet flips one of its canonical predecessors, because the
+    link's end offers a smaller-id predecessor at equal cost.
+    """
+    design = random_design(platform, seed)
+    tables = RoutingTables(design, platform.grid)
+    present = set(design.links)
+    for link in candidate_links(platform):
+        if link in present:
+            continue
+        links = tuple(sorted(design.links + (link,)))
+        fresh = fresh_tables(links, platform)
+        same = np.isclose(
+            fresh._distance, tables._distance, rtol=0, atol=RoutingTables._TIE_TOLERANCE
+        ).all(axis=1)
+        flipped = (fresh._predecessors != tables._predecessors).any(axis=1)
+        sources = np.flatnonzero(same & flipped)
+        if sources.size:
+            return tables, links, fresh, int(sources[0])
+    raise AssertionError("no tie-only link on this design")
+
+
+def test_tie_only_added_link_flips_predecessor(monkeypatch):
+    """A tie moves no distance, so only the changed link's endpoints tell
+    the repair which predecessors to re-derive; the flip must still land."""
+    tables, links, fresh, source = tie_only_link(SMALL, 0)
+    tables.pair_link_pattern()
+    repaired, swept = repair_and_swept_pairs(tables, links, monkeypatch)
+    assert_byte_identical(repaired, fresh)
+    num_tiles = SMALL.num_tiles
+    flipped = np.flatnonzero(fresh._predecessors[source] != tables._predecessors[source])
+    assert np.isin(source * num_tiles + flipped, swept).all()
+    np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
+
+
+def test_repair_of_repair_chain_at_64_tiles():
+    """Five chained rewires, each repaired from the previous repair."""
+    moves = MoveGenerator(PAPER)
+    rng = np.random.default_rng(33)
+    design = random_design(PAPER, 9)
+    tables = RoutingTables(design, PAPER.grid)
+    tables.pair_link_pattern()
+    for _ in range(5):
+        child = None
+        while child is None:
+            child = moves.rewire_link(design, rng)
+        tables = tables.incremental_update(child.links)
+        assert_byte_identical(tables, fresh_tables(child.links, PAPER))
+        design = child
+
+
+def test_blocked_link_loads_match_sparse_product_at_256_tiles():
+    """``link_loads`` walks the pairs in blocks; at 256 tiles there are
+    several, and the sums must still equal scipy's ``P.T @ f`` byte for
+    byte on a fresh and on a repaired table."""
+    design = random_design(BIG, 3)
+    tables = RoutingTables(design, BIG.grid)
+    tables.pair_link_pattern()
+    child_links, _ = rewired_links(design.links, np.random.default_rng(4), moves=2)
+    rng = np.random.default_rng(5)
+    num_pairs = BIG.num_tiles**2
+    assert num_pairs > 2 * RoutingTables._LOAD_BLOCK
+    for table in (tables, tables.incremental_update(child_links)):
+        weights = rng.random(num_pairs) * rng.choice([0.0, 1e-3, 1.0, 1e4], num_pairs)
+        expected = pair_link_incidence(table).T @ weights
+        assert table.link_loads(weights).tobytes() == expected.tobytes()

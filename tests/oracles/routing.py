@@ -2,8 +2,9 @@
 
 ``RoutingTables`` used to hold its path incidences as float64 CSR matrices:
 ``P`` (pair x link) and ``R`` (pair x router).  It now stores only ``P``'s
-int32 pattern and derives the router-energy sums ``R @ ports`` from it, so
-``R`` is no longer built at all.  The builders live on here:
+int32 pattern and sums the router-energy terms ``R @ ports`` down its
+predecessor trees, so ``R`` is no longer built at all.  The builders live on
+here:
 
 * :func:`pair_link_incidence` assembles ``P`` as a ``csr_matrix`` from the
   stored pattern, so tests can take ``P.T @ f`` and ``P @ lengths`` with
@@ -12,7 +13,9 @@ int32 pattern and derives the router-energy sums ``R @ ports`` from it, so
   ``R`` from the predecessor matrix, and :func:`router_ports` its product
   with ``degrees + 1``;
 * :func:`canonical_csr` is the sorted-index CSR builder the route-order
-  rows replaced (``tests/noc/test_routing_route_order.py``).
+  rows replaced (``tests/noc/test_routing_route_order.py``);
+* :func:`changed_route_pairs` compares two tables' tile paths pair by pair,
+  the brute-force twin of the changed-pair set a repair re-sweeps.
 """
 
 from __future__ import annotations
@@ -97,3 +100,26 @@ def router_ports(tables) -> np.ndarray:
     """The retired router-energy sums ``R @ (degrees + 1)`` (float64)."""
     degrees = np.bincount(link_ends(tables.links).ravel(), minlength=tables.num_tiles)
     return pair_tile_incidence(tables) @ (degrees.astype(np.float64) + 1.0)
+
+
+def changed_route_pairs(parent, child) -> np.ndarray:
+    """Flat pairs ``src * num_tiles + dst`` whose tile path differs, by brute force.
+
+    Walks every pair's route in both tables through the per-pair query API;
+    a pair that is reachable in only one of them counts as changed, one
+    that is unreachable in both does not.
+    """
+    num_tiles = parent.num_tiles
+
+    def route(tables, src, dst):
+        return tables.path_tiles(src, dst) if tables.is_reachable(src, dst) else None
+
+    return np.array(
+        [
+            src * num_tiles + dst
+            for src in range(num_tiles)
+            for dst in range(num_tiles)
+            if route(parent, src, dst) != route(child, src, dst)
+        ],
+        dtype=np.int64,
+    )

@@ -86,6 +86,69 @@ class TestStudyValidation:
         value = study.to_dict()[setter]
         assert value == 12 and type(value) is int
 
+    #: Every entry point that sets an integer or a flag, fed a value that
+    #: used to be coerced (``int()`` / ``bool()``) or stored unchecked.
+    COERCION_CASES = {
+        "seed-setter-float": (lambda: Study().seed(2.7), "seed must be an integer"),
+        "seed-constructor-float": (lambda: Study(seed=2.7), "seed must be an integer"),
+        "seed-from-dict-float": (lambda: Study.from_dict({"seed": 2.7}), "seed must be an integer"),
+        "seed-setter-bool": (lambda: Study().seed(True), "seed must be an integer"),
+        "objectives-setter-float": (
+            lambda: Study().objectives(5.9),
+            "objectives must be an integer",
+        ),
+        "objectives-constructor-float": (
+            lambda: Study(objectives=5.9),
+            "objectives must be an integer",
+        ),
+        "objectives-constructor-string": (
+            lambda: Study(objectives="5"),
+            "objectives must be an integer",
+        ),
+        "objectives-from-dict-strings": (
+            lambda: Study.from_dict({"objectives": ["3", "5"]}),
+            "objectives must be an integer",
+        ),
+        "routing-cache-setter-string": (
+            lambda: Study().routing_cache("no"),
+            "routing_cache must be true or false",
+        ),
+        "routing-cache-setter-int": (
+            lambda: Study().routing_cache(0),
+            "routing_cache must be true or false",
+        ),
+        "routing-cache-constructor-string": (
+            lambda: Study(routing_cache="false"),
+            "routing_cache must be true or false",
+        ),
+        "evaluations-constructor-float": (
+            lambda: Study(evaluations=150.5),
+            "evaluations must be an integer",
+        ),
+        "evaluations-from-dict-float": (
+            lambda: Study.from_dict({"evaluations": 2.7}),
+            "evaluations must be an integer",
+        ),
+        "population-size-from-dict-string": (
+            lambda: Study.from_dict({"population_size": "8"}),
+            "population_size must be an integer",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COERCION_CASES))
+    def test_settings_are_not_coerced_at_any_entry_point(self, case):
+        build, message = self.COERCION_CASES[case]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
+    def test_integer_like_settings_are_stored_as_int(self):
+        study = Study(objectives=np.int64(5), seed=np.int64(3), evaluations=np.int32(40))
+        payload = study.to_dict()
+        assert payload["objectives"] == [5] and type(payload["objectives"][0]) is int
+        assert payload["seed"] == 3 and type(payload["seed"]) is int
+        assert payload["evaluations"] == 40 and type(payload["evaluations"]) is int
+        assert Study(routing_cache=False).to_dict()["routing_cache"] is False
+
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already part of the study"):
             smoke_study().algorithm("moead").algorithm("MOEA/D")
