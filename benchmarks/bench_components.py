@@ -18,13 +18,14 @@ import pytest
 
 from repro.ml.forest import RandomForestRegressor
 from repro.moo.hypervolume import hypervolume
-from repro.noc.constraints import random_design
+from repro.noc.constraints import random_design, random_link_placement
 from repro.noc.crossover import crossover
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
+from tests.oracles.constraints import random_link_placement_reference
 from tests.oracles.objectives import evaluate_reference
 
 PLATFORM = PlatformConfig.small_3x3x3()
@@ -445,6 +446,37 @@ def test_big_grid_rewire_repair_speedup():
     speedup = entry["broods"]["rewire"]["speedup"]
     print(f"256-tile rewire-brood repair speedup: {speedup:.2f}x")
     assert speedup >= 1.5, f"rewire repair only {speedup:.2f}x vs fresh at 256 tiles"
+
+
+@pytest.mark.perf
+def test_random_link_placement_speedup():
+    """Bulk-drawn link placement is >= 2x the scalar-draw oracle at 64 tiles, and exact.
+
+    ``random_link_placement`` reads its frontier indices from bulk-drawn
+    words; the oracle makes one ``rng.integers`` call per frontier pop.
+    Rounds alternate which side runs first, and each round gives both sides
+    the same seed, so they build the same placements; both run in this
+    process, so the gate needs no particular CPU count.
+    """
+    config = PlatformConfig.paper_4x4x4()
+    random_link_placement(config, 0)  # warm-up: per-platform candidate tables
+    sides = {"bulk": random_link_placement, "scalar": random_link_placement_reference}
+    seconds: dict[str, list[float]] = {name: [] for name in sides}
+    for round_index in range(6):
+        order = list(sides) if round_index % 2 == 0 else list(reversed(sides))
+        outputs = {}
+        for name in order:
+            rng = np.random.default_rng(round_index)
+            start = time.perf_counter()
+            outputs[name] = [sides[name](config, rng) for _ in range(10)]
+            seconds[name].append(time.perf_counter() - start)
+            outputs[name].append(rng.bit_generator.state)
+        assert outputs["bulk"] == outputs["scalar"]
+    bulk, scalar = np.median(seconds["bulk"]), np.median(seconds["scalar"])
+    speedup = scalar / bulk
+    print(f"paper-4x4x4 link placement: bulk {bulk * 100:.2f} ms vs scalar "
+          f"{scalar * 100:.2f} ms per placement -> {speedup:.2f}x")
+    assert speedup >= 2.0, f"bulk link placement only {speedup:.2f}x the scalar-draw oracle"
 
 
 @pytest.mark.benchmark(group="components")

@@ -34,7 +34,7 @@ from repro.noc.links import (
     link_kind,
 )
 from repro.noc.platform import PEType, PlatformConfig
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import BulkIntegers, RngLike, ensure_rng
 
 #: Violation severities.  ``fatal`` marks structural-identity breakage (wrong
 #: tile count, placement not a permutation) that no link/placement operator
@@ -448,12 +448,15 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     cap.
     """
     rng = ensure_rng(rng)
-    grid = config.grid
     num_tiles = config.num_tiles
     max_degree = config.max_router_degree
+    planar_budget = config.num_planar_links
+    vertical_budget = config.num_vertical_links
     planar_candidates = candidate_planar_links(config)
     vertical_candidates = candidate_vertical_links(config)
     by_endpoint = _candidates_by_endpoint(config)
+    # Every candidate is planar or vertical, so equal layers mean planar.
+    layers = config.grid.tile_layers
 
     # Degree caps can occasionally starve the budget fill; retry with a
     # different spanning tree rather than returning an infeasible design.
@@ -466,35 +469,42 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
         vertical_used = 0
 
         # -- random spanning tree (randomised Prim) --------------------- #
-        root = int(rng.integers(num_tiles))
-        in_tree = {root}
-        frontier: list[Link] = list(by_endpoint[root])
-        while len(in_tree) < num_tiles:
-            if not frontier:
-                raise RuntimeError("candidate link set cannot connect all tiles")
-            idx = int(rng.integers(len(frontier)))
-            link = frontier.pop(idx)
-            a, b = link
-            inside_a = a in in_tree
-            if inside_a == (b in in_tree):
-                continue
-            if degrees[a] >= max_degree or degrees[b] >= max_degree:
-                continue
-            planar = link_kind(link, grid) is LinkKind.PLANAR
-            if planar and planar_used >= config.num_planar_links:
-                continue
-            if not planar and vertical_used >= config.num_vertical_links:
-                continue
-            chosen.add(link)
-            degrees[a] += 1
-            degrees[b] += 1
-            if planar:
-                planar_used += 1
-            else:
-                vertical_used += 1
-            new_node = b if inside_a else a
-            in_tree.add(new_node)
-            frontier.extend(by_endpoint[new_node])
+        # Thousands of frontier pops per placement: their indices come from
+        # bulk-drawn words, with the values and end state of one
+        # ``rng.integers`` call per pop, synced before the fill draws.
+        with BulkIntegers(rng) as draws:
+            below = draws.below
+            root = below(num_tiles)
+            in_tree = [False] * num_tiles
+            in_tree[root] = True
+            tree_size = 1
+            frontier: list[Link] = list(by_endpoint[root])
+            pop = frontier.pop
+            while tree_size < num_tiles:
+                if not frontier:
+                    raise RuntimeError("candidate link set cannot connect all tiles")
+                link = pop(below(len(frontier)))
+                a, b = link
+                inside_a = in_tree[a]
+                if inside_a == in_tree[b]:
+                    continue
+                if degrees[a] >= max_degree or degrees[b] >= max_degree:
+                    continue
+                if layers[a] == layers[b]:
+                    if planar_used >= planar_budget:
+                        continue
+                    planar_used += 1
+                else:
+                    if vertical_used >= vertical_budget:
+                        continue
+                    vertical_used += 1
+                chosen.add(link)
+                degrees[a] += 1
+                degrees[b] += 1
+                new_node = b if inside_a else a
+                in_tree[new_node] = True
+                tree_size += 1
+                frontier.extend(by_endpoint[new_node])
 
         # -- fill the remaining budgets ---------------------------------- #
         def fill(candidates: tuple[Link, ...], remaining: int) -> int:
@@ -514,10 +524,10 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
                 added += 1
             return added
 
-        planar_used += fill(planar_candidates, config.num_planar_links - planar_used)
-        vertical_used += fill(vertical_candidates, config.num_vertical_links - vertical_used)
+        planar_used += fill(planar_candidates, planar_budget - planar_used)
+        vertical_used += fill(vertical_candidates, vertical_budget - vertical_used)
 
-        if planar_used == config.num_planar_links and vertical_used == config.num_vertical_links:
+        if planar_used == planar_budget and vertical_used == vertical_budget:
             return tuple(sorted(chosen))
 
 

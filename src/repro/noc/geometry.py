@@ -11,6 +11,7 @@ there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -47,7 +48,8 @@ class Grid3D:
     The per-tile coordinates, layers, columns and edge flags are tabulated
     once at construction; :meth:`coord` and the edge queries are table
     lookups, and :attr:`tile_layers` / :attr:`tile_columns` let hot loops
-    (link classification) compare plain ints.  A grid is never mutated
+    (link classification) compare plain ints.  :attr:`tile_distances` is
+    the one table built lazily, on first use.  A grid is never mutated
     after construction, so one instance is shared by every user of a
     platform (see :attr:`PlatformConfig.grid
     <repro.noc.platform.PlatformConfig.grid>`).
@@ -113,6 +115,20 @@ class Grid3D:
         z, rest = np.divmod(tile_ids, self.tiles_per_layer)
         y, x = np.divmod(rest, self.n)
         return x, y, z
+
+    @cached_property
+    def tile_distances(self) -> np.ndarray:
+        """Read-only ``(num_tiles, num_tiles)`` float64 matrix of 3D Manhattan distances.
+
+        Built on first use.  The entries are small integers, so sums and
+        products over them carry the same bits as the same arithmetic over
+        coordinate differences.
+        """
+        coords = np.stack(self.coords_arrays(np.arange(self.num_tiles)), axis=1)
+        distances = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+        table = distances.astype(np.float64)
+        table.flags.writeable = False
+        return table
 
     def column_id(self, tile_id: int) -> int:
         """Return the single-tile-stack (column) index of a tile."""

@@ -105,7 +105,18 @@ class PlatformConfig:
             f"vertical tile pairs {self.max_vertical_candidates}",
         )
         require_positive(self.max_planar_length, "max_planar_length")
+        require(
+            self.num_planar_links <= self.max_planar_candidates,
+            f"num_planar_links {self.num_planar_links} exceeds the number of "
+            f"feasible planar tile pairs {self.max_planar_candidates}",
+        )
         require(self.max_router_degree >= 3, "max_router_degree must be >= 3 for connectivity headroom")
+        require(
+            self.num_links <= self.max_router_degree * self.num_tiles // 2,
+            f"total link budget {self.num_links} exceeds the {self.max_router_degree} "
+            f"ports of each of the {self.num_tiles} routers "
+            f"(at most {self.max_router_degree * self.num_tiles // 2} links)",
+        )
         require_positive(self.router_stages, "router_stages")
         require_positive(self.link_energy_per_flit, "link_energy_per_flit")
         require_positive(self.router_energy_per_port, "router_energy_per_port")
@@ -148,6 +159,19 @@ class PlatformConfig:
     def max_vertical_candidates(self) -> int:
         """Number of possible TSV positions (one per vertical tile pair)."""
         return self.n * self.n * (self.layers - 1)
+
+    @property
+    def max_planar_candidates(self) -> int:
+        """Number of possible planar links (same-layer tile pairs within ``max_planar_length``)."""
+        n = self.n
+        per_layer = 0
+        for dx in range(n):
+            for dy in range(n):
+                if 1 <= dx + dy <= self.max_planar_length:
+                    # A diagonal offset fits the grid in two mirror orientations.
+                    orientations = 2 if dx and dy else 1
+                    per_layer += orientations * (n - dx) * (n - dy)
+        return per_layer * self.layers
 
     @property
     def mesh_planar_links(self) -> int:

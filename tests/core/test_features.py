@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.features import DesignFeaturizer
+from repro.noc.constraints import random_design
+from repro.noc.platform import PlatformConfig
+from repro.workloads.registry import get_workload
+from tests.oracles.features import DesignFeaturizer as CoordinateFeaturizer
 
 
 class TestFeaturizer:
@@ -56,3 +60,31 @@ class TestFeaturizer:
         featurizer = DesignFeaturizer(paper_config, workload)
         design = random_design(paper_config, np.random.default_rng(0))
         assert np.all(np.isfinite(featurizer.features(design)))
+
+
+@pytest.mark.parametrize("preset, count", [
+    ("small_3x3x3", 20), ("paper_4x4x4", 20), ("big_8x8x4", 6),
+])
+@pytest.mark.parametrize("app", ["BFS", "GAU"])
+def test_byte_identical_to_coordinate_featurizer(preset, count, app):
+    """The table reads give the coordinate decoding's bits at 27, 64 and 256 tiles."""
+    config = getattr(PlatformConfig, preset)()
+    workload = get_workload(app, config, seed=1)
+    tables, oracle = DesignFeaturizer(config, workload), CoordinateFeaturizer(config, workload)
+    rng = np.random.default_rng(count)
+    for _ in range(count):
+        design = random_design(config, rng)
+        assert tables.features(design).tobytes() == oracle.features(design).tobytes()
+
+
+def test_column_power_matches_per_column_sums_beyond_eight_layers():
+    # numpy sums eight or more values pairwise, not left to right; the
+    # per-column row sums must follow it wherever a column is that tall.
+    config = PlatformConfig(n=2, layers=9, num_cpus=6, num_gpus=20, num_llcs=10,
+                            num_planar_links=36, num_vertical_links=32)
+    workload = get_workload("BFS", config, seed=2)
+    tables, oracle = DesignFeaturizer(config, workload), CoordinateFeaturizer(config, workload)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        design = random_design(config, rng)
+        assert tables.features(design).tobytes() == oracle.features(design).tobytes()

@@ -1,5 +1,6 @@
 """Tests for the 3D tile grid geometry."""
 
+import numpy as np
 import pytest
 
 from repro.noc.geometry import Grid3D, TileCoord
@@ -35,6 +36,21 @@ class TestGrid3D:
         assert grid.num_tiles == 27
         assert grid.tiles_per_layer == 9
         assert grid.num_columns == 9
+
+    @pytest.mark.parametrize("n, layers", [(1, 1), (2, 2), (3, 1), (4, 3)])
+    def test_tile_distances_table(self, n, layers):
+        grid = Grid3D(n, layers)
+        table = grid.tile_distances
+        assert table.shape == (grid.num_tiles, grid.num_tiles)
+        assert table.dtype == np.float64
+        for a in range(grid.num_tiles):
+            for b in range(grid.num_tiles):
+                assert table[a, b] == grid.manhattan_distance(a, b)
+        assert grid.tile_distances is table  # built once
+
+    def test_tile_distances_are_read_only(self):
+        with pytest.raises(ValueError):
+            Grid3D(2, 2).tile_distances[0, 1] = 5.0
 
     def test_tile_id_round_trip(self):
         grid = Grid3D(4, 4)
