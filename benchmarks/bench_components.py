@@ -18,14 +18,16 @@ import pytest
 
 from repro.ml.forest import RandomForestRegressor
 from repro.moo.hypervolume import hypervolume
-from repro.noc.constraints import random_design, random_link_placement
-from repro.noc.crossover import crossover
+from repro.noc.constraints import is_connected, random_design, random_link_placement
+from repro.noc.crossover import crossover, crossover_links, crossover_placement
+from repro.noc.design import NocDesign
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
+from repro.noc.repair import repair_links
 from repro.noc.routing import RoutingTables
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
-from tests.oracles.constraints import random_link_placement_reference
+from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
 
 PLATFORM = PlatformConfig.small_3x3x3()
@@ -477,6 +479,47 @@ def test_random_link_placement_speedup():
     print(f"paper-4x4x4 link placement: bulk {bulk * 100:.2f} ms vs scalar "
           f"{scalar * 100:.2f} ms per placement -> {speedup:.2f}x")
     assert speedup >= 2.0, f"bulk link placement only {speedup:.2f}x the scalar-draw oracle"
+
+
+@pytest.mark.perf
+def test_big_grid_link_repair_speedup():
+    """Link repair is >= 3x its oracle on disconnected 256-tile crossover children, and exact.
+
+    The retired ``repair_links`` scanned every link of the bridge's kind for
+    redundancy (one connectivity search each) on every bridging swap, though
+    no link of a disconnected network is redundant.  The operator list skips
+    the scan.  Rounds alternate which side runs first, each round gives both
+    sides the same seed, and both run in this process, so the gate needs no
+    particular CPU count.
+    """
+    config = PlatformConfig.big_8x8x4()
+    rng = np.random.default_rng(1)
+    parents = [random_design(config, rng) for _ in range(8)]
+    children = []
+    for i in range(32):
+        a, b = parents[i % 8], parents[(3 * i + 1) % 8]
+        placement = crossover_placement(a, b, config, rng)
+        child = NocDesign(placement, crossover_links(a, b, config, rng))
+        if not is_connected(child):
+            children.append(child)
+    assert len(children) >= 3
+    sides = {"pipeline": repair_links, "oracle": repair_links_reference}
+    seconds: dict[str, list[float]] = {name: [] for name in sides}
+    for round_index in range(4):
+        order = list(sides) if round_index % 2 == 0 else list(reversed(sides))
+        outputs = {}
+        for name in order:
+            rng = np.random.default_rng(round_index)
+            start = time.perf_counter()
+            outputs[name] = [sides[name](child, config, rng).links for child in children]
+            seconds[name].append((time.perf_counter() - start) / len(children))
+            outputs[name].append(rng.bit_generator.state)
+        assert outputs["pipeline"] == outputs["oracle"]
+    pipeline, oracle = np.median(seconds["pipeline"]), np.median(seconds["oracle"])
+    speedup = oracle / pipeline
+    print(f"big-8x8x4 link repair ({len(children)} disconnected children): pipeline "
+          f"{pipeline * 1e3:.2f} ms vs oracle {oracle * 1e3:.2f} ms per call -> {speedup:.2f}x")
+    assert speedup >= 3.0, f"link repair only {speedup:.2f}x the oracle at 256 tiles"
 
 
 @pytest.mark.benchmark(group="components")

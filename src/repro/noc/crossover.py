@@ -16,10 +16,10 @@ always works with feasible designs.
 
 from __future__ import annotations
 
-from repro.noc.constraints import repair_links
 from repro.noc.design import MoveDelta, NocDesign, annotate_move
 from repro.noc.links import LinkKind, link_kind
 from repro.noc.platform import PEType, PlatformConfig
+from repro.noc.repair import repair_links
 from repro.utils.rng import RngLike, ensure_rng
 
 

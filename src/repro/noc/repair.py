@@ -1,19 +1,22 @@
-"""Directed feasibility repair driven by structured violation reports.
+"""Link repair and the directed feasibility repair walk.
+
+:data:`LINK_OPERATORS` is the one ordered list of link-repair operators,
+followed by one ``regenerate-links`` fallback.  :func:`repair_links` runs it
+on every crossover child; the directed walk runs it inside each candidate.
 
 :mod:`repro.noc.constraints` explains *why* a design is infeasible
-(:class:`~repro.noc.constraints.ViolationReport`); this module acts on that
-explanation.  :func:`repair_design` runs a seeded, budget-bounded walk that
-picks targeted operators per violation code — LLC placement swaps for
-``llc-edge``, invalid-link drops, degree trims, budget trims/fills and
-connectivity bridging for the link-family codes — generates a brood of
-candidate repairs per round, and (when an evaluator is supplied) scores the
-feasible candidates through
+(:class:`~repro.noc.constraints.ViolationReport`); :func:`repair_design`
+acts on that explanation.  It runs a seeded, budget-bounded walk whose
+candidates swap interior LLCs to the edge for ``llc-edge`` and run the
+operator list for the link-family codes, generates a brood of candidate
+repairs per round, and (when an evaluator is supplied) scores the feasible
+candidates through
 :meth:`~repro.objectives.evaluator.ObjectiveEvaluator.evaluate_many` so the
 repair that lands closest to the Pareto-relevant region wins, not merely the
 first feasible one.
 
-Every stochastic choice is derived from ``(seed, round, candidate)`` via a
-sha256 substream (the campaign-cell idiom from
+Every stochastic choice of the walk is derived from ``(seed, round,
+candidate)`` via a sha256 substream (the campaign-cell idiom from
 :mod:`repro.experiments.runner`), so a :class:`RepairPlan` replays
 bit-identically from its recorded seed: same design + same seed + same
 budget → same steps, same evaluations spent, same repaired design.
@@ -30,22 +33,27 @@ import numpy as np
 from repro.noc.constraints import (
     ConstraintChecker,
     ViolationReport,
-    _enforce_degree_cap,
-    _fill_budgets,
-    _is_redundant,
-    _restore_connectivity,
+    connected_components,
     is_connected,
     random_link_placement,
 )
 from repro.noc.design import NocDesign
-from repro.noc.links import LinkKind, is_feasible_link
+from repro.noc.links import (
+    Link,
+    LinkKind,
+    candidate_planar_links,
+    candidate_vertical_links,
+    feasible_link_set,
+    link_kind,
+)
 from repro.noc.platform import PEType, PlatformConfig
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evaluator imports noc)
     from repro.objectives.evaluator import ObjectiveEvaluator
 
-#: Violation codes the link-operator pipeline can act on.
+#: Violation codes :data:`LINK_OPERATORS` can act on.
 LINK_CODES = frozenset(
     {
         "duplicate-link",
@@ -75,12 +83,12 @@ class RepairBudget:
     max_evaluations: int = 32
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.candidates_per_round < 1:
-            raise ValueError("candidates_per_round must be >= 1")
-        if self.max_evaluations < 0:
-            raise ValueError("max_evaluations must be >= 0")
+        for name, minimum in (
+            ("max_rounds", 1),
+            ("candidates_per_round", 1),
+            ("max_evaluations", 0),
+        ):
+            object.__setattr__(self, name, require_count(getattr(self, name), name, minimum))
 
     def to_dict(self) -> dict[str, int]:
         return {
@@ -211,105 +219,194 @@ def _swap_llcs_to_edge(design: NocDesign, config: PlatformConfig, rng) -> NocDes
     return NocDesign(placement=tuple(int(p) for p in placement), links=design.links)
 
 
-def _drop_invalid_links(design: NocDesign, config: PlatformConfig) -> NocDesign:
+def _drop_invalid_links(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
     """Remove duplicate, out-of-range and shape-invalid links."""
-    kept = tuple(
-        sorted(
-            {
-                link
-                for link in design.links
-                if link.a < config.num_tiles
-                and link.b < config.num_tiles
-                and is_feasible_link(link, config)
-            }
-        )
-    )
+    feasible = feasible_link_set(config)
+    kept = tuple(sorted({link for link in design.links if link in feasible}))
     if kept == design.links:
         return design
     return NocDesign(placement=design.placement, links=kept)
 
 
-def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    """Remove excess links per kind, preferring redundant (non-bridging) ones."""
-    grid = config.grid
-    partition = design.links_by_kind(grid)
-    links = set(design.links)
-    changed = False
-    for kind, budget in (
-        (LinkKind.PLANAR, config.num_planar_links),
-        (LinkKind.VERTICAL, config.num_vertical_links),
-    ):
-        of_kind = sorted(partition[kind])
-        excess = len(of_kind) - budget
-        while excess > 0:
-            current = NocDesign(placement=design.placement, links=tuple(sorted(links)))
-            candidates = [link for link in of_kind if link in links]
-            redundant = [link for link in candidates if _is_redundant(link, current)]
-            pool = redundant or candidates
-            victim = pool[int(rng.integers(len(pool)))]
-            links.discard(victim)
-            excess -= 1
-            changed = True
-    if not changed:
+def _trim_degrees(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
+    """Keep links in random order while both endpoints stay within the degree cap."""
+    max_degree = config.max_router_degree
+    if not (design.degrees() > max_degree).any():
         return design
+    links = list(design.links)
+    rng.shuffle(links)
+    kept: list[Link] = []
+    counts = [0] * config.num_tiles
+    for link in links:
+        a, b = link
+        if counts[a] < max_degree and counts[b] < max_degree:
+            kept.append(link)
+            counts[a] += 1
+            counts[b] += 1
+    return NocDesign(placement=design.placement, links=tuple(kept))
+
+
+def _budgets(config: PlatformConfig) -> tuple[tuple[LinkKind, int, tuple[Link, ...]], ...]:
+    """``(kind, budget, candidate pool)`` per link kind, planar first."""
+    return (
+        (LinkKind.PLANAR, config.num_planar_links, candidate_planar_links(config)),
+        (LinkKind.VERTICAL, config.num_vertical_links, candidate_vertical_links(config)),
+    )
+
+
+def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
+    """Cut each kind over its budget down to a random subset of that size."""
+    partition = design.links_by_kind(config.grid)
+    kept: list[Link] = []
+    for kind, budget, _ in _budgets(config):
+        links = partition[kind]
+        if len(links) > budget:
+            links = [links[int(i)] for i in rng.permutation(len(links))[:budget]]
+        kept.extend(links)
+    if len(kept) == design.num_links:
+        return design
+    return NocDesign(placement=design.placement, links=tuple(kept))
+
+
+def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
+    """Add random unused candidate links of each kind short of its budget."""
+    max_degree = config.max_router_degree
+    links = set(design.links)
+    degrees = design.degrees().tolist()
+    partition = design.links_by_kind(config.grid)
+    for kind, budget, pool in _budgets(config):
+        needed = budget - len(partition[kind])
+        if needed <= 0:
+            continue
+        added = 0
+        for idx in rng.permutation(len(pool)).tolist():
+            if added >= needed:
+                break
+            link = pool[idx]
+            a, b = link
+            if link not in links and degrees[a] < max_degree and degrees[b] < max_degree:
+                links.add(link)
+                degrees[a] += 1
+                degrees[b] += 1
+                added += 1
     return NocDesign(placement=design.placement, links=tuple(sorted(links)))
 
 
+def _restore_connectivity(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
+    """Swap links until the network is connected, preserving per-kind budgets.
+
+    Each swap adds a bridge from tile 0's component to another one and
+    removes a random link of the bridge's kind.  Every link of a
+    disconnected network is a candidate victim: none is redundant for
+    connectivity, since removing a link cannot connect it.
+    """
+    grid = config.grid
+    current = design
+    for _ in range(4 * config.num_links):
+        components = connected_components(current)
+        if len(components) <= 1:
+            break
+        bridge = _find_bridge(components, current, config, rng)
+        if bridge is None:
+            break
+        kind = link_kind(bridge, grid)
+        removable = [link for link in current.links if link_kind(link, grid) is kind]
+        victim = removable[int(rng.integers(len(removable)))]
+        links = set(current.links) - {victim} | {bridge}
+        current = NocDesign(placement=current.placement, links=tuple(links))
+    return current
+
+
+def _find_bridge(components: list[list[int]], design: NocDesign, config: PlatformConfig, rng):
+    """A random feasible link from tile 0's component to another, with spare degree at both ends."""
+    main = components[0]
+    others = [tile for component in components[1:] for tile in component]
+    rng.shuffle(main)
+    rng.shuffle(others)
+    feasible = feasible_link_set(config)
+    degrees = design.degrees()
+    max_degree = config.max_router_degree
+    for a in main:
+        for b in others:
+            link = Link.make(a, b)
+            if link in feasible and degrees[a] < max_degree and degrees[b] < max_degree:
+                return link
+    return None
+
+
+#: The link-repair pipeline, in application order: ``(name, operator)``
+#: pairs, each operator mapping ``(design, config, rng)`` to a design.
+LINK_OPERATORS = (
+    ("drop-invalid-links", _drop_invalid_links),
+    ("degree-trim", _trim_degrees),
+    ("budget-trim", _trim_budgets),
+    ("budget-fill", _fill_budgets),
+    ("restore-connectivity", _restore_connectivity),
+)
+
+
+def _links_feasible(design: NocDesign, config: PlatformConfig) -> bool:
+    """Verdict on a link set :data:`LINK_OPERATORS` has run over.
+
+    The operators leave every link unique, of a feasible shape, within the
+    degree cap and within its kind's budget, so the set is feasible exactly
+    when it is connected and its total meets the total budget.
+    """
+    return design.num_links == config.num_links and is_connected(design)
+
+
+def _repair_link_set(
+    design: NocDesign, config: PlatformConfig, rng
+) -> tuple[NocDesign, tuple[str, ...]]:
+    """Run :data:`LINK_OPERATORS`, then regenerate the links if they are still infeasible.
+
+    Returns the repaired design and the names of the steps that changed its
+    links, in application order.
+    """
+    actions: list[str] = []
+    for name, operator in LINK_OPERATORS:
+        repaired = operator(design, config, rng)
+        if repaired.links != design.links:
+            actions.append(name)
+        design = repaired
+    if not _links_feasible(design, config):
+        # Piecemeal operators could not land a feasible link set; regrow one
+        # from scratch on the same placement — total-function fallback.
+        design = NocDesign(placement=design.placement, links=random_link_placement(config, rng))
+        actions.append("regenerate-links")
+    return design, tuple(actions)
+
+
+def repair_links(design: NocDesign, config: PlatformConfig, rng: RngLike = None) -> NocDesign:
+    """Repair a design whose link placement violates budgets/degree/connectivity.
+
+    The repair keeps as many of the existing links as possible: infeasible
+    links are dropped, degree and budget overshoot is trimmed at random,
+    missing links are added from the candidate pools, and connectivity is
+    restored by swapping in bridging links.  The placement is left untouched.
+    """
+    return _repair_link_set(design, config, ensure_rng(rng))[0]
+
+
 def _directed_candidate(
-    design: NocDesign,
-    config: PlatformConfig,
-    report: ViolationReport,
-    checker: ConstraintChecker,
-    rng,
+    design: NocDesign, config: PlatformConfig, report: ViolationReport, rng
 ) -> tuple[NocDesign, tuple[str, ...]]:
     """Build one repair candidate by applying operators targeted at ``report``.
 
     Returns the candidate and the names of the operators that actually
     changed the design, in application order.
     """
-    actions: list[str] = []
-    current = design
+    actions: tuple[str, ...] = ()
     codes = set(report.codes)
-
     if "llc-edge" in codes:
-        swapped = _swap_llcs_to_edge(current, config, rng)
-        if swapped is not current:
-            actions.append("llc-edge-swap")
-            current = swapped
-
+        swapped = _swap_llcs_to_edge(design, config, rng)
+        if swapped is not design:
+            actions = ("llc-edge-swap",)
+            design = swapped
     if codes & LINK_CODES:
-        dropped = _drop_invalid_links(current, config)
-        if dropped is not current:
-            actions.append("drop-invalid-links")
-            current = dropped
-        capped = _enforce_degree_cap(current, config, rng)
-        if capped is not current:
-            actions.append("degree-trim")
-            current = capped
-        trimmed = _trim_budgets(current, config, rng)
-        if trimmed is not current:
-            actions.append("budget-trim")
-            current = trimmed
-        filled = _fill_budgets(current, config, rng)
-        if filled.links != current.links:
-            actions.append("budget-fill")
-            current = filled
-        if not is_connected(current):
-            bridged = _restore_connectivity(current, config, rng)
-            if bridged.links != current.links:
-                actions.append("restore-connectivity")
-                current = bridged
-
-    remaining = checker.report(current)
-    if not remaining.feasible and not remaining.fatal and set(remaining.codes) <= LINK_CODES:
-        # Piecemeal operators could not land a feasible link set; regrow one
-        # from scratch on the (now valid) placement — total-function fallback.
-        current = NocDesign(
-            placement=current.placement, links=random_link_placement(config, rng)
-        )
-        actions.append("regenerate-links")
-
-    return current, tuple(actions)
+        design, link_actions = _repair_link_set(design, config, rng)
+        actions += link_actions
+    return design, actions
 
 
 def _candidate_scores(values: np.ndarray) -> np.ndarray:
@@ -367,9 +464,7 @@ def repair_design(
         actions: list[tuple[str, ...]] = []
         for index in range(budget.candidates_per_round):
             rng = ensure_rng(_candidate_seed(seed, round_idx, index))
-            candidate, applied = _directed_candidate(
-                current, config, current_report, checker, rng
-            )
+            candidate, applied = _directed_candidate(current, config, current_report, rng)
             candidates.append(candidate)
             actions.append(applied)
 

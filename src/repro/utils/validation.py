@@ -27,13 +27,17 @@ def require_probability(value: float, name: str) -> None:
 def require_count(value: Any, name: str, minimum: int) -> int:
     """``value`` as an ``int`` of at least ``minimum``; never coerced.
 
-    Floats, strings and booleans raise ``TypeError`` (``operator.index``
-    rejects the first two; ``True`` would otherwise count as 1); values
-    below ``minimum`` raise ``ValueError``.
+    Floats, strings and booleans raise ``TypeError`` naming the field
+    (``operator.index`` rejects the first two; ``True`` would otherwise count
+    as 1); values below ``minimum`` raise ``ValueError``.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    count = index(value)
-    if count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {count}")
-    return count
+    if not isinstance(value, bool):
+        try:
+            count = index(value)
+        except TypeError:
+            pass
+        else:
+            if count < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {count}")
+            return count
+    raise TypeError(f"{name} must be an integer, got {value!r}")

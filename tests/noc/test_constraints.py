@@ -17,12 +17,12 @@ from repro.noc.constraints import (
     random_designs,
     random_link_placement,
     random_placement,
-    repair_links,
     violation_details,
 )
 from repro.noc.design import NocDesign
 from repro.noc.links import Link, LinkKind
 from repro.noc.platform import PEType, PlatformConfig
+from repro.noc.repair import repair_links
 
 
 class TestRandomGeneration:

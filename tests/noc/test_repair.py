@@ -61,6 +61,25 @@ class TestRepairBudget:
         with pytest.raises(ValueError):
             RepairBudget(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_rounds": 2.5},
+        {"max_rounds": True},
+        {"candidates_per_round": "3"},
+        {"max_evaluations": 4.0},
+        {"max_evaluations": False},
+    ])
+    def test_rejects_non_integer_bounds(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            RepairBudget(**kwargs)
+
+    def test_numpy_integer_bounds_become_ints(self):
+        budget = RepairBudget(max_rounds=np.int64(3), max_evaluations=np.int32(0))
+        assert budget.to_dict() == {
+            "max_rounds": 3, "candidates_per_round": 8, "max_evaluations": 0,
+        }
+        assert type(budget.max_rounds) is int and type(budget.max_evaluations) is int
+
 
 class TestRepairWalk:
     def test_feasible_input_is_a_trivial_plan(self, tiny_config):

@@ -4,13 +4,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc.constraints import ConstraintChecker, is_connected, random_design, repair_links
+from repro.noc.constraints import ConstraintChecker, is_connected, random_design
 from repro.noc.crossover import crossover
 from repro.noc.design import NocDesign
 from repro.noc.geometry import Grid3D
 from repro.noc.links import link_kind, link_length
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
+from repro.noc.repair import repair_links
 
 TINY = PlatformConfig.tiny_2x2x2()
 CHECKER = ConstraintChecker(TINY)

@@ -50,7 +50,7 @@ class TestRequireCount:
 
     @pytest.mark.parametrize("value", [2.0, 2.7, np.float64(3.0), "3", None])
     def test_rejects_non_integers(self, value):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="n must be an integer"):
             require_count(value, "n", 0)
 
     @pytest.mark.parametrize("value, minimum", [(-1, 0), (0, 1), (4, 5)])
