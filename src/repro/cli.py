@@ -105,27 +105,20 @@ def _progress_callback(args: argparse.Namespace, every: int = 1):
 def _study_from_args(args: argparse.Namespace) -> Study:
     """Build the study: config file first (if any), CLI flags override."""
     study = Study.from_file(args.config) if args.config else Study()
-    if args.preset:
-        study.preset(args.preset)
-    if args.platform:
-        study.platform(args.platform)
-    if args.apps:
-        study.apps(*args.apps)
-    if args.objectives:
-        study.objectives(*args.objectives)
-    if args.algorithms:
-        study.clear_algorithms().algorithms(*args.algorithms)
-    if args.evaluations is not None:
-        study.evaluations(args.evaluations)
-    if args.population is not None:
-        study.population_size(args.population)
-    if args.seed is not None:
-        study.seed(args.seed)
-    if args.scenarios:
-        study.scenarios(*args.scenarios)
-    if args.no_routing_cache:
-        study.routing_cache(False)
-    return study
+    flags = {
+        "preset": args.preset,
+        "platform": args.platform,
+        "applications": args.apps,
+        "objectives": args.objectives,
+        "algorithms": args.algorithms,
+        "evaluations": args.evaluations,
+        "population_size": args.population,
+        "seed": args.seed,
+        "scenarios": args.scenarios,
+        "routing_cache": False if args.no_routing_cache else None,
+    }
+    set_flags = {key: value for key, value in flags.items() if value is not None}
+    return Study.from_dict({**study.to_dict(), **set_flags})
 
 
 def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
@@ -496,7 +489,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, FileNotFoundError) as error:
+    except (ValueError, TypeError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyError as error:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require, require_positive, require_probability
+from repro.utils.validation import require, require_count, require_probability
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,28 @@ class MOELAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require(self.population_size >= 4, "population_size must be >= 4")
-        require_positive(self.generations, "generations")
-        require(self.iter_early >= 0, "iter_early must be >= 0")
-        require_positive(self.n_local, "n_local")
+        for name, minimum in (
+            ("population_size", 4),
+            ("generations", 1),
+            ("iter_early", 0),
+            ("n_local", 1),
+            ("neighborhood_size", 2),
+            ("replacement_limit", 1),
+            ("local_search_steps", 1),
+            ("local_search_neighbors", 1),
+            ("local_search_patience", 1),
+            ("max_training_samples", 1),
+            ("forest_size", 1),
+            ("forest_depth", 1),
+            ("seed", 0),
+        ):
+            object.__setattr__(self, name, require_count(getattr(self, name), name, minimum))
         require(
             self.n_local <= self.population_size,
             "n_local cannot exceed the population size",
         )
         require_probability(self.delta, "delta")
         require_probability(self.mutation_probability, "mutation_probability")
-        require(self.neighborhood_size >= 2, "neighborhood_size must be >= 2")
-        require_positive(self.replacement_limit, "replacement_limit")
-        require_positive(self.local_search_steps, "local_search_steps")
-        require_positive(self.local_search_neighbors, "local_search_neighbors")
-        require_positive(self.local_search_patience, "local_search_patience")
-        require_positive(self.max_training_samples, "max_training_samples")
-        require_positive(self.forest_size, "forest_size")
-        require_positive(self.forest_depth, "forest_depth")
 
     @classmethod
     def paper(cls, seed: int = 0) -> "MOELAConfig":

@@ -23,6 +23,7 @@ import numpy as np
 from repro.moo.problem import Problem
 from repro.moo.scalarization import tchebycheff
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count, require_probability
 
 
 class DecompositionEA:
@@ -37,18 +38,14 @@ class DecompositionEA:
         replacement_limit: int = 2,
         mutation_probability: float = 0.3,
     ):
-        if not (0.0 <= delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
-        if replacement_limit < 1:
-            raise ValueError("replacement_limit must be >= 1")
-        if not (0.0 <= mutation_probability <= 1.0):
-            raise ValueError("mutation_probability must lie in [0, 1]")
         self.problem = problem
         self.weights = np.asarray(weights, dtype=np.float64)
         self.neighbor_index = np.asarray(neighbor_index, dtype=np.int64)
-        self.delta = delta
-        self.replacement_limit = replacement_limit
-        self.mutation_probability = mutation_probability
+        self.delta = require_probability(delta, "delta")
+        self.replacement_limit = require_count(replacement_limit, "replacement_limit", 1)
+        self.mutation_probability = require_probability(
+            mutation_probability, "mutation_probability"
+        )
 
     def evolve(
         self,

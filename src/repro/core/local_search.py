@@ -18,6 +18,7 @@ from repro.moo.local_search import LocalSearchResult, greedy_descent
 from repro.moo.problem import Problem
 from repro.moo.scalarization import weighted_distance
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,10 @@ class MoelaLocalSearch:
         neighbors_per_step: int = 4,
         patience: int = 3,
     ):
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if neighbors_per_step < 1:
-            raise ValueError("neighbors_per_step must be >= 1")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
         self.problem = problem
-        self.max_steps = max_steps
-        self.neighbors_per_step = neighbors_per_step
-        self.patience = patience
+        self.max_steps = require_count(max_steps, "max_steps", 1)
+        self.neighbors_per_step = require_count(neighbors_per_step, "neighbors_per_step", 1)
+        self.patience = require_count(patience, "patience", 1)
 
     def search(
         self,

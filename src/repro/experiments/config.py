@@ -10,12 +10,63 @@ code paths; the full-scale settings remain available via
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import index
+from functools import partial
+from typing import Any, Callable
 
 from repro.core.config import MOELAConfig
 from repro.noc.platform import PlatformConfig
 from repro.scenarios.registry import canonical_scenario_key
+from repro.utils.validation import require_count, require_flag
 from repro.workloads.rodinia import RODINIA_APPLICATIONS
+
+
+def _strings(value: Any, name: str) -> tuple[str, ...]:
+    """A list or tuple of strings; a bare string is not one."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _applications(value: Any, name: str) -> tuple[str, ...]:
+    applications = _strings(value, name)
+    unknown = [a for a in applications if a.upper() not in RODINIA_APPLICATIONS]
+    if unknown:
+        raise ValueError(f"unknown {name} {unknown}; known: {RODINIA_APPLICATIONS}")
+    return applications
+
+
+def _objective_counts(value: Any, name: str) -> tuple[int, ...]:
+    """One objective count or a list of them, each drawn from {3, 4, 5}."""
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    counts = tuple(require_count(m, name, 3) for m in values)
+    if not counts or max(counts) > 5:
+        raise ValueError(f"{name} must be drawn from {{3, 4, 5}}, got {value!r}")
+    return counts
+
+
+def _scenario_models(value: Any, name: str) -> tuple[str, ...]:
+    canonical = tuple(canonical_scenario_key(s) for s in _strings(value, name))
+    if not canonical:
+        raise ValueError(f"{name} must list at least one scenario model (use 'identity')")
+    if len(set(canonical)) != len(canonical):
+        raise ValueError(f"{name} has duplicate scenario models: {list(value)}")
+    return canonical
+
+
+#: The check of each :class:`ExperimentConfig` field: ``check(value, name)``
+#: returns the value to store (see :mod:`repro.utils.validation`).  The
+#: ``Study`` keys that set these fields run the same checks under their names.
+EXPERIMENT_CHECKS: dict[str, Callable[[Any, str], Any]] = {
+    "applications": _applications,
+    "objective_counts": _objective_counts,
+    "population_size": partial(require_count, minimum=4),
+    "max_evaluations": partial(require_count, minimum=10),
+    "searches_per_iteration": partial(require_count, minimum=1),
+    "local_search_steps": partial(require_count, minimum=1),
+    "neighbors_per_step": partial(require_count, minimum=1),
+    "scenario_models": _scenario_models,
+    "seed": partial(require_count, minimum=0),
+}
 
 
 @dataclass(frozen=True)
@@ -61,23 +112,8 @@ class ExperimentConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        unknown = [a for a in self.applications if a.upper() not in RODINIA_APPLICATIONS]
-        if unknown:
-            raise ValueError(f"unknown applications {unknown}; known: {RODINIA_APPLICATIONS}")
-        if not self.objective_counts:
-            raise ValueError("at least one objective count is required")
-        if any(m not in (3, 4, 5) for m in self.objective_counts):
-            raise ValueError("objective counts must be drawn from {3, 4, 5}")
-        if self.population_size < 4:
-            raise ValueError("population_size must be >= 4")
-        if self.max_evaluations < 10:
-            raise ValueError("max_evaluations must be >= 10")
-        if not self.scenario_models:
-            raise ValueError("at least one scenario model is required (use 'identity')")
-        canonical = tuple(canonical_scenario_key(s) for s in self.scenario_models)
-        if len(set(canonical)) != len(canonical):
-            raise ValueError(f"duplicate scenario models in {self.scenario_models}")
-        object.__setattr__(self, "scenario_models", canonical)
+        for name, check in EXPERIMENT_CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
     @classmethod
     def smoke(cls) -> "ExperimentConfig":
@@ -164,12 +200,11 @@ class CampaignConfig:
     max_evaluations: int | None = None
 
     def __post_init__(self) -> None:
-        # operator.index raises TypeError for floats and strings instead of
-        # letting a fractional count reach the pool size or the budget.
-        if index(self.max_workers) < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.max_evaluations is not None and index(self.max_evaluations) < 1:
-            raise ValueError("max_evaluations must be >= 1")
+        require_count(self.max_workers, "max_workers", 1)
+        require_flag(self.resume, "resume")
+        require_flag(self.routing_cache, "routing_cache")
+        if self.max_evaluations is not None:
+            require_count(self.max_evaluations, "max_evaluations", 1)
 
     @property
     def cell_budget(self) -> int:

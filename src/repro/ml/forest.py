@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
+from repro.utils.validation import require_count
 
 
 class RandomForestRegressor:
@@ -42,9 +43,7 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         rng: RngLike = None,
     ):
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        self.n_estimators = n_estimators
+        self.n_estimators = require_count(n_estimators, "n_estimators", 1)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 
 @dataclass
@@ -56,15 +57,9 @@ class DecisionTreeRegressor:
         max_features: "int | float | str | None" = None,
         rng: RngLike = None,
     ):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
+        self.max_depth = require_count(max_depth, "max_depth", 1)
+        self.min_samples_split = require_count(min_samples_split, "min_samples_split", 2)
+        self.min_samples_leaf = require_count(min_samples_leaf, "min_samples_leaf", 1)
         self.max_features = max_features
         self.rng = ensure_rng(rng)
         self._nodes: list[_Node] = []

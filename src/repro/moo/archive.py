@@ -7,6 +7,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.moo.dominance import crowding_distance
+from repro.utils.validation import require_count
 
 
 class ParetoArchive:
@@ -17,9 +18,7 @@ class ParetoArchive:
     """
 
     def __init__(self, max_size: int | None = None):
-        if max_size is not None and max_size < 1:
-            raise ValueError("max_size must be >= 1 or None")
-        self.max_size = max_size
+        self.max_size = None if max_size is None else require_count(max_size, "max_size", 1)
         self._designs: list[Any] = []
         self._objectives: list[np.ndarray] = []
 

@@ -18,6 +18,7 @@ from repro.moo.result import OptimizationResult, SearchSnapshot
 from repro.moo.termination import Budget, StopWatch
 from repro.study.events import EventCallback, StudyEvent
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 
 class PopulationOptimizer:
@@ -44,14 +45,12 @@ class PopulationOptimizer:
         population_size: int = 50,
         rng: RngLike = None,
     ):
-        if population_size < 2:
-            raise ValueError("population_size must be >= 2")
         self.problem = problem
-        self.population_size = population_size
+        self.population_size = require_count(population_size, "population_size", 2)
         self.rng = ensure_rng(rng)
         self.designs: list[Any] = []
         self.objectives: np.ndarray = np.empty((0, problem.num_objectives))
-        self.archive = ParetoArchive(max_size=population_size)
+        self.archive = ParetoArchive(max_size=self.population_size)
         self.evaluations = 0
         self.history: list[SearchSnapshot] = []
         self._watch: StopWatch | None = None

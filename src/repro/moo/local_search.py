@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.moo.problem import Problem
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 ScalarFn = Callable[[Any, np.ndarray], float]
 
@@ -93,12 +94,9 @@ def greedy_descent(
         matrix; defaults to ``problem.evaluate_many`` (pass the optimiser's
         counting batch wrapper to track evaluation effort).
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if neighbors_per_step < 1:
-        raise ValueError("neighbors_per_step must be >= 1")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
+    require_count(max_steps, "max_steps", 1)
+    require_count(neighbors_per_step, "neighbors_per_step", 1)
+    require_count(patience, "patience", 1)
     rng = ensure_rng(rng)
 
     current = start

@@ -18,6 +18,7 @@ from repro.moo.scalarization import tchebycheff
 from repro.moo.termination import Budget
 from repro.moo.weights import neighborhoods, uniform_weights
 from repro.utils.rng import RngLike
+from repro.utils.validation import require_count, require_probability
 
 
 class MOEAD(PopulationOptimizer):
@@ -36,19 +37,15 @@ class MOEAD(PopulationOptimizer):
         rng: RngLike = None,
     ):
         super().__init__(problem, population_size, rng)
-        if neighborhood_size < 2:
-            raise ValueError("neighborhood_size must be >= 2")
-        if not (0.0 <= delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
-        if replacement_limit < 1:
-            raise ValueError("replacement_limit must be >= 1")
-        if not (0.0 <= mutation_probability <= 1.0):
-            raise ValueError("mutation_probability must lie in [0, 1]")
-        self.neighborhood_size = min(neighborhood_size, population_size)
-        self.delta = delta
-        self.replacement_limit = replacement_limit
-        self.mutation_probability = mutation_probability
-        self.weights = uniform_weights(problem.num_objectives, population_size, self.rng)
+        self.neighborhood_size = min(
+            require_count(neighborhood_size, "neighborhood_size", 2), self.population_size
+        )
+        self.delta = require_probability(delta, "delta")
+        self.replacement_limit = require_count(replacement_limit, "replacement_limit", 1)
+        self.mutation_probability = require_probability(
+            mutation_probability, "mutation_probability"
+        )
+        self.weights = uniform_weights(problem.num_objectives, self.population_size, self.rng)
         self.neighbor_index = neighborhoods(self.weights, self.neighborhood_size)
         self.reference: np.ndarray | None = None
 

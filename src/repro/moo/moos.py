@@ -24,6 +24,7 @@ from repro.moo.scalarization import tchebycheff
 from repro.moo.termination import Budget
 from repro.moo.weights import uniform_weights
 from repro.utils.rng import RngLike
+from repro.utils.validation import require_count
 
 
 class MOOS(PopulationOptimizer):
@@ -45,22 +46,20 @@ class MOOS(PopulationOptimizer):
         rng: RngLike = None,
     ):
         super().__init__(problem, population_size, rng)
-        if searches_per_iteration < 1:
-            raise ValueError("searches_per_iteration must be >= 1")
-        if local_search_steps < 1:
-            raise ValueError("local_search_steps must be >= 1")
-        if neighbors_per_step < 1:
-            raise ValueError("neighbors_per_step must be >= 1")
-        if num_directions < 2:
-            raise ValueError("num_directions must be >= 2")
-        self.searches_per_iteration = searches_per_iteration
-        self.local_search_steps = local_search_steps
-        self.neighbors_per_step = neighbors_per_step
-        self.early_random_iterations = early_random_iterations
-        self.max_training_samples = max_training_samples
-        self.forest_size = forest_size
-        self.directions = uniform_weights(problem.num_objectives, num_directions, self.rng)
-        self.archive = ParetoArchive(max_size=population_size)
+        self.searches_per_iteration = require_count(
+            searches_per_iteration, "searches_per_iteration", 1
+        )
+        self.local_search_steps = require_count(local_search_steps, "local_search_steps", 1)
+        self.neighbors_per_step = require_count(neighbors_per_step, "neighbors_per_step", 1)
+        self.early_random_iterations = require_count(
+            early_random_iterations, "early_random_iterations", 0
+        )
+        self.max_training_samples = require_count(max_training_samples, "max_training_samples", 1)
+        self.forest_size = require_count(forest_size, "forest_size", 1)
+        self.directions = uniform_weights(
+            problem.num_objectives, require_count(num_directions, "num_directions", 2), self.rng
+        )
+        self.archive = ParetoArchive(max_size=self.population_size)
         self.reference: np.ndarray | None = None
         self._train_features: list[np.ndarray] = []
         self._train_targets: list[float] = []

@@ -14,6 +14,7 @@ from repro.moo.dominance import crowding_distance, fast_non_dominated_sort
 from repro.moo.problem import Problem
 from repro.moo.termination import Budget
 from repro.utils.rng import RngLike
+from repro.utils.validation import require_probability
 
 
 class NSGA2(PopulationOptimizer):
@@ -30,12 +31,12 @@ class NSGA2(PopulationOptimizer):
         rng: RngLike = None,
     ):
         super().__init__(problem, population_size, rng)
-        if not (0.0 <= crossover_probability <= 1.0):
-            raise ValueError("crossover_probability must lie in [0, 1]")
-        if not (0.0 <= mutation_probability <= 1.0):
-            raise ValueError("mutation_probability must lie in [0, 1]")
-        self.crossover_probability = crossover_probability
-        self.mutation_probability = mutation_probability
+        self.crossover_probability = require_probability(
+            crossover_probability, "crossover_probability"
+        )
+        self.mutation_probability = require_probability(
+            mutation_probability, "mutation_probability"
+        )
         self._ranks: np.ndarray | None = None
         self._crowding: np.ndarray | None = None
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.utils.validation import require_count
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -72,11 +74,9 @@ class ConvergenceDetector:
     """
 
     def __init__(self, window: int = 5, tolerance: float = 0.005):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         if tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        self.window = window
+        self.window = require_count(window, "window", 1)
         self.tolerance = tolerance
         self._values: list[float] = []
         self.converged_at: int | None = None

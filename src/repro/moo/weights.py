@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_count
 
 
 def das_dennis_weights(num_objectives: int, divisions: int) -> np.ndarray:
@@ -23,10 +24,8 @@ def das_dennis_weights(num_objectives: int, divisions: int) -> np.ndarray:
     Produces ``C(divisions + M - 1, M - 1)`` vectors with components that are
     multiples of ``1/divisions`` and sum to 1.
     """
-    if num_objectives < 1:
-        raise ValueError("num_objectives must be >= 1")
-    if divisions < 1:
-        raise ValueError("divisions must be >= 1")
+    require_count(num_objectives, "num_objectives", 1)
+    require_count(divisions, "divisions", 1)
     vectors = []
     for dividers in combinations(range(divisions + num_objectives - 1), num_objectives - 1):
         previous = -1
@@ -56,8 +55,7 @@ def uniform_weights(num_objectives: int, count: int, rng: RngLike = None) -> np.
     dispersion heuristic so the retained vectors stay evenly spread (the
     extreme single-objective directions are always kept when possible).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require_count(count, "count", 1)
     rng = ensure_rng(rng)
     if num_objectives == 1:
         return np.ones((count, 1), dtype=np.float64)

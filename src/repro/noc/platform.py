@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.noc.geometry import Grid3D
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require, require_count, require_positive
 
 
 @lru_cache(maxsize=None)
@@ -86,38 +86,41 @@ class PlatformConfig:
     name: str = field(default="custom", compare=False)
 
     def __post_init__(self) -> None:
-        require_positive(self.n, "n")
-        require_positive(self.layers, "layers")
-        require(self.num_cpus >= 0, "num_cpus must be >= 0")
-        require(self.num_gpus >= 0, "num_gpus must be >= 0")
-        require(self.num_llcs >= 1, "num_llcs must be >= 1 (memory access is required)")
+        for name, minimum in (
+            ("n", 1),
+            ("layers", 1),
+            ("num_cpus", 0),
+            ("num_gpus", 0),
+            ("num_llcs", 1),  # memory access is required
+            ("num_planar_links", 1),
+            ("num_vertical_links", 0),
+            ("max_planar_length", 1),
+            ("max_router_degree", 3),  # connectivity headroom
+            ("router_stages", 1),
+        ):
+            object.__setattr__(self, name, require_count(getattr(self, name), name, minimum))
         total = self.num_cpus + self.num_gpus + self.num_llcs
         require(
             total == self.num_tiles,
             f"PE count {total} must equal tile count {self.num_tiles} "
             f"({self.n}x{self.n}x{self.layers})",
         )
-        require_positive(self.num_planar_links, "num_planar_links")
-        require(self.num_vertical_links >= 0, "num_vertical_links must be >= 0")
         require(
             self.num_vertical_links <= self.max_vertical_candidates,
             f"num_vertical_links {self.num_vertical_links} exceeds the number of "
             f"vertical tile pairs {self.max_vertical_candidates}",
         )
-        require_positive(self.max_planar_length, "max_planar_length")
         require(
             self.num_planar_links <= self.max_planar_candidates,
             f"num_planar_links {self.num_planar_links} exceeds the number of "
             f"feasible planar tile pairs {self.max_planar_candidates}",
         )
-        require(self.max_router_degree >= 3, "max_router_degree must be >= 3 for connectivity headroom")
         require(
             self.num_links <= self.max_router_degree * self.num_tiles // 2,
             f"total link budget {self.num_links} exceeds the {self.max_router_degree} "
             f"ports of each of the {self.num_tiles} routers "
             f"(at most {self.max_router_degree * self.num_tiles // 2} links)",
         )
-        require_positive(self.router_stages, "router_stages")
         require_positive(self.link_energy_per_flit, "link_energy_per_flit")
         require_positive(self.router_energy_per_port, "router_energy_per_port")
         require_positive(self.vertical_resistance, "vertical_resistance")

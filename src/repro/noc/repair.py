@@ -269,15 +269,22 @@ def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
 
 
 def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    """Add random unused candidate links of each kind short of its budget."""
+    """Add random unused candidate links of each kind short of its budget.
+
+    Returns ``design`` itself, drawing nothing, when no kind is short.
+    """
+    partition = design.links_by_kind(config.grid)
+    shortfalls = [
+        (budget - len(partition[kind]), pool)
+        for kind, budget, pool in _budgets(config)
+        if len(partition[kind]) < budget
+    ]
+    if not shortfalls:
+        return design
     max_degree = config.max_router_degree
     links = set(design.links)
     degrees = design.degrees().tolist()
-    partition = design.links_by_kind(config.grid)
-    for kind, budget, pool in _budgets(config):
-        needed = budget - len(partition[kind])
-        if needed <= 0:
-            continue
+    for needed, pool in shortfalls:
         added = 0
         for idx in rng.permutation(len(pool)).tolist():
             if added >= needed:

@@ -37,7 +37,7 @@ from repro.noc.design import NocDesign, move_delta_of
 from repro.noc.geometry import Grid3D
 from repro.noc.links import Link
 from repro.noc.routing import RoutingTables
-from repro.utils.validation import require_count
+from repro.utils.validation import require_count, require_probability
 
 
 class RoutingEngine:
@@ -64,11 +64,9 @@ class RoutingEngine:
         cache_size: int = 256,
         max_repair_fraction: float = 0.5,
     ):
-        if not (0.0 <= max_repair_fraction <= 1.0):
-            raise ValueError("max_repair_fraction must lie in [0, 1]")
         self.grid = grid
         self.cache_size = require_count(cache_size, "cache_size", 1)
-        self.max_repair_fraction = max_repair_fraction
+        self.max_repair_fraction = require_probability(max_repair_fraction, "max_repair_fraction")
         self._cache: OrderedDict[tuple[Link, ...], RoutingTables] = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -17,7 +17,7 @@ re-registers the already-added specs cleanly.
 
 from __future__ import annotations
 
-import operator
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import MOELAConfig
@@ -40,7 +40,11 @@ BUILTIN_ALGORITHMS: tuple[str, ...] = ("MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "
 def _moela_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOELA:
-    population_size = operator.index(options.pop("population_size", experiment.population_size))
+    # The ExperimentConfig field checks the override before the clamps compare it.
+    experiment = replace(
+        experiment, population_size=options.pop("population_size", experiment.population_size)
+    )
+    population_size = experiment.population_size
     settings: dict[str, Any] = dict(
         population_size=population_size,
         generations=experiment.moela.generations,
@@ -64,10 +68,10 @@ def _moela_factory(
 def _moead_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOEAD:
-    population_size = operator.index(options.pop("population_size", experiment.population_size))
+    # MOEA/D clamps the neighbourhood to the population itself.
     settings: dict[str, Any] = dict(
-        population_size=population_size,
-        neighborhood_size=min(experiment.moela.neighborhood_size, population_size),
+        population_size=experiment.population_size,
+        neighborhood_size=experiment.moela.neighborhood_size,
         delta=experiment.moela.delta,
     )
     settings.update(options)
@@ -78,7 +82,7 @@ def _moos_like_settings(
     experiment: "ExperimentConfig", options: dict[str, Any]
 ) -> dict[str, Any]:
     settings: dict[str, Any] = dict(
-        population_size=operator.index(options.pop("population_size", experiment.population_size)),
+        population_size=experiment.population_size,
         searches_per_iteration=experiment.searches_per_iteration,
         local_search_steps=experiment.local_search_steps,
         neighbors_per_step=experiment.neighbors_per_step,
@@ -102,9 +106,7 @@ def _moo_stage_factory(
 def _nsga2_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> NSGA2:
-    settings: dict[str, Any] = dict(
-        population_size=operator.index(options.pop("population_size", experiment.population_size)),
-    )
+    settings: dict[str, Any] = dict(population_size=experiment.population_size)
     settings.update(options)
     return NSGA2(problem, rng=seed, **settings)
 

@@ -30,18 +30,18 @@ shard and study boundary emits a structured event.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from operator import index
+import os
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
-from repro.experiments.config import CampaignConfig, ExperimentConfig
+from repro.experiments.config import EXPERIMENT_CHECKS, CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
     CampaignExecution,
     CampaignSummary,
     make_problem,
     run_algorithm,
-    run_campaign,
     submit_campaign,
 )
 from repro.experiments.tables import (
@@ -62,10 +62,10 @@ from repro.experiments.robustness import (
     sensitivity_map,
 )
 from repro.noc.platform import PlatformConfig
-from repro.scenarios.registry import canonical_scenario_key
 from repro.study.events import EventCallback, StudyEvent
 from repro.study.registry import default_registry
 from repro.utils.serialization import platform_to_dict
+from repro.utils.validation import require_count, require_flag
 
 #: Named platform factories accepted by ``Study(platform=...)`` and the
 #: declarative ``"platform"`` key (hyphen/underscore/case-insensitive, with
@@ -90,74 +90,136 @@ PRESETS: dict[str, Any] = {
     "paper": ExperimentConfig.paper_scale,
 }
 
-#: Keys accepted by :meth:`Study.from_dict` (everything else raises).
-_STUDY_KEYS: tuple[str, ...] = (
-    "preset",
-    "platform",
-    "applications",
-    "objectives",
-    "algorithms",
-    "population_size",
-    "evaluations",
-    "scenarios",
-    "seed",
-    "routing_cache",
-    "campaign",
-)
-
-_CAMPAIGN_KEYS: tuple[str, ...] = (
-    "output_dir",
-    "max_workers",
-    "resume",
-)
-
-
-def _flag(key: str, value: Any) -> bool:
-    """A boolean study setting; no truthiness coercion."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _integer(key: str, value: Any) -> int:
-    """An integer study setting; floats and booleans raise."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
 
 def resolve_platform(platform: "str | PlatformConfig") -> PlatformConfig:
     """Resolve a platform name (or pass a config through)."""
     if isinstance(platform, PlatformConfig):
         return platform
-    key = str(platform).strip().lower().replace("_", "-")
-    factory = PLATFORM_FACTORIES.get(key)
+    if not isinstance(platform, str):
+        raise TypeError(f"platform must be a name or a PlatformConfig, got {platform!r}")
+    factory = PLATFORM_FACTORIES.get(platform.strip().lower().replace("_", "-"))
     if factory is None:
         known = ", ".join(sorted(set(PLATFORM_FACTORIES)))
         raise ValueError(f"unknown platform {platform!r}; available: {known}")
     return factory()
 
 
-def _normalize_objectives(objectives: "int | list[int] | tuple[int, ...]") -> tuple[int, ...]:
-    if isinstance(objectives, (list, tuple)):
-        return tuple(_integer("objectives", m) for m in objectives)
-    return (_integer("objectives", objectives),)
+def _preset(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a preset name, got {value!r}")
+    if value not in PRESETS:
+        raise ValueError(f"unknown {key} {value!r}; available: {', '.join(sorted(PRESETS))}")
+    return value
 
 
-@dataclass(frozen=True)
-class _AlgorithmEntry:
-    """One algorithm of the study: canonical name plus validated overrides."""
+def _platform(value: Any, key: str) -> PlatformConfig:
+    """A platform name, a ``PlatformConfig`` or a table of its fields."""
+    return PlatformConfig(**value) if isinstance(value, Mapping) else resolve_platform(value)
 
-    name: str
-    options: Mapping[str, Any] = field(default_factory=dict)
 
-    def to_config(self) -> "str | dict[str, Any]":
-        if not self.options:
-            return self.name
-        return {"name": self.name, "options": dict(self.options)}
+def _applications(value: Any, key: str) -> tuple[str, ...]:
+    return tuple(name.upper() for name in EXPERIMENT_CHECKS["applications"](value, key))
+
+
+def _algorithms(value: Any, key: str) -> tuple[Any, ...]:
+    """Registered algorithm names or ``{name, options}`` maps, each at most once.
+
+    Option names are checked against the declared schema here; option values
+    by the optimizer that stores them, when the study builds it.
+    """
+    if isinstance(value, str) or not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list of names or {{name, options}} maps, got {value!r}")
+    names: list[str] = []
+    configs: list[Any] = []
+    for item in value:
+        entry = {"name": item} if isinstance(item, str) else item
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("name"), str):
+            raise TypeError(f"{key} entries must be names or {{name, options}} maps, got {item!r}")
+        extra = sorted(set(entry) - {"name", "options"})
+        if extra:
+            raise ValueError(f"unknown algorithm-entry keys {extra}; accepted: name, options")
+        spec = default_registry().spec(entry["name"])
+        options = dict(entry.get("options", {}))
+        spec.validate_options(options)
+        if spec.name in names:
+            raise ValueError(f"algorithm {spec.name!r} is already part of the study")
+        names.append(spec.name)
+        configs.append({"name": spec.name, "options": options} if options else spec.name)
+    return tuple(configs)
+
+
+def _campaign(value: Any, key: str) -> dict[str, Any]:
+    """The ``campaign`` table: its own keys only, and an ``output_dir``."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{key} must be a table of campaign keys, got {value!r}")
+    accepted = [name.partition(".")[2] for name in STUDY_KEYS if name.startswith("campaign.")]
+    extra = sorted(set(value) - set(accepted))
+    if extra:
+        raise ValueError(f"unknown campaign keys {extra}; accepted: {', '.join(accepted)}")
+    if "output_dir" not in value:
+        raise ValueError("campaign configuration requires an output_dir")
+    return {name: STUDY_KEYS[f"campaign.{name}"].check(item, name) for name, item in value.items()}
+
+
+def _output_dir(value: Any, key: str) -> str:
+    if not isinstance(value, (str, os.PathLike)):
+        raise TypeError(f"{key} must be a path, got {value!r}")
+    return os.fspath(value)
+
+
+class _Key(NamedTuple):
+    """The config field a key sets (``None``: read by the study) and its check."""
+
+    field: "str | None"
+    check: Callable[[Any, str], Any]
+
+
+#: Every declarative study key, declared once.  This table drives the
+#: constructor, the fluent setters, :meth:`Study.from_dict`,
+#: :meth:`Study.to_dict`, :meth:`Study.campaign`, :meth:`Study.experiment` and
+#: :meth:`Study.campaign_config`.  Keys of the ``campaign`` table are written
+#: ``campaign.<key>``.  A check takes ``(value, key)``, returns the value to
+#: store and raises ``TypeError`` for a wrong type and ``ValueError`` for a
+#: wrong value, naming the key.  Keys that set an ``ExperimentConfig`` field
+#: run that field's own check.
+STUDY_KEYS: dict[str, _Key] = {
+    "preset": _Key(None, _preset),
+    "platform": _Key("platform", _platform),
+    "applications": _Key("applications", _applications),
+    "objectives": _Key("objective_counts", EXPERIMENT_CHECKS["objective_counts"]),
+    "algorithms": _Key(None, _algorithms),
+    "population_size": _Key("population_size", EXPERIMENT_CHECKS["population_size"]),
+    "evaluations": _Key("max_evaluations", EXPERIMENT_CHECKS["max_evaluations"]),
+    "scenarios": _Key("scenario_models", EXPERIMENT_CHECKS["scenario_models"]),
+    "seed": _Key("seed", EXPERIMENT_CHECKS["seed"]),
+    "routing_cache": _Key("routing_cache", require_flag),
+    "campaign": _Key(None, _campaign),
+    "campaign.output_dir": _Key(None, _output_dir),
+    "campaign.max_workers": _Key("max_workers", partial(require_count, minimum=1)),
+    "campaign.resume": _Key("resume", require_flag),
+}
+
+
+def _fields(settings: Mapping[str, Any], config: type, prefix: str = "") -> dict[str, Any]:
+    """The ``settings`` that set a field of ``config``, keyed by that field."""
+    names = {entry.name for entry in fields(config)}
+    rows = {key: STUDY_KEYS[prefix + key].field for key in settings}
+    return {rows[key]: value for key, value in settings.items() if rows[key] in names}
+
+
+def _plain(value: Any) -> Any:
+    """A stored setting as the plain data :meth:`Study.from_dict` reads back."""
+    if isinstance(value, PlatformConfig):
+        # A named platform is matched by its factory name first (cheap,
+        # deterministic), then confirmed by value — a custom config that
+        # merely reuses a factory's name still serialises field-by-field.
+        factory = PLATFORM_FACTORIES.get(value.name)
+        return value.name if factory is not None and factory() == value else platform_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 class Study:
@@ -165,6 +227,7 @@ class Study:
 
     Parameters mirror the declarative schema; every one is optional and can
     also be set fluently afterwards (each fluent method returns ``self``).
+    Every value is checked by :data:`STUDY_KEYS` when it is set.
 
     Parameters
     ----------
@@ -201,24 +264,29 @@ class Study:
         evaluations: "int | None" = None,
         seed: "int | None" = None,
         scenarios: "tuple[str, ...] | list[str] | None" = None,
-        routing_cache: bool = True,
+        routing_cache: "bool | None" = None,
     ):
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-        self._preset = preset
-        self._platform = resolve_platform(platform) if platform is not None else None
-        self._objectives = _normalize_objectives(objectives) if objectives is not None else None
-        self._apps = tuple(str(a).upper() for a in apps) if apps is not None else None
-        self._population_size = (
-            None if population_size is None else _integer("population_size", population_size)
-        )
-        self._evaluations = None if evaluations is None else _integer("evaluations", evaluations)
-        self._seed = None if seed is None else _integer("seed", seed)
-        self._scenarios = self._normalize_scenarios(scenarios)
-        self._routing_cache = _flag("routing_cache", routing_cache)
-        self._algorithms: list[_AlgorithmEntry] = []
-        self._campaign: "dict[str, Any] | None" = None
+        self._settings: dict[str, Any] = {}
         self._on_event: EventCallback | None = None
+        self._set("preset", preset)
+        overrides = {
+            "platform": platform,
+            "applications": apps,
+            "objectives": objectives,
+            "population_size": population_size,
+            "evaluations": evaluations,
+            "seed": seed,
+            "scenarios": scenarios,
+            "routing_cache": routing_cache,
+        }
+        for key, value in overrides.items():
+            if value is not None:
+                self._set(key, value)
+
+    def _set(self, key: str, value: Any) -> "Study":
+        """Store ``value`` under ``key`` once the key's check has passed it."""
+        self._settings[key] = STUDY_KEYS[key].check(value, key)
+        return self
 
     # ------------------------------------------------------------------ #
     # Fluent builder
@@ -226,80 +294,55 @@ class Study:
     def algorithm(self, name: str, **options: Any) -> "Study":
         """Add one algorithm (any registered spelling) with overrides.
 
-        The name is canonicalised and the overrides validated against the
+        The name is canonicalised and the override names checked against the
         optimiser's declared hyperparameter schema immediately, so a typo
-        fails at build time, not hours into a campaign.
+        fails at build time, not hours into a campaign.  Override values are
+        checked by the optimiser when it is built, before its first
+        evaluation.
         """
-        spec = default_registry().spec(name)
-        spec.validate_options(options)
-        if "population_size" in options:
-            _integer("population_size", options["population_size"])
-        if any(entry.name == spec.name for entry in self._algorithms):
-            raise ValueError(f"algorithm {spec.name!r} is already part of the study")
-        self._algorithms.append(_AlgorithmEntry(name=spec.name, options=dict(options)))
-        return self
+        entries = self._settings.get("algorithms", ())
+        return self._set("algorithms", (*entries, {"name": name, "options": options}))
 
     def algorithms(self, *names: str) -> "Study":
         """Add several algorithms without overrides."""
-        for name in names:
-            self.algorithm(name)
-        return self
+        return self._set("algorithms", (*self._settings.get("algorithms", ()), *names))
 
     def clear_algorithms(self) -> "Study":
         """Drop every configured algorithm (e.g. before replacing the list)."""
-        self._algorithms.clear()
+        self._settings.pop("algorithms", None)
         return self
 
     def apps(self, *applications: str) -> "Study":
         """Set the applications evaluated by every algorithm."""
-        self._apps = tuple(str(a).upper() for a in applications)
-        return self
+        return self._set("applications", applications)
 
     def objectives(self, *counts: int) -> "Study":
         """Set the objective scenarios (3, 4 and/or 5)."""
-        self._objectives = _normalize_objectives(list(counts))
-        return self
+        return self._set("objectives", counts)
 
     def platform(self, platform: "str | PlatformConfig") -> "Study":
         """Set the platform by name or config."""
-        self._platform = resolve_platform(platform)
-        return self
+        return self._set("platform", platform)
 
     def preset(self, name: str) -> "Study":
         """Select the base experiment preset the overrides apply to."""
-        if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-        self._preset = name
-        return self
+        return self._set("preset", name)
 
     def evaluations(self, budget: int) -> "Study":
-        """Set the per-run evaluation budget (an integer; floats and strings raise)."""
-        self._evaluations = _integer("evaluations", budget)
-        return self
+        """Set the per-run evaluation budget (an integer >= 10)."""
+        return self._set("evaluations", budget)
 
     def population_size(self, size: int) -> "Study":
-        """Set the population / archive size for every algorithm (an integer)."""
-        self._population_size = _integer("population_size", size)
-        return self
+        """Set the population / archive size for every algorithm (an integer >= 4)."""
+        return self._set("population_size", size)
 
     def seed(self, seed: int) -> "Study":
-        """Set the base seed per-cell seeds are derived from (an integer)."""
-        self._seed = _integer("seed", seed)
-        return self
+        """Set the base seed per-cell seeds are derived from (an integer >= 0)."""
+        return self._set("seed", seed)
 
     def routing_cache(self, enabled: bool) -> "Study":
         """Toggle the cross-design routing cache (performance only; a bool)."""
-        self._routing_cache = _flag("routing_cache", enabled)
-        return self
-
-    @staticmethod
-    def _normalize_scenarios(
-        scenarios: "tuple[str, ...] | list[str] | None",
-    ) -> "tuple[str, ...] | None":
-        """Canonicalise scenario keys eagerly so typos fail at build time."""
-        if scenarios is None:
-            return None
-        return tuple(canonical_scenario_key(str(s)) for s in scenarios)
+        return self._set("routing_cache", enabled)
 
     def scenarios(self, *models: str) -> "Study":
         """Set the fault/scenario grid axis (canonical keys; campaign mode).
@@ -307,8 +350,7 @@ class Study:
         Include ``"identity"`` alongside the fault models when robustness
         analyses should compare against the nominal baseline (they need it).
         """
-        self._scenarios = self._normalize_scenarios(list(models))
-        return self
+        return self._set("scenarios", models)
 
     def on_event(self, callback: "EventCallback | None") -> "Study":
         """Subscribe a callback to the study's streaming progress events."""
@@ -317,9 +359,9 @@ class Study:
 
     def campaign(
         self,
-        output_dir: "str | Path",
-        max_workers: int = 1,
-        resume: bool = True,
+        output_dir: "str | os.PathLike[str]",
+        max_workers: "int | None" = None,
+        resume: "bool | None" = None,
     ) -> "Study":
         """Execute as a sharded, resumable campaign instead of inline runs.
 
@@ -327,19 +369,15 @@ class Study:
         ``events.jsonl`` next to the manifest; it is also what
         :meth:`submit`'s non-blocking handle tails.  Every cell owns its
         route cache (see :class:`~repro.experiments.config.CampaignConfig`).
-        ``resume`` must be a boolean and ``max_workers`` an integer; anything
-        else raises ``ValueError`` instead of being coerced.
+        Settings left at ``None`` keep the ``CampaignConfig`` defaults (one
+        worker, resume on).
         """
-        self._campaign = {
-            "output_dir": str(output_dir),
-            "max_workers": _integer("max_workers", max_workers),
-            "resume": _flag("resume", resume),
-        }
-        return self
+        settings = {"output_dir": output_dir, "max_workers": max_workers, "resume": resume}
+        return self._set("campaign", {k: v for k, v in settings.items() if v is not None})
 
     def campaign_settings(self) -> "dict[str, Any] | None":
         """Copy of the configured campaign settings (None in inline mode)."""
-        return dict(self._campaign) if self._campaign is not None else None
+        return dict(self._settings["campaign"]) if "campaign" in self._settings else None
 
     # ------------------------------------------------------------------ #
     # Declarative construction and round-tripping
@@ -352,49 +390,13 @@ class Study:
         algorithm/hyperparameter — raise ``ValueError`` with the accepted
         names, so a typo in a config file fails loudly.
         """
-        unknown = sorted(set(payload) - set(_STUDY_KEYS))
+        accepted = [key for key in STUDY_KEYS if "." not in key]
+        unknown = sorted(set(payload) - set(accepted))
         if unknown:
-            raise ValueError(
-                f"unknown study keys {unknown}; accepted: {', '.join(_STUDY_KEYS)}"
-            )
-        platform = payload.get("platform")
-        if isinstance(platform, Mapping):
-            platform = PlatformConfig(**platform)
-        study = cls(
-            platform=platform,
-            objectives=payload.get("objectives"),
-            apps=payload.get("applications"),
-            preset=str(payload.get("preset", "reduced")),
-            population_size=payload.get("population_size"),
-            evaluations=payload.get("evaluations"),
-            seed=payload.get("seed"),
-            scenarios=payload.get("scenarios"),
-            routing_cache=payload.get("routing_cache", True),
-        )
-        for entry in payload.get("algorithms", ()):
-            if isinstance(entry, str):
-                study.algorithm(entry)
-            elif isinstance(entry, Mapping):
-                extra = sorted(set(entry) - {"name", "options"})
-                if extra:
-                    raise ValueError(
-                        f"unknown algorithm-entry keys {extra}; accepted: name, options"
-                    )
-                study.algorithm(str(entry["name"]), **dict(entry.get("options", {})))
-            else:
-                raise ValueError(
-                    f"algorithm entries must be names or {{name, options}} maps, got {entry!r}"
-                )
-        campaign = payload.get("campaign")
-        if campaign is not None:
-            extra = sorted(set(campaign) - set(_CAMPAIGN_KEYS))
-            if extra:
-                raise ValueError(
-                    f"unknown campaign keys {extra}; accepted: {', '.join(_CAMPAIGN_KEYS)}"
-                )
-            if "output_dir" not in campaign:
-                raise ValueError("campaign configuration requires an output_dir")
-            study.campaign(**campaign)
+            raise ValueError(f"unknown study keys {unknown}; accepted: {', '.join(accepted)}")
+        study = cls()
+        for key, value in payload.items():
+            study._set(key, value)
         return study
 
     @classmethod
@@ -420,81 +422,34 @@ class Study:
     def to_dict(self) -> dict[str, Any]:
         """Declarative representation; ``Study.from_dict`` round-trips it.
 
-        Only explicitly set fields are emitted, so the dict stays minimal and
+        Only explicitly set keys are emitted, so the dict stays minimal and
         the round-tripped study resolves every default identically.
         """
-        payload: dict[str, Any] = {"preset": self._preset}
-        if self._platform is not None:
-            # A named platform is matched by its factory name first (cheap,
-            # deterministic), then confirmed by value — a custom config that
-            # merely reuses a factory's name still serialises field-by-field.
-            factory = PLATFORM_FACTORIES.get(self._platform.name)
-            if factory is not None and factory() == self._platform:
-                payload["platform"] = self._platform.name
-            else:
-                payload["platform"] = platform_to_dict(self._platform)
-        if self._objectives is not None:
-            payload["objectives"] = list(self._objectives)
-        if self._apps is not None:
-            payload["applications"] = list(self._apps)
-        if self._algorithms:
-            payload["algorithms"] = [entry.to_config() for entry in self._algorithms]
-        if self._population_size is not None:
-            payload["population_size"] = self._population_size
-        if self._evaluations is not None:
-            payload["evaluations"] = self._evaluations
-        if self._seed is not None:
-            payload["seed"] = self._seed
-        if self._scenarios is not None:
-            payload["scenarios"] = list(self._scenarios)
-        if not self._routing_cache:
-            payload["routing_cache"] = False
-        if self._campaign is not None:
-            campaign = dict(self._campaign)
-            if campaign["resume"] is True:
-                del campaign["resume"]
-            if campaign["max_workers"] == 1:
-                del campaign["max_workers"]
-            payload["campaign"] = campaign
-        return payload
+        return {key: _plain(self._settings[key]) for key in STUDY_KEYS if key in self._settings}
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+    def _entries(self) -> list[tuple[str, dict[str, Any]]]:
+        """``(name, options)`` of each algorithm (every builtin, without overrides, if unset)."""
+        configs = self._settings.get("algorithms") or default_registry().names()
+        return [(c, {}) if isinstance(c, str) else (c["name"], c["options"]) for c in configs]
+
     def algorithm_names(self) -> tuple[str, ...]:
         """Canonical names of the study's algorithms (every builtin if unset)."""
-        if self._algorithms:
-            return tuple(entry.name for entry in self._algorithms)
-        return tuple(default_registry().names())
+        return tuple(name for name, _ in self._entries())
 
     def experiment(self) -> ExperimentConfig:
         """The :class:`ExperimentConfig` the study's runs execute under."""
-        experiment = PRESETS[self._preset]()
-        overrides: dict[str, Any] = {}
-        if self._platform is not None:
-            overrides["platform"] = self._platform
-        if self._apps is not None:
-            overrides["applications"] = self._apps
-        if self._objectives is not None:
-            overrides["objective_counts"] = self._objectives
-        if self._population_size is not None:
-            overrides["population_size"] = self._population_size
-        if self._evaluations is not None:
-            overrides["max_evaluations"] = self._evaluations
-        if self._seed is not None:
-            overrides["seed"] = self._seed
-        if self._scenarios is not None:
-            overrides["scenario_models"] = self._scenarios
-        return replace(experiment, **overrides) if overrides else experiment
+        preset = PRESETS[self._settings["preset"]]()
+        return replace(preset, **_fields(self._settings, ExperimentConfig))
 
     def campaign_config(self) -> CampaignConfig:
         """The :class:`CampaignConfig` a campaign-mode study runs."""
-        if self._campaign is None:
+        if "campaign" not in self._settings:
             raise ValueError("study has no campaign configuration; call .campaign(output_dir)")
-        entries = self._algorithms or [
-            _AlgorithmEntry(name) for name in default_registry().names()
-        ]
-        with_options = [entry.name for entry in entries if entry.options]
+        entries = self._entries()
+        with_options = [name for name, options in entries if options]
         if with_options:
             raise ValueError(
                 f"campaign mode does not support per-algorithm hyperparameter overrides "
@@ -503,10 +458,9 @@ class Study:
             )
         return CampaignConfig(
             experiment=self.experiment(),
-            algorithms=tuple(entry.name for entry in entries),
-            max_workers=self._campaign["max_workers"],
-            resume=self._campaign["resume"],
-            routing_cache=self._routing_cache,
+            algorithms=tuple(name for name, _ in entries),
+            **_fields(self._settings, CampaignConfig),
+            **_fields(self._settings["campaign"], CampaignConfig, "campaign."),
         )
 
     def _emit(self, kind: str, **payload: Any) -> None:
@@ -523,7 +477,7 @@ class Study:
         Campaign mode delegates to the sharded campaign engine and folds the
         finished shards back into the same result shape.
         """
-        if self._campaign is not None:
+        if "campaign" in self._settings:
             return self._run_campaign()
         experiment = self.experiment()
         if experiment.scenario_models != ("identity",):
@@ -532,31 +486,32 @@ class Study:
                 "results the robustness analyses read); call .campaign(output_dir) "
                 "or drop .scenarios(...)"
             )
-        names = self.algorithm_names()
+        entries = self._entries()
+        names = tuple(name for name, _ in entries)
         self._emit(
             "study_started",
             algorithms=list(names),
             applications=list(experiment.applications),
             objectives=list(experiment.objective_counts),
         )
-        entries = self._algorithms or [_AlgorithmEntry(name) for name in names]
+        routing_cache = self._settings.get("routing_cache", True)
         runs: RunMap = {}
         for application in experiment.applications:
             for num_objectives in experiment.objective_counts:
                 problem = make_problem(
-                    experiment, application, num_objectives, routing_cache=self._routing_cache
+                    experiment, application, num_objectives, routing_cache=routing_cache
                 )
                 group: dict[str, OptimizationResult] = {}
-                for entry in entries:
+                for name, options in entries:
                     # budget=None defers to the spec's default budget wiring
                     # (Budget.evaluations(experiment.max_evaluations) unless
                     # the registration overrode default_budget), so the façade
                     # and a direct run_algorithm call stay interchangeable.
-                    group[entry.name] = run_algorithm(
-                        entry.name,
+                    group[name] = run_algorithm(
+                        name,
                         problem,
                         experiment,
-                        options=entry.options,
+                        options=options,
                         on_event=self._on_event,
                     )
                 runs[(application, num_objectives)] = group
@@ -577,7 +532,7 @@ class Study:
         handle.
         """
         campaign = self.campaign_config()
-        output_dir = Path(self._campaign["output_dir"])
+        output_dir = Path(self._settings["campaign"]["output_dir"])
         return submit_campaign(campaign, output_dir, on_event=self._on_event)
 
     def collect(self, summary: CampaignSummary) -> "StudyResult":

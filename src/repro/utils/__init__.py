@@ -4,6 +4,7 @@ from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.validation import (
     require,
     require_count,
+    require_flag,
     require_positive,
     require_probability,
 )
@@ -13,6 +14,7 @@ __all__ = [
     "spawn_rng",
     "require",
     "require_count",
+    "require_flag",
     "require_positive",
     "require_probability",
 ]

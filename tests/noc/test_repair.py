@@ -14,7 +14,7 @@ from repro.noc.constraints import ConstraintChecker, random_design
 from repro.noc.design import NocDesign
 from repro.noc.links import Link
 from repro.noc.platform import PlatformConfig
-from repro.noc.repair import RepairBudget, RepairPlan, repair_design
+from repro.noc.repair import RepairBudget, RepairPlan, _fill_budgets, repair_design
 
 
 def _drop_links(design: NocDesign, count: int) -> NocDesign:
@@ -79,6 +79,15 @@ class TestRepairBudget:
             "max_rounds": 3, "candidates_per_round": 8, "max_evaluations": 0,
         }
         assert type(budget.max_rounds) is int and type(budget.max_evaluations) is int
+
+
+class TestBudgetFill:
+    def test_no_shortfall_returns_the_design_without_drawing(self, small_config):
+        design = random_design(small_config, np.random.default_rng(4))
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        assert _fill_budgets(design, small_config, rng) is design
+        assert rng.bit_generator.state == state
 
 
 class TestRepairWalk:

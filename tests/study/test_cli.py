@@ -85,6 +85,13 @@ class TestRun:
         assert main(["run", "--config", str(config), "--no-progress"]) == 2
         assert "unknown study keys" in capsys.readouterr().err
 
+    def test_mistyped_config_value_fails_cleanly(self, tmp_path, capsys):
+        """A TypeError from a setting's check is reported like a ValueError."""
+        config = tmp_path / "study.toml"
+        config.write_text('preset = "smoke"\nseed = 2.5\n')
+        assert main(["run", "--config", str(config), "--no-progress"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer, got 2.5\n"
+
 
 @pytest.fixture()
 def campaign_dir(tmp_path):
@@ -210,6 +217,16 @@ class TestCampaignAndTables:
         }))
         assert main(["campaign", "--config", str(config), "--no-progress"]) == 2
         assert "unknown campaign keys ['event_log']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_campaign_config_with_mistyped_flag_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "study.toml"
+        config.write_text(
+            'preset = "smoke"\n[campaign]\n'
+            f'output_dir = "{(tmp_path / "out").as_posix()}"\nresume = "no"\n'
+        )
+        assert main(["campaign", "--config", str(config), "--no-progress"]) == 2
+        assert capsys.readouterr().err == "error: resume must be true or false, got 'no'\n"
         assert not (tmp_path / "out").exists()
 
     def test_campaign_without_output_dir_fails(self, capsys):

@@ -6,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.config import CampaignConfig
+from repro.core.config import MOELAConfig
+from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import make_problem, run_algorithm, run_campaign
 from repro.moo.base import PopulationOptimizer
 from repro.moo.termination import Budget
+from repro.study.optimizers import BUILTIN_ALGORITHMS
 from repro.study.registry import OptimizerSpec, default_registry, register_optimizer
 from repro.study.study import PLATFORM_FACTORIES, Study, resolve_platform
+from repro.utils.serialization import platform_to_dict
 
 #: Study used by most tests: tiny platform, one app, 60 evaluations per run.
 def smoke_study(*algorithms: str) -> Study:
@@ -43,6 +46,226 @@ class TestResolvePlatform:
             resolve_platform("mega")
 
 
+def _run_with(name, **options):
+    """A smoke study running ``name`` with ``options``; the optimizer's build rejects them."""
+    return lambda: smoke_study().algorithm(name, **options).run()
+
+
+def _tiny_platform_table(**fields):
+    return {"platform": {**platform_to_dict(PLATFORM_FACTORIES["tiny"]()), **fields}}
+
+
+def _rejected(case_id, build, key, error=TypeError):
+    return pytest.param(build, error, key, id=case_id)
+
+
+#: Every entry point that stores a count, a flag, a probability, a list of
+#: names or a path, fed a value of the wrong type (``TypeError``) or out of
+#: range (``ValueError``).  Each must raise from the call that received the
+#: value, with a message that starts with the key or field the caller wrote.
+REJECTED_SETTINGS = [
+    # The Study constructor.
+    _rejected("constructor-seed-float", lambda: Study(seed=2.7), "seed"),
+    _rejected("constructor-seed-bool", lambda: Study(seed=True), "seed"),
+    _rejected("constructor-evaluations-float", lambda: Study(evaluations=150.5), "evaluations"),
+    _rejected(
+        "constructor-evaluations-negative", lambda: Study(evaluations=-3), "evaluations", ValueError
+    ),
+    _rejected(
+        "constructor-population-size-string", lambda: Study(population_size="8"), "population_size"
+    ),
+    _rejected("constructor-objectives-float", lambda: Study(objectives=5.9), "objectives"),
+    _rejected("constructor-objectives-string", lambda: Study(objectives="5"), "objectives"),
+    _rejected(
+        "constructor-routing-cache-string", lambda: Study(routing_cache="false"), "routing_cache"
+    ),
+    _rejected("constructor-apps-int-entry", lambda: Study(apps=[5]), "applications"),
+    _rejected("constructor-platform-int", lambda: Study(platform=5), "platform"),
+    # The fluent setters.
+    _rejected("setter-seed-float", lambda: Study().seed(2.7), "seed"),
+    _rejected("setter-seed-bool", lambda: Study().seed(True), "seed"),
+    _rejected("setter-objectives-float", lambda: Study().objectives(5.9), "objectives"),
+    _rejected("setter-objectives-bool", lambda: Study().objectives(True), "objectives"),
+    *[
+        _rejected(
+            f"setter-{setter.replace('_', '-')}-{value!r}",
+            lambda s=setter, v=value: getattr(Study(), s)(v),
+            setter,
+        )
+        for setter in ("evaluations", "population_size")
+        for value in (150.7, "9", True)
+    ],
+    _rejected("setter-routing-cache-string", lambda: Study().routing_cache("no"), "routing_cache"),
+    _rejected("setter-routing-cache-int", lambda: Study().routing_cache(0), "routing_cache"),
+    _rejected("setter-apps-int", lambda: Study().apps(5), "applications"),
+    _rejected("setter-scenarios-int", lambda: Study().scenarios(5), "scenarios"),
+    # Study.from_dict.
+    _rejected("from-dict-seed-float", lambda: Study.from_dict({"seed": 2.7}), "seed"),
+    _rejected(
+        "from-dict-evaluations-float", lambda: Study.from_dict({"evaluations": 2.7}), "evaluations"
+    ),
+    _rejected(
+        "from-dict-population-size-string",
+        lambda: Study.from_dict({"population_size": "8"}),
+        "population_size",
+    ),
+    _rejected(
+        "from-dict-population-size-too-small",
+        lambda: Study.from_dict({"population_size": 2}),
+        "population_size",
+        ValueError,
+    ),
+    _rejected(
+        "from-dict-objectives-strings",
+        lambda: Study.from_dict({"objectives": ["3", "5"]}),
+        "objectives",
+    ),
+    _rejected(
+        "from-dict-objectives-out-of-range",
+        lambda: Study.from_dict({"objectives": 7}),
+        "objectives",
+        ValueError,
+    ),
+    _rejected(
+        "from-dict-routing-cache-string",
+        lambda: Study.from_dict({"routing_cache": "false"}),
+        "routing_cache",
+    ),
+    _rejected(
+        "from-dict-applications-string",
+        lambda: Study.from_dict({"applications": "PF"}),
+        "applications",
+    ),
+    _rejected(
+        "from-dict-algorithms-string",
+        lambda: Study.from_dict({"algorithms": "moela"}),
+        "algorithms",
+    ),
+    _rejected(
+        "from-dict-algorithms-int-entry", lambda: Study.from_dict({"algorithms": [5]}), "algorithms"
+    ),
+    _rejected(
+        "from-dict-scenarios-string",
+        lambda: Study.from_dict({"scenarios": "identity"}),
+        "scenarios",
+    ),
+    _rejected(
+        "from-dict-platform-float-degree",
+        lambda: Study.from_dict(_tiny_platform_table(max_router_degree=5.0)),
+        "max_router_degree",
+    ),
+    *[
+        _rejected(
+            f"from-dict-campaign-{key.replace('_', '-')}-{value!r}",
+            lambda k=key, v=value: Study.from_dict({"campaign": {"output_dir": "x", k: v}}),
+            key,
+        )
+        for key, value in (("resume", "false"), ("max_workers", 2.9), ("max_workers", True))
+    ],
+    _rejected(
+        "from-dict-campaign-output-dir-int",
+        lambda: Study.from_dict({"campaign": {"output_dir": 5}}),
+        "output_dir",
+    ),
+    # Study.campaign.
+    _rejected(
+        "campaign-max-workers-float", lambda: Study().campaign("x", max_workers=2.9), "max_workers"
+    ),
+    _rejected(
+        "campaign-max-workers-string", lambda: Study().campaign("x", max_workers="2"), "max_workers"
+    ),
+    _rejected("campaign-resume-string", lambda: Study().campaign("x", resume="no"), "resume"),
+    _rejected("campaign-output-dir-int", lambda: Study().campaign(5), "output_dir"),
+    # The config dataclasses.
+    _rejected(
+        "experiment-population-size-float",
+        lambda: ExperimentConfig(population_size=16.5),
+        "population_size",
+    ),
+    _rejected(
+        "experiment-max-evaluations-float",
+        lambda: ExperimentConfig(max_evaluations=100.5),
+        "max_evaluations",
+    ),
+    _rejected("experiment-seed-float", lambda: ExperimentConfig(seed=2.7), "seed"),
+    _rejected(
+        "experiment-objective-counts-float",
+        lambda: ExperimentConfig(objective_counts=(3.0,)),
+        "objective_counts",
+    ),
+    _rejected("moela-generations-float", lambda: MOELAConfig(generations=2.5), "generations"),
+    _rejected("moela-forest-depth-bool", lambda: MOELAConfig(forest_depth=True), "forest_depth"),
+    _rejected("moela-delta-bool", lambda: MOELAConfig(delta=True), "delta"),
+    _rejected("moela-delta-string", lambda: MOELAConfig(delta="0.9"), "delta"),
+    _rejected(
+        "campaign-config-max-workers-bool", lambda: CampaignConfig(max_workers=True), "max_workers"
+    ),
+    *[
+        _rejected(
+            f"campaign-config-{key.replace('_', '-')}-{value!r}",
+            lambda k=key, v=value: CampaignConfig(**{k: v}),
+            key,
+        )
+        for key, value in (
+            ("max_workers", 1.5),
+            ("max_workers", "2"),
+            ("max_evaluations", 60.5),
+            ("max_evaluations", "60"),
+        )
+    ],
+    _rejected("campaign-config-resume-string", lambda: CampaignConfig(resume="no"), "resume"),
+    _rejected(
+        "campaign-config-routing-cache-string",
+        lambda: CampaignConfig(routing_cache="no"),
+        "routing_cache",
+    ),
+    _rejected("platform-n-float", lambda: replace(PLATFORM_FACTORIES["tiny"](), n=2.0), "n"),
+    _rejected(
+        "platform-max-router-degree-float",
+        lambda: replace(PLATFORM_FACTORIES["tiny"](), max_router_degree=5.0),
+        "max_router_degree",
+    ),
+    # Study.algorithm overrides: the optimizer rejects them as the study builds it.
+    _rejected(
+        "moela-generations-override-float", _run_with("MOELA", generations=2.5), "generations"
+    ),
+    _rejected(
+        "moela-forest-depth-override-bool", _run_with("MOELA", forest_depth=True), "forest_depth"
+    ),
+    _rejected(
+        "nsga2-crossover-probability-override-bool",
+        _run_with("NSGA-II", crossover_probability=True),
+        "crossover_probability",
+    ),
+    _rejected(
+        "moo-stage-max-training-samples-override-bool",
+        _run_with("MOO-STAGE", max_training_samples=True),
+        "max_training_samples",
+    ),
+    _rejected("moead-delta-override-string", _run_with("MOEA/D", delta="0.9"), "delta"),
+    _rejected(
+        "moos-num-directions-override-float",
+        _run_with("MOOS", num_directions=2.5),
+        "num_directions",
+    ),
+    *[
+        _rejected(
+            f"{name}-population-size-override-{value!r}",
+            _run_with(name, population_size=value),
+            "population_size",
+        )
+        for name in BUILTIN_ALGORITHMS
+        for value in (8.7, "9")
+    ],
+]
+
+
+@pytest.mark.parametrize("build, error, key", REJECTED_SETTINGS)
+def test_every_entry_point_rejects_malformed_settings(build, error, key):
+    with pytest.raises(error, match=rf"^{key}\b"):
+        build()
+
+
 class TestStudyValidation:
     def test_unknown_algorithm_raises_with_available_names(self):
         with pytest.raises(ValueError, match="available: MOELA, MOEA/D"):
@@ -60,86 +283,11 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match=match):
             smoke_study().algorithm(name, batch_evaluation=True)
 
-    @pytest.mark.parametrize("population_size", [8.7, "9"])
-    @pytest.mark.parametrize("name", ["MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "NSGA-II"])
-    def test_population_size_override_is_not_coerced(self, name, population_size):
-        study = smoke_study()
-        experiment = study.experiment()
-        problem = make_problem(experiment, "BFS", 3)
-        with pytest.raises(TypeError):
-            default_registry().create(
-                name, problem, experiment, 1, population_size=population_size
-            )
-        entry = {"name": name, "options": {"population_size": population_size}}
-        with pytest.raises(ValueError, match="population_size must be an integer"):
-            Study.from_dict({"algorithms": [entry]})
-
-    @pytest.mark.parametrize("value", [150.7, "9", True])
-    @pytest.mark.parametrize("setter", ["evaluations", "population_size"])
-    def test_fluent_integer_settings_are_not_coerced(self, setter, value):
-        with pytest.raises(ValueError, match=f"{setter} must be an integer"):
-            getattr(smoke_study(), setter)(value)
-
     @pytest.mark.parametrize("setter", ["evaluations", "population_size"])
     def test_fluent_integer_settings_accept_integer_like_values(self, setter):
         study = getattr(smoke_study(), setter)(np.int64(12))
         value = study.to_dict()[setter]
         assert value == 12 and type(value) is int
-
-    #: Every entry point that sets an integer or a flag, fed a value that
-    #: used to be coerced (``int()`` / ``bool()``) or stored unchecked.
-    COERCION_CASES = {
-        "seed-setter-float": (lambda: Study().seed(2.7), "seed must be an integer"),
-        "seed-constructor-float": (lambda: Study(seed=2.7), "seed must be an integer"),
-        "seed-from-dict-float": (lambda: Study.from_dict({"seed": 2.7}), "seed must be an integer"),
-        "seed-setter-bool": (lambda: Study().seed(True), "seed must be an integer"),
-        "objectives-setter-float": (
-            lambda: Study().objectives(5.9),
-            "objectives must be an integer",
-        ),
-        "objectives-constructor-float": (
-            lambda: Study(objectives=5.9),
-            "objectives must be an integer",
-        ),
-        "objectives-constructor-string": (
-            lambda: Study(objectives="5"),
-            "objectives must be an integer",
-        ),
-        "objectives-from-dict-strings": (
-            lambda: Study.from_dict({"objectives": ["3", "5"]}),
-            "objectives must be an integer",
-        ),
-        "routing-cache-setter-string": (
-            lambda: Study().routing_cache("no"),
-            "routing_cache must be true or false",
-        ),
-        "routing-cache-setter-int": (
-            lambda: Study().routing_cache(0),
-            "routing_cache must be true or false",
-        ),
-        "routing-cache-constructor-string": (
-            lambda: Study(routing_cache="false"),
-            "routing_cache must be true or false",
-        ),
-        "evaluations-constructor-float": (
-            lambda: Study(evaluations=150.5),
-            "evaluations must be an integer",
-        ),
-        "evaluations-from-dict-float": (
-            lambda: Study.from_dict({"evaluations": 2.7}),
-            "evaluations must be an integer",
-        ),
-        "population-size-from-dict-string": (
-            lambda: Study.from_dict({"population_size": "8"}),
-            "population_size must be an integer",
-        ),
-    }
-
-    @pytest.mark.parametrize("case", sorted(COERCION_CASES))
-    def test_settings_are_not_coerced_at_any_entry_point(self, case):
-        build, message = self.COERCION_CASES[case]
-        with pytest.raises(ValueError, match=f"^{message}"):
-            build()
 
     def test_integer_like_settings_are_stored_as_int(self):
         study = Study(objectives=np.int64(5), seed=np.int64(3), evaluations=np.int32(40))
@@ -190,23 +338,6 @@ class TestStudyValidation:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("routing_cache", "false"),
-            ("resume", "false"),
-            ("max_workers", 2.9),
-            ("max_workers", True),
-        ],
-    )
-    def test_from_dict_rejects_malformed_settings(self, key, value):
-        if key == "routing_cache":
-            payload = {key: value}
-        else:
-            payload = {"campaign": {"output_dir": "x", key: value}}
-        with pytest.raises(ValueError, match=f"^{key} must be"):
-            Study.from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
             ("resume", False),
             ("max_workers", 3),
         ],
@@ -218,27 +349,6 @@ class TestStudyValidation:
 
     def test_from_dict_keeps_routing_cache_false(self):
         assert Study.from_dict({"routing_cache": False}).to_dict()["routing_cache"] is False
-
-    @pytest.mark.parametrize(
-        "target, settings, error",
-        [
-            ("study", {"max_workers": 2.9}, ValueError),
-            ("study", {"max_workers": "2"}, ValueError),
-            ("study", {"resume": "no"}, ValueError),
-            ("config", {"max_workers": 1.5}, TypeError),
-            ("config", {"max_evaluations": 60.5}, TypeError),
-            ("config", {"max_workers": "2"}, TypeError),
-            ("config", {"max_evaluations": "60"}, TypeError),
-        ],
-    )
-    def test_campaign_settings_are_not_coerced(self, target, settings, error):
-        """Study.campaign() and CampaignConfig reject what from_dict rejects."""
-        with pytest.raises(error):
-            if target == "study":
-                Study().campaign("x", **settings)
-            else:
-                CampaignConfig(**settings)
-
 
     @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start"])
     def test_campaign_config_has_no_retired_route_sharing_fields(self, key):
@@ -504,10 +614,9 @@ class TestScenarios:
         with pytest.raises(ValueError, match="positive integer"):
             smoke_study("nsga2").scenarios("link_failure(k=0)")
 
-    def test_duplicate_scenarios_rejected_at_experiment_build(self):
-        study = smoke_study("nsga2").scenarios("identity", "link_failure(k=1)", "link_failure(k=1)")
+    def test_duplicate_scenarios_rejected_when_set(self):
         with pytest.raises(ValueError, match="duplicate scenario models"):
-            study.experiment()
+            smoke_study("nsga2").scenarios("identity", "link_failure(k=1)", "link_failure(k=1)")
 
     def test_inline_run_refuses_fault_scenarios(self):
         study = smoke_study("nsga2").scenarios("identity", self.FAULT)

@@ -47,11 +47,12 @@ class TestDocsTree:
 
     def test_configuration_page_covers_the_declarative_schema(self):
         from repro.study.registry import default_registry
-        from repro.study.study import _CAMPAIGN_KEYS, _STUDY_KEYS
+        from repro.study.study import STUDY_KEYS
 
         content = (DOCS / "configuration.md").read_text()
-        for key in _STUDY_KEYS + _CAMPAIGN_KEYS:
-            assert f"`{key}`" in content, f"configuration.md does not document key {key!r}"
+        for key in STUDY_KEYS:
+            name = key.partition(".")[2] or key  # campaign.<key> rows are documented bare
+            assert f"`{name}`" in content, f"configuration.md does not document key {key!r}"
         # Every built-in optimizer's declared hyperparameters appear.
         registry = default_registry()
         for name in registry.names():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.utils.validation import require, require_count, require_positive, require_probability
+from repro.utils.validation import (
+    require,
+    require_count,
+    require_flag,
+    require_positive,
+    require_probability,
+)
 
 
 class TestRequire:
@@ -27,13 +33,18 @@ class TestRequirePositive:
 
 
 class TestRequireProbability:
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_accepts_unit_interval(self, value):
-        require_probability(value, "p")
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 0, 1, np.float64(0.25)])
+    def test_returns_values_in_the_unit_interval(self, value):
+        assert require_probability(value, "p") is value
 
-    @pytest.mark.parametrize("value", [-0.1, 1.1, None])
+    @pytest.mark.parametrize("value", [-0.1, 1.1, float("nan")])
     def test_rejects_outside_unit_interval(self, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be within"):
+            require_probability(value, "p")
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_rejects_bools_strings_and_none(self, value):
+        with pytest.raises(TypeError, match="p must be a number"):
             require_probability(value, "p")
 
 
@@ -57,3 +68,14 @@ class TestRequireCount:
     def test_below_minimum_raises_value_error(self, value, minimum):
         with pytest.raises(ValueError, match=f"n must be >= {minimum}, got {value}"):
             require_count(value, "n", minimum)
+
+
+class TestRequireFlag:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_returns_bools(self, value):
+        assert require_flag(value, "on") is value
+
+    @pytest.mark.parametrize("value", [0, 1, "false", "no", None, np.bool_(True)])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(TypeError, match="on must be true or false"):
+            require_flag(value, "on")
