@@ -64,7 +64,7 @@ from repro.moo.hypervolume import reference_point_from
 from repro.noc import ConstraintChecker, RepairBudget, repair_design
 from repro.study.events import StudyEvent
 from repro.study.registry import default_registry
-from repro.study.study import PLATFORM_FACTORIES, PRESETS, Study, resolve_platform
+from repro.study.study import PLATFORM_FACTORIES, PRESETS, STUDY_KEYS, Study, resolve_platform
 from repro.utils.serialization import load_design
 
 #: Pointer printed at the bottom of every ``--help`` page.
@@ -104,21 +104,10 @@ def _progress_callback(args: argparse.Namespace, every: int = 1):
 
 def _study_from_args(args: argparse.Namespace) -> Study:
     """Build the study: config file first (if any), CLI flags override."""
-    study = Study.from_file(args.config) if args.config else Study()
-    flags = {
-        "preset": args.preset,
-        "platform": args.platform,
-        "applications": args.apps,
-        "objectives": args.objectives,
-        "algorithms": args.algorithms,
-        "evaluations": args.evaluations,
-        "population_size": args.population,
-        "seed": args.seed,
-        "scenarios": args.scenarios,
-        "routing_cache": False if args.no_routing_cache else None,
-    }
-    set_flags = {key: value for key, value in flags.items() if value is not None}
-    return Study.from_dict({**study.to_dict(), **set_flags})
+    payload = Study.from_file(args.config).to_dict() if args.config else {}
+    # Each study flag's dest is its study key; unset flags stay None.
+    flags = {key: getattr(args, key, None) for key in STUDY_KEYS}
+    return Study.from_dict({**payload, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
@@ -126,18 +115,21 @@ def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="base experiment preset (default: reduced)")
     parser.add_argument("--platform", help=f"platform name ({', '.join(sorted(set(PLATFORM_FACTORIES)))})")
-    parser.add_argument("--apps", nargs="+", help="application names (e.g. BFS HOT)")
+    parser.add_argument("--apps", nargs="+", dest="applications", metavar="APPS",
+                        help="application names (e.g. BFS HOT)")
     parser.add_argument("--objectives", nargs="+", type=int, help="objective scenarios (3 4 5)")
     parser.add_argument("--algorithms", nargs="+",
                         help="algorithm names, any registered spelling (default: every registered)")
     parser.add_argument("--evaluations", type=int, help="evaluation budget per run/cell")
-    parser.add_argument("--population", type=int, help="population / archive size")
+    parser.add_argument("--population", type=int, dest="population_size", metavar="POPULATION",
+                        help="population / archive size")
     parser.add_argument("--seed", type=int, help="base seed")
     parser.add_argument("--scenarios", nargs="+", metavar="SCENARIO",
                         help="fault-scenario grid axis, e.g. identity "
                         "'link_failure(k=1,mode=remove)' (docs/scenarios.md; "
                         "non-identity scenarios need campaign mode)")
-    parser.add_argument("--no-routing-cache", action="store_true",
+    parser.add_argument("--no-routing-cache", dest="routing_cache", action="store_false",
+                        default=None,
                         help="disable the cross-design routing cache (perf escape hatch)")
     parser.add_argument("--no-progress", dest="progress", action="store_false",
                         help="do not stream per-iteration/shard progress events")

@@ -36,9 +36,10 @@ def _applications(value: Any, name: str) -> tuple[str, ...]:
 
 
 def _objective_counts(value: Any, name: str) -> tuple[int, ...]:
-    """One objective count or a list of them, each drawn from {3, 4, 5}."""
-    values = value if isinstance(value, (list, tuple)) else (value,)
-    counts = tuple(require_count(m, name, 3) for m in values)
+    """A list of objective counts, each drawn from {3, 4, 5}."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list of integers, got {value!r}")
+    counts = tuple(require_count(m, name, 3) for m in value)
     if not counts or max(counts) > 5:
         raise ValueError(f"{name} must be drawn from {{3, 4, 5}}, got {value!r}")
     return counts

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.moo.archive import ParetoArchive
 from repro.moo.base import PopulationOptimizer
 from repro.moo.hypervolume import hypervolume, hypervolume_contribution, reference_point_from
 from repro.moo.local_search import score_neighbor_brood
@@ -51,7 +50,6 @@ class MOOStage(PopulationOptimizer):
         )
         self.max_training_samples = require_count(max_training_samples, "max_training_samples", 1)
         self.forest_size = require_count(forest_size, "forest_size", 1)
-        self.archive = ParetoArchive(max_size=self.population_size)
         self.reference: np.ndarray | None = None
         self._train_features: list[np.ndarray] = []
         self._train_targets: list[float] = []

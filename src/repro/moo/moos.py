@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.moo.archive import ParetoArchive
 from repro.moo.base import PopulationOptimizer
 from repro.moo.hypervolume import hypervolume, hypervolume_contribution, reference_point_from
 from repro.moo.local_search import score_neighbor_brood
@@ -59,7 +58,6 @@ class MOOS(PopulationOptimizer):
         self.directions = uniform_weights(
             problem.num_objectives, require_count(num_directions, "num_directions", 2), self.rng
         )
-        self.archive = ParetoArchive(max_size=self.population_size)
         self.reference: np.ndarray | None = None
         self._train_features: list[np.ndarray] = []
         self._train_targets: list[float] = []

@@ -269,10 +269,7 @@ def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
 
 
 def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    """Add random unused candidate links of each kind short of its budget.
-
-    Returns ``design`` itself, drawing nothing, when no kind is short.
-    """
+    """Add random unused links to each kind short of its budget; ``design`` if none is."""
     partition = design.links_by_kind(config.grid)
     shortfalls = [
         (budget - len(partition[kind]), pool)

@@ -17,11 +17,11 @@ re-registers the already-added specs cleanly.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import MOELAConfig
 from repro.core.moela import MOELA
+from repro.experiments.config import EXPERIMENT_CHECKS
 from repro.moo.moead import MOEAD
 from repro.moo.moo_stage import MOOStage
 from repro.moo.moos import MOOS
@@ -40,11 +40,10 @@ BUILTIN_ALGORITHMS: tuple[str, ...] = ("MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "
 def _moela_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOELA:
-    # The ExperimentConfig field checks the override before the clamps compare it.
-    experiment = replace(
-        experiment, population_size=options.pop("population_size", experiment.population_size)
+    # The ExperimentConfig field's check runs on the override before the clamps compare it.
+    population_size = EXPERIMENT_CHECKS["population_size"](
+        options.pop("population_size", experiment.population_size), "population_size"
     )
-    population_size = experiment.population_size
     settings: dict[str, Any] = dict(
         population_size=population_size,
         generations=experiment.moela.generations,

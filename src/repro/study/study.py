@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
@@ -121,11 +121,19 @@ def _applications(value: Any, key: str) -> tuple[str, ...]:
     return tuple(name.upper() for name in EXPERIMENT_CHECKS["applications"](value, key))
 
 
+def _objectives(value: Any, key: str) -> tuple[int, ...]:
+    """One objective count or a list of them."""
+    counts = value if isinstance(value, (list, tuple)) else (value,)
+    return EXPERIMENT_CHECKS["objective_counts"](counts, key)
+
+
 def _algorithms(value: Any, key: str) -> tuple[Any, ...]:
     """Registered algorithm names or ``{name, options}`` maps, each at most once.
 
-    Option names are checked against the declared schema here; option values
-    by the optimizer that stores them, when the study builds it.
+    Option names and the type of a ``population_size`` override (at least 2,
+    the smallest population any optimizer takes) are checked here; the other
+    option values by the optimizer that stores them, which :meth:`Study.run`
+    builds before the study starts.
     """
     if isinstance(value, str) or not isinstance(value, (list, tuple)):
         raise TypeError(f"{key} must be a list of names or {{name, options}} maps, got {value!r}")
@@ -141,6 +149,8 @@ def _algorithms(value: Any, key: str) -> tuple[Any, ...]:
         spec = default_registry().spec(entry["name"])
         options = dict(entry.get("options", {}))
         spec.validate_options(options)
+        if "population_size" in options:
+            require_count(options["population_size"], "population_size", 2)
         if spec.name in names:
             raise ValueError(f"algorithm {spec.name!r} is already part of the study")
         names.append(spec.name)
@@ -168,8 +178,9 @@ def _output_dir(value: Any, key: str) -> str:
 
 
 class _Key(NamedTuple):
-    """The config field a key sets (``None``: read by the study) and its check."""
+    """The config (``None``: read by the study) and field a key sets, and its check."""
 
+    config: "type | None"
     field: "str | None"
     check: Callable[[Any, str], Any]
 
@@ -183,28 +194,29 @@ class _Key(NamedTuple):
 #: wrong value, naming the key.  Keys that set an ``ExperimentConfig`` field
 #: run that field's own check.
 STUDY_KEYS: dict[str, _Key] = {
-    "preset": _Key(None, _preset),
-    "platform": _Key("platform", _platform),
-    "applications": _Key("applications", _applications),
-    "objectives": _Key("objective_counts", EXPERIMENT_CHECKS["objective_counts"]),
-    "algorithms": _Key(None, _algorithms),
-    "population_size": _Key("population_size", EXPERIMENT_CHECKS["population_size"]),
-    "evaluations": _Key("max_evaluations", EXPERIMENT_CHECKS["max_evaluations"]),
-    "scenarios": _Key("scenario_models", EXPERIMENT_CHECKS["scenario_models"]),
-    "seed": _Key("seed", EXPERIMENT_CHECKS["seed"]),
-    "routing_cache": _Key("routing_cache", require_flag),
-    "campaign": _Key(None, _campaign),
-    "campaign.output_dir": _Key(None, _output_dir),
-    "campaign.max_workers": _Key("max_workers", partial(require_count, minimum=1)),
-    "campaign.resume": _Key("resume", require_flag),
+    "preset": _Key(None, None, _preset),
+    "platform": _Key(ExperimentConfig, "platform", _platform),
+    "applications": _Key(ExperimentConfig, "applications", _applications),
+    "objectives": _Key(ExperimentConfig, "objective_counts", _objectives),
+    "algorithms": _Key(None, None, _algorithms),
+    "population_size": _Key(
+        ExperimentConfig, "population_size", EXPERIMENT_CHECKS["population_size"]
+    ),
+    "evaluations": _Key(ExperimentConfig, "max_evaluations", EXPERIMENT_CHECKS["max_evaluations"]),
+    "scenarios": _Key(ExperimentConfig, "scenario_models", EXPERIMENT_CHECKS["scenario_models"]),
+    "seed": _Key(ExperimentConfig, "seed", EXPERIMENT_CHECKS["seed"]),
+    "routing_cache": _Key(CampaignConfig, "routing_cache", require_flag),
+    "campaign": _Key(None, None, _campaign),
+    "campaign.output_dir": _Key(None, None, _output_dir),
+    "campaign.max_workers": _Key(CampaignConfig, "max_workers", partial(require_count, minimum=1)),
+    "campaign.resume": _Key(CampaignConfig, "resume", require_flag),
 }
 
 
 def _fields(settings: Mapping[str, Any], config: type, prefix: str = "") -> dict[str, Any]:
-    """The ``settings`` that set a field of ``config``, keyed by that field."""
-    names = {entry.name for entry in fields(config)}
-    rows = {key: STUDY_KEYS[prefix + key].field for key in settings}
-    return {rows[key]: value for key, value in settings.items() if rows[key] in names}
+    """The ``settings`` whose key sets a field of ``config``, keyed by that field."""
+    rows = {key: STUDY_KEYS[prefix + key] for key in settings}
+    return {rows[key].field: value for key, value in settings.items() if rows[key].config is config}
 
 
 def _plain(value: Any) -> Any:
@@ -268,8 +280,8 @@ class Study:
     ):
         self._settings: dict[str, Any] = {}
         self._on_event: EventCallback | None = None
-        self._set("preset", preset)
         overrides = {
+            "preset": preset,
             "platform": platform,
             "applications": apps,
             "objectives": objectives,
@@ -296,9 +308,9 @@ class Study:
 
         The name is canonicalised and the override names checked against the
         optimiser's declared hyperparameter schema immediately, so a typo
-        fails at build time, not hours into a campaign.  Override values are
-        checked by the optimiser when it is built, before its first
-        evaluation.
+        fails at build time, not hours into a campaign.  So does a
+        ``population_size`` that is not an integer; the other override
+        values are checked when :meth:`run` starts.
         """
         entries = self._settings.get("algorithms", ())
         return self._set("algorithms", (*entries, {"name": name, "options": options}))
@@ -474,6 +486,8 @@ class Study:
         through :func:`repro.experiments.runner.run_algorithm` — sharing one
         problem instance (and therefore the evaluator's caches) per
         (application, scenario) group exactly like ``compare_algorithms``.
+        Every optimiser is built once on the first group's problem before the
+        study starts, so a bad override value fails before any run.
         Campaign mode delegates to the sharded campaign engine and folds the
         finished shards back into the same result shape.
         """
@@ -488,33 +502,34 @@ class Study:
             )
         entries = self._entries()
         names = tuple(name for name, _ in entries)
+        routing_cache = self._settings.get("routing_cache", True)
+        cells = [(a, m) for a in experiment.applications for m in experiment.objective_counts]
+        if cells:  # build every optimiser once: a bad override fails before any run
+            problem = make_problem(experiment, *cells[0], routing_cache=routing_cache)
+            for name, options in entries:
+                default_registry().create(name, problem, experiment, experiment.seed, **options)
         self._emit(
             "study_started",
             algorithms=list(names),
             applications=list(experiment.applications),
             objectives=list(experiment.objective_counts),
         )
-        routing_cache = self._settings.get("routing_cache", True)
         runs: RunMap = {}
-        for application in experiment.applications:
-            for num_objectives in experiment.objective_counts:
+        for application, num_objectives in cells:
+            if runs:  # the first group runs on the problem built above
                 problem = make_problem(
                     experiment, application, num_objectives, routing_cache=routing_cache
                 )
-                group: dict[str, OptimizationResult] = {}
-                for name, options in entries:
-                    # budget=None defers to the spec's default budget wiring
-                    # (Budget.evaluations(experiment.max_evaluations) unless
-                    # the registration overrode default_budget), so the façade
-                    # and a direct run_algorithm call stay interchangeable.
-                    group[name] = run_algorithm(
-                        name,
-                        problem,
-                        experiment,
-                        options=options,
-                        on_event=self._on_event,
-                    )
-                runs[(application, num_objectives)] = group
+            group: dict[str, OptimizationResult] = {}
+            for name, options in entries:
+                # budget=None defers to the spec's default budget wiring
+                # (Budget.evaluations(experiment.max_evaluations) unless
+                # the registration overrode default_budget), so the façade
+                # and a direct run_algorithm call stay interchangeable.
+                group[name] = run_algorithm(
+                    name, problem, experiment, options=options, on_event=self._on_event
+                )
+            runs[(application, num_objectives)] = group
         result = StudyResult(experiment=experiment, algorithms=names, runs=runs)
         self._emit("study_finished", runs=sum(len(group) for group in runs.values()))
         return result

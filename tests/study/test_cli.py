@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _study_from_args, build_parser, main
 
 
 class TestList:
@@ -70,6 +70,28 @@ class TestRun:
         }))
         assert main(["run", "--config", str(config), "--no-progress"]) == 0
         assert "NSGA-II" in capsys.readouterr().out
+
+    def test_flags_override_the_config_file_key_by_key(self, tmp_path):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"preset": "smoke", "seed": 4, "evaluations": 30}))
+        args = build_parser().parse_args([
+            "run", "--config", str(config), "--platform", "tiny", "--apps", "BFS",
+            "--objectives", "3", "--algorithms", "nsga2", "--evaluations", "40",
+            "--population", "8", "--scenarios", "identity", "--no-routing-cache",
+        ])
+        assert _study_from_args(args).to_dict() == {
+            "preset": "smoke",
+            "platform": "tiny-2x2x2",
+            "applications": ["BFS"],
+            "objectives": [3],
+            "algorithms": ["NSGA-II"],
+            "population_size": 8,
+            "evaluations": 40,
+            "scenarios": ["identity"],
+            "seed": 4,
+            "routing_cache": False,
+        }
+        assert "routing_cache" not in _study_from_args(build_parser().parse_args(["run"])).to_dict()
 
     def test_unknown_algorithm_fails_cleanly(self, capsys):
         code = main([

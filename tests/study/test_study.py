@@ -47,8 +47,28 @@ class TestResolvePlatform:
 
 
 def _run_with(name, **options):
-    """A smoke study running ``name`` with ``options``; the optimizer's build rejects them."""
-    return lambda: smoke_study().algorithm(name, **options).run()
+    """A smoke study running another algorithm, then ``name`` with ``options``.
+
+    ``run()`` must reject the options before the study starts: any event, the
+    other algorithm's included, fails the test.
+    """
+
+    def fail(event):
+        pytest.fail(f"the study emitted {event.kind!r} before rejecting {options}")
+
+    first = "MOOS" if name == "NSGA-II" else "NSGA-II"
+    return lambda: smoke_study(first).algorithm(name, **options).on_event(fail).run()
+
+
+def _create_with(name, **options):
+    """The registry building ``name`` with ``options``, as ``run_algorithm`` does."""
+
+    def create():
+        experiment = smoke_study().experiment()
+        problem = make_problem(experiment, "BFS", 3)
+        default_registry().create(name, problem, experiment, 1, **options)
+
+    return create
 
 
 def _tiny_platform_table(**fields):
@@ -193,6 +213,11 @@ REJECTED_SETTINGS = [
         lambda: ExperimentConfig(objective_counts=(3.0,)),
         "objective_counts",
     ),
+    _rejected(
+        "experiment-objective-counts-scalar",
+        lambda: ExperimentConfig(objective_counts=3),
+        "objective_counts",
+    ),
     _rejected("moela-generations-float", lambda: MOELAConfig(generations=2.5), "generations"),
     _rejected("moela-forest-depth-bool", lambda: MOELAConfig(forest_depth=True), "forest_depth"),
     _rejected("moela-delta-bool", lambda: MOELAConfig(delta=True), "delta"),
@@ -225,7 +250,8 @@ REJECTED_SETTINGS = [
         lambda: replace(PLATFORM_FACTORIES["tiny"](), max_router_degree=5.0),
         "max_router_degree",
     ),
-    # Study.algorithm overrides: the optimizer rejects them as the study builds it.
+    # Study.algorithm overrides: population_size when the study receives it,
+    # the other values when run() builds the optimizers, before any event.
     _rejected(
         "moela-generations-override-float", _run_with("MOELA", generations=2.5), "generations"
     ),
@@ -249,14 +275,26 @@ REJECTED_SETTINGS = [
         "num_directions",
     ),
     *[
-        _rejected(
-            f"{name}-population-size-override-{value!r}",
-            _run_with(name, population_size=value),
-            "population_size",
-        )
+        _rejected(f"{name}-population-size-override-{value!r}-{entry}", build, "population_size")
         for name in BUILTIN_ALGORITHMS
         for value in (8.7, "9")
+        for entry, build in (
+            ("setter", lambda n=name, v=value: smoke_study().algorithm(n, population_size=v)),
+            (
+                "from-dict",
+                lambda n=name, v=value: Study.from_dict(
+                    {"algorithms": [{"name": n, "options": {"population_size": v}}]}
+                ),
+            ),
+            ("registry", _create_with(name, population_size=value)),
+        )
     ],
+    _rejected(
+        "moela-population-size-override-too-small",
+        _run_with("MOELA", population_size=3),
+        "population_size",
+        ValueError,
+    ),
 ]
 
 
@@ -354,6 +392,11 @@ class TestStudyValidation:
     def test_campaign_config_has_no_retired_route_sharing_fields(self, key):
         with pytest.raises(TypeError, match=key):
             CampaignConfig(**{key: True})
+
+    def test_campaign_config_takes_only_campaign_settings(self):
+        campaign = Study(evaluations=60).campaign("x").campaign_config()
+        assert campaign.max_evaluations is None
+        assert campaign.experiment.max_evaluations == 60
 
     def test_campaign_to_dict_round_trips_the_surviving_keys(self):
         study = Study(preset="smoke").campaign("x", max_workers=2, resume=False)
