@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.features import DesignFeaturizer
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.scaler import StandardScaler
 from repro.moo.hypervolume import hypervolume
 from repro.noc.constraints import is_connected, random_design, random_link_placement
 from repro.noc.crossover import crossover, crossover_links, crossover_placement
-from repro.noc.design import NocDesign
+from repro.noc.design import NocDesign, move_delta_of
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.repair import repair_links
@@ -29,6 +31,7 @@ from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
+from tests.oracles.tree import RandomForestRegressor as OracleForest
 
 PLATFORM = PlatformConfig.small_3x3x3()
 WORKLOAD = get_workload("BFS", PLATFORM, seed=0)
@@ -217,12 +220,15 @@ def _update_bench_json(run: dict) -> None:
 
 
 def _neighbor_broods(size: int = 64, seed: int = 42, platform=None, workload=None):
-    """One parent plus three neighbour broods of ``size`` designs each.
+    """One parent plus four neighbour broods of ``size`` designs each.
 
     ``placement`` holds placement-only moves (swap_pe / swap_llc /
     pull_communicating_pair — the cache-hit tier), ``mixed`` the natural
-    ``random_neighbor`` mix a local search generates, and ``rewire`` pure
-    link rewires (the incremental-repair tier).
+    ``random_neighbor`` mix a local search generates, ``rewire`` pure
+    link rewires (the incremental-repair tier) and ``crossover`` the
+    children of the parent and a random mate whose link delta points at the
+    parent, as an EA's offspring brood does (tens of changed links: built
+    fresh).
     """
     platform = platform if platform is not None else PLATFORM
     workload = workload if workload is not None else WORKLOAD
@@ -241,7 +247,18 @@ def _neighbor_broods(size: int = 64, seed: int = 42, platform=None, workload=Non
         candidate = moves.rewire_link(parent, rng)
         if candidate is not None:
             rewire.append(candidate)
-    return parent, {"placement": placement, "mixed": mixed, "rewire": rewire}
+    mates = [random_design(platform, rng) for _ in range(4)]
+    offspring: list = []
+    while len(offspring) < size:
+        child = crossover(parent, mates[int(rng.integers(len(mates)))], platform, rng)
+        if move_delta_of(child).parent_links == parent.links:
+            offspring.append(child)
+    return parent, {
+        "placement": placement,
+        "mixed": mixed,
+        "rewire": rewire,
+        "crossover": offspring,
+    }
 
 
 def _time_brood(routing_cache: bool, parent, brood, workload=None) -> tuple[float, np.ndarray, dict]:
@@ -451,6 +468,41 @@ def test_big_grid_rewire_repair_speedup():
 
 
 @pytest.mark.perf
+def test_crossover_brood_built_fresh():
+    """Crossover children are built fresh, and at 64 tiles the engine keeps pace (>= 0.95x).
+
+    A crossover child changes 60 or more of a 64-tile design's 144 links in
+    this brood, where a repair costs more than a fresh build (about 0.7x
+    from 12 changed links on).  The engine's ``max_repair_fraction`` stops
+    at the break-even, so these children are built fresh at 64 and 256
+    tiles and the engine only adds its lookup.  Engine and fresh builds are
+    then nearly equal, so the 64-tile gate takes the median ratio of eleven
+    rounds, each timing both sides back to back in alternating order.  At 256 tiles the wall
+    clock is not gated: the engine keeps every table it builds, and the
+    fresh pages those 3 MB tables need cost a miss-only brood about 10-15%
+    against fresh builds whose memory is reused, whatever the repair budget.
+    """
+    for platform_name in ("paper-4x4x4", "big-8x8x4"):
+        brood = _big_grid_entry(platform_name)["broods"]["crossover"]
+        print(f"{platform_name} crossover brood: {brood['speedup']:.2f}x fresh "
+              f"(repairs={brood['engine']['incremental_repairs']})")
+        assert brood["engine"]["incremental_repairs"] == 0
+    platform = BIG_GRID_PLATFORMS["paper-4x4x4"]()
+    workload = get_workload("BFS", platform, seed=0)
+    parent, broods = _neighbor_broods(size=BIG_GRID_BROOD, platform=platform, workload=workload)
+    ratios = []
+    for round_index in range(11):
+        seconds = {}
+        for engine in (True, False) if round_index % 2 == 0 else (False, True):
+            seconds[engine], _, _ = _time_brood(engine, parent, broods["crossover"], workload)
+        ratios.append(seconds[False] / seconds[True])
+    speedup = float(np.median(ratios))
+    print(f"paper-4x4x4 crossover brood, median of 11 rounds: {speedup:.2f}x fresh "
+          f"(range {min(ratios):.2f}-{max(ratios):.2f})")
+    assert speedup >= 0.95, f"crossover brood {speedup:.2f}x vs fresh at 64 tiles"
+
+
+@pytest.mark.perf
 def test_random_link_placement_speedup():
     """Bulk-drawn link placement is >= 2x the scalar-draw oracle at 64 tiles, and exact.
 
@@ -576,3 +628,82 @@ def test_eval_forest_training(benchmark):
 
     forest = benchmark(train)
     assert forest.is_fitted
+
+
+# ---------------------------------------------------------------------- #
+# MOELA's Eval forest: presorted tree vs the per-node-sorting oracle
+# ---------------------------------------------------------------------- #
+#: Training-set sizes of the four forest fits of a moela-paper64 search.
+MOELA_FIT_SIZES = (26, 48, 74, 94)
+
+
+def _eval_training_sets() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Standardised (features + weight, outcome) sets shaped like MOELA's ``S_train``.
+
+    Rows are the paper-4x4x4 featurizer's vectors of random designs next to
+    random weight vectors, standardised as ``EvalModel`` does; the outcomes
+    are a noisy function of a few features.
+    """
+    config = PlatformConfig.paper_4x4x4()
+    featurizer = DesignFeaturizer(config, get_workload("BFS", config, seed=0))
+    rng = np.random.default_rng(17)
+    designs = [random_design(config, rng) for _ in range(max(MOELA_FIT_SIZES))]
+    features = np.array([featurizer.features(design) for design in designs])
+    weights = rng.dirichlet(np.ones(5), size=len(designs))
+    X = StandardScaler().fit_transform(np.hstack([features, weights]))
+    y = X[:, 0] - 0.5 * X[:, 3] * X[:, -1] + rng.normal(scale=0.1, size=len(X))
+    return [(X[:size], y[:size]) for size in MOELA_FIT_SIZES]
+
+
+def _fit_forests(forest_class, training_sets) -> tuple[list, float]:
+    """Fit one reduced-config MOELA forest per set; return them and the seconds it took."""
+    start = time.perf_counter()
+    forests = [
+        forest_class(n_estimators=12, max_depth=8, rng=index).fit(X, y)
+        for index, (X, y) in enumerate(training_sets)
+    ]
+    return forests, time.perf_counter() - start
+
+
+def _assert_same_forests(forests, oracles, training_sets) -> None:
+    for forest, oracle, (X, _) in zip(forests, oracles, training_sets, strict=True):
+        for tree, oracle_tree in zip(forest.trees_, oracle.trees_, strict=True):
+            nodes = oracle_tree._nodes
+            assert tree.feature_.tolist() == [node.feature for node in nodes]
+            assert tree.threshold_.tolist() == [node.threshold for node in nodes]
+            assert tree.value_.tolist() == [node.value for node in nodes]
+        assert forest.predict(X).tobytes() == oracle.predict(X).tobytes()
+        assert forest.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+def test_forest_fit_matches_oracle_smoke():
+    """The presorted forest equals the oracle's on moela-paper64-sized fits (no timing)."""
+    training_sets = _eval_training_sets()
+    forests, _ = _fit_forests(RandomForestRegressor, training_sets)
+    oracles, _ = _fit_forests(OracleForest, training_sets)
+    _assert_same_forests(forests, oracles, training_sets)
+
+
+@pytest.mark.perf
+def test_forest_fit_speedup():
+    """Presorted forest fitting is >= 1.8x the per-node-sorting oracle at moela-paper64 sizes.
+
+    The four fits of a moela-paper64 search, timed as one block per side.
+    Rounds alternate which side runs first and the median round counts;
+    both run in this process, so the gate needs no particular CPU count.
+    """
+    training_sets = _eval_training_sets()
+    sides = {"presorted": RandomForestRegressor, "oracle": OracleForest}
+    seconds: dict[str, list[float]] = {name: [] for name in sides}
+    for round_index in range(6):
+        order = list(sides) if round_index % 2 == 0 else list(reversed(sides))
+        fitted = {}
+        for name in order:
+            fitted[name], elapsed = _fit_forests(sides[name], training_sets)
+            seconds[name].append(elapsed)
+        _assert_same_forests(fitted["presorted"], fitted["oracle"], training_sets)
+    presorted, oracle = np.median(seconds["presorted"]), np.median(seconds["oracle"])
+    speedup = oracle / presorted
+    print(f"moela-paper64 forest fits: presorted {presorted * 1e3:.1f} ms vs oracle "
+          f"{oracle * 1e3:.1f} ms -> {speedup:.2f}x")
+    assert speedup >= 1.8, f"presorted forest fit only {speedup:.2f}x the oracle"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, DescentTable
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
 from repro.utils.validation import require_count
 
@@ -80,6 +80,7 @@ class RandomForestRegressor:
             )
             tree.fit(X_fit, y_fit)
             self.trees_.append(tree)
+        self._table = DescentTable(self.trees_)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -89,9 +90,14 @@ class RandomForestRegressor:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
+        if X.shape[1] != self.n_features_:
+            raise ValueError(
+                f"X has {X.shape[1]} features, the forest was fitted with {self.n_features_}"
+            )
+        # Add the trees' predictions one after another, in tree order.
         predictions = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees_:
-            predictions += tree.predict(X)
+        for tree_predictions in self._table.leaf_values(X):
+            predictions += tree_predictions
         return predictions / len(self.trees_)
 
     @property

@@ -12,59 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.forest import RandomForestRegressor
-from repro.moo.base import PopulationOptimizer
-from repro.moo.hypervolume import hypervolume, hypervolume_contribution, reference_point_from
+from repro.moo.hypervolume import hypervolume, hypervolume_contribution
+from repro.moo.learned_search import LearnedLocalSearch
 from repro.moo.local_search import score_neighbor_brood
-from repro.moo.problem import Problem
 from repro.moo.termination import Budget
-from repro.utils.rng import RngLike
-from repro.utils.validation import require_count
 
 
-class MOOStage(PopulationOptimizer):
+class MOOStage(LearnedLocalSearch):
     """MOO-STAGE: PHV-greedy local search with learned restart selection."""
 
     name = "MOO-STAGE"
 
-    def __init__(
-        self,
-        problem: Problem,
-        population_size: int = 50,
-        searches_per_iteration: int = 4,
-        local_search_steps: int = 15,
-        neighbors_per_step: int = 3,
-        early_random_iterations: int = 2,
-        max_training_samples: int = 10_000,
-        forest_size: int = 20,
-        rng: RngLike = None,
-    ):
-        super().__init__(problem, population_size, rng)
-        self.searches_per_iteration = require_count(
-            searches_per_iteration, "searches_per_iteration", 1
-        )
-        self.local_search_steps = require_count(local_search_steps, "local_search_steps", 1)
-        self.neighbors_per_step = require_count(neighbors_per_step, "neighbors_per_step", 1)
-        self.early_random_iterations = require_count(
-            early_random_iterations, "early_random_iterations", 0
-        )
-        self.max_training_samples = require_count(max_training_samples, "max_training_samples", 1)
-        self.forest_size = require_count(forest_size, "forest_size", 1)
-        self.reference: np.ndarray | None = None
-        self._train_features: list[np.ndarray] = []
-        self._train_targets: list[float] = []
-        self._model: RandomForestRegressor | None = None
-
     # ------------------------------------------------------------------ #
     # Algorithm
     # ------------------------------------------------------------------ #
-    def initialize(self) -> None:
-        super().initialize()
-        self.reference = reference_point_from(self.objectives, margin=0.2)
-        for design, objectives in zip(self.designs, self.objectives):
-            self.archive.add(design, objectives)
-        self._sync_population()
-
     def step(self, iteration: int, budget: Budget) -> None:
         starts = self._select_starts(iteration)
         for start_design, start_objectives in starts:
@@ -131,35 +92,3 @@ class MOOStage(PopulationOptimizer):
             self.archive.add(current, current_obj)
         final_phv = hypervolume(self.archive.objectives, self.reference)
         self._record_training_sample(start_features, final_phv)
-
-    # ------------------------------------------------------------------ #
-    # Learned evaluation function
-    # ------------------------------------------------------------------ #
-    def _record_training_sample(self, features: np.ndarray, target: float) -> None:
-        self._train_features.append(np.asarray(features, dtype=np.float64))
-        self._train_targets.append(float(target))
-        if len(self._train_features) > self.max_training_samples:
-            self._train_features = self._train_features[-self.max_training_samples :]
-            self._train_targets = self._train_targets[-self.max_training_samples :]
-
-    def _train_model(self) -> None:
-        if len(self._train_features) < 4:
-            return
-        X = np.asarray(self._train_features, dtype=np.float64)
-        y = np.asarray(self._train_targets, dtype=np.float64)
-        model = RandomForestRegressor(
-            n_estimators=self.forest_size, max_depth=8, rng=self.rng
-        )
-        model.fit(X, y)
-        self._model = model
-
-    # ------------------------------------------------------------------ #
-    # Population synchronisation
-    # ------------------------------------------------------------------ #
-    def _sync_population(self) -> None:
-        designs = self.archive.designs
-        objectives = self.archive.objectives
-        if len(designs) == 0:
-            return
-        self.designs = designs
-        self.objectives = objectives

@@ -26,10 +26,10 @@ class Budget:
     def __post_init__(self) -> None:
         if self.max_iterations is None and self.max_evaluations is None and self.max_seconds is None:
             raise ValueError("a budget needs at least one stop condition")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
+        for name in ("max_iterations", "max_evaluations"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, require_count(value, name, 1))
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be > 0")
 

@@ -71,3 +71,8 @@ class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor(n_estimators=2, rng=0).predict(np.zeros((1, 2)))
+
+    def test_feature_count_mismatch_on_predict(self):
+        forest = RandomForestRegressor(n_estimators=2, rng=0).fit(np.zeros((10, 2)), np.zeros(10))
+        with pytest.raises(ValueError, match="3 features"):
+            forest.predict(np.zeros((1, 3)))

@@ -45,7 +45,9 @@ class TestFitting:
         y = rng.normal(size=50)
         tree = DecisionTreeRegressor(max_depth=10, min_samples_leaf=10, rng=0).fit(X, y)
         # With a 10-sample minimum per leaf, no more than 5 leaves are possible.
-        leaves = sum(1 for node in tree._nodes if node.is_leaf)
+        # Every split adds one internal node and one leaf, so a tree of
+        # num_nodes nodes has (num_nodes + 1) / 2 leaves.
+        leaves = (tree.num_nodes + 1) // 2
         assert leaves <= 5
 
     def test_predictions_bounded_by_target_range(self):

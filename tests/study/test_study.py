@@ -244,6 +244,14 @@ REJECTED_SETTINGS = [
         lambda: CampaignConfig(routing_cache="no"),
         "routing_cache",
     ),
+    _rejected(
+        "budget-evaluations-float", lambda: Budget.evaluations(150.5), "max_evaluations"
+    ),
+    _rejected("budget-iterations-bool", lambda: Budget(max_iterations=True), "max_iterations"),
+    _rejected("budget-iterations-string", lambda: Budget.iterations("5"), "max_iterations"),
+    _rejected(
+        "budget-evaluations-zero", lambda: Budget(max_evaluations=0), "max_evaluations", ValueError
+    ),
     _rejected("platform-n-float", lambda: replace(PLATFORM_FACTORIES["tiny"](), n=2.0), "n"),
     _rejected(
         "platform-max-router-degree-float",
