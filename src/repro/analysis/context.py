@@ -39,11 +39,6 @@ class ModuleContext:
                 self._parents[child] = parent
         self._collect_aliases()
 
-    @classmethod
-    def from_path(cls, path: "str | Path") -> "ModuleContext":
-        """Read and parse ``path`` (raises ``SyntaxError`` on bad source)."""
-        return cls(path, Path(path).read_text(encoding="utf-8"))
-
     # ------------------------------------------------------------------ #
     # Structure lookups
     # ------------------------------------------------------------------ #

@@ -37,20 +37,17 @@ def speedup_factor(
     moela: OptimizationResult,
     reference: np.ndarray,
     measure: str = "evaluations",
-    window: int = 5,
-    tolerance: float = 0.005,
 ) -> float:
     """Speed-up of MOELA over a competitor (Table I definition).
 
-    ``T_convergence`` is the competitor's effort when its PHV improvement
-    drops below ``tolerance`` over ``window`` iterations; ``T_MOELA`` is the
+    ``T_convergence`` is the competitor's effort at the paper's convergence
+    criterion (:meth:`~repro.moo.result.OptimizationResult.convergence_effort`:
+    PHV improves by less than 0.5 % over five iterations); ``T_MOELA`` is the
     effort MOELA needs to reach the *same* PHV.  When MOELA never reaches the
     competitor's converged PHV, its full effort is used (the ratio then
     understates MOELA, mirroring the paper's conservative treatment).
     """
-    competitor_effort, competitor_phv = competitor.convergence_effort(
-        reference, window=window, tolerance=tolerance, measure=measure
-    )
+    competitor_effort, competitor_phv = competitor.convergence_effort(reference, measure=measure)
     moela_effort = moela.effort_to_reach(competitor_phv, reference, measure=measure)
     if moela_effort is None:
         if not moela.history:

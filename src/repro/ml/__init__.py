@@ -7,23 +7,15 @@ offline, this package implements the required pieces from scratch:
 * :class:`~repro.ml.tree.DecisionTreeRegressor` — CART regression trees;
 * :class:`~repro.ml.forest.RandomForestRegressor` — bootstrap-aggregated trees
   with per-split feature subsampling;
-* :class:`~repro.ml.scaler.StandardScaler` — feature standardisation;
-* :mod:`repro.ml.metrics` — MSE / MAE / R^2;
-* :func:`~repro.ml.split.train_test_split` — deterministic data splitting.
+* :class:`~repro.ml.scaler.StandardScaler` — feature standardisation.
 """
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.ml.scaler import StandardScaler
-from repro.ml.split import train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "StandardScaler",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "r2_score",
-    "train_test_split",
 ]

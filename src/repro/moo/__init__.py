@@ -7,7 +7,7 @@ from repro.moo.dominance import (
     fast_non_dominated_sort,
     non_dominated_mask,
 )
-from repro.moo.hypervolume import hypervolume, hypervolume_monte_carlo
+from repro.moo.hypervolume import hypervolume
 from repro.moo.moead import MOEAD
 from repro.moo.moos import MOOS
 from repro.moo.moo_stage import MOOStage
@@ -15,12 +15,11 @@ from repro.moo.nsga2 import NSGA2
 from repro.moo.problem import Problem
 from repro.moo.result import OptimizationResult, SearchSnapshot
 from repro.moo.scalarization import tchebycheff, weighted_distance
-from repro.moo.termination import Budget, ConvergenceDetector
+from repro.moo.termination import Budget
 from repro.moo.weights import das_dennis_weights, uniform_weights
 
 __all__ = [
     "Budget",
-    "ConvergenceDetector",
     "MOEAD",
     "MOOS",
     "MOOStage",
@@ -34,7 +33,6 @@ __all__ = [
     "dominates",
     "fast_non_dominated_sort",
     "hypervolume",
-    "hypervolume_monte_carlo",
     "non_dominated_mask",
     "tchebycheff",
     "uniform_weights",

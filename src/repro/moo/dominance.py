@@ -47,12 +47,6 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     return ~dominance_matrix(objectives).any(axis=0)
 
 
-def non_dominated_front(objectives: np.ndarray) -> np.ndarray:
-    """The non-dominated rows of an objective matrix (duplicates preserved)."""
-    objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
-    return objectives[non_dominated_mask(objectives)]
-
-
 def fast_non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
     """NSGA-II fast non-dominated sorting.
 

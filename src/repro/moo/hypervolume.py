@@ -5,8 +5,7 @@ dominated by the set and bounded by a reference point (minimisation: the
 reference point must be no better than every point in every objective).  The
 exact computation uses the WFG-style recursive "exclusive hypervolume"
 decomposition, which is practical for the paper's dimensionalities (3-5
-objectives) and population sizes (tens of points).  A Monte-Carlo estimator
-is provided for sanity checks and very large fronts.
+objectives) and population sizes (tens of points).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.moo.dominance import non_dominated_mask
-from repro.utils.rng import RngLike, ensure_rng
 
 
 def _validate(points: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,40 +99,6 @@ def hypervolume_contribution(point: np.ndarray, front: np.ndarray, reference: np
         return box
     clipped = clipped[non_dominated_mask(clipped)]
     return box - _wfg(clipped, reference)
-
-
-def hypervolume_monte_carlo(
-    points: np.ndarray,
-    reference: np.ndarray,
-    ideal: np.ndarray | None = None,
-    num_samples: int = 20_000,
-    rng: RngLike = None,
-) -> float:
-    """Monte-Carlo estimate of the hypervolume (for validation / huge fronts).
-
-    Samples are drawn uniformly from the box ``[ideal, reference]``; the
-    estimate is the dominated fraction times the box volume.  ``ideal``
-    defaults to the componentwise minimum of the points.
-    """
-    points, reference = _validate(points, reference)
-    if len(points) == 0:
-        return 0.0
-    inside = np.all(points < reference, axis=1)
-    points = points[inside]
-    if len(points) == 0:
-        return 0.0
-    rng = ensure_rng(rng)
-    if ideal is None:
-        ideal = points.min(axis=0)
-    ideal = np.asarray(ideal, dtype=np.float64)
-    box = np.prod(reference - ideal)
-    if box <= 0:
-        return 0.0
-    samples = rng.uniform(ideal, reference, size=(num_samples, len(reference)))
-    dominated = np.zeros(num_samples, dtype=bool)
-    for point in points:
-        dominated |= np.all(samples >= point, axis=1)
-    return float(dominated.mean() * box)
 
 
 def reference_point_from(points: np.ndarray, margin: float = 0.1) -> np.ndarray:

@@ -17,6 +17,12 @@ import numpy as np
 from repro.moo.dominance import non_dominated_mask
 from repro.moo.hypervolume import hypervolume
 
+#: The paper's convergence criterion (Section V.C): the PHV improved by less
+#: than ``CONVERGENCE_TOLERANCE`` (relative) over ``CONVERGENCE_WINDOW``
+#: iterations.
+CONVERGENCE_WINDOW = 5
+CONVERGENCE_TOLERANCE = 0.005
+
 
 @dataclass(frozen=True)
 class SearchSnapshot:
@@ -116,28 +122,25 @@ class OptimizationResult:
         return None
 
     def convergence_effort(
-        self,
-        reference: np.ndarray,
-        window: int = 5,
-        tolerance: float = 0.005,
-        measure: str = "evaluations",
+        self, reference: np.ndarray, measure: str = "evaluations"
     ) -> tuple[float, float]:
         """Effort and hypervolume at the paper's convergence criterion.
 
         Convergence is declared at the first snapshot where the hypervolume
-        improved by less than ``tolerance`` (relative) over the previous
-        ``window`` snapshots; if the criterion never triggers, the final
+        improved by less than :data:`CONVERGENCE_TOLERANCE` (relative) over
+        the :data:`CONVERGENCE_WINDOW` previous snapshots; a non-positive
+        baseline never triggers.  If the criterion never triggers, the final
         snapshot is used.  Returns ``(effort, hypervolume_at_convergence)``.
         """
         history = self.hypervolume_history(reference)
         if len(history) == 0:
             return 0.0, 0.0
         converged_idx = len(history) - 1
-        for idx in range(window, len(history)):
-            baseline = history[idx - window]
+        for idx in range(CONVERGENCE_WINDOW, len(history)):
+            baseline = history[idx - CONVERGENCE_WINDOW]
             if baseline <= 0:
                 continue
-            if (history[idx] - baseline) / baseline < tolerance:
+            if (history[idx] - baseline) / baseline < CONVERGENCE_TOLERANCE:
                 converged_idx = idx
                 break
         snap = self.history[converged_idx]

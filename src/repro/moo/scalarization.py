@@ -70,15 +70,3 @@ def tchebycheff(
     objectives, weight, reference, scale = _validate(objectives, weight, reference, scale)
     safe_weight = np.where(weight <= 0, 1e-6, weight)
     return float(np.max(safe_weight * np.abs(objectives - reference) / scale, axis=-1))
-
-
-def normalize_objectives(
-    objectives: np.ndarray, ideal: np.ndarray, nadir: np.ndarray
-) -> np.ndarray:
-    """Scale objective vectors into [0, 1] per dimension using ideal/nadir points."""
-    objectives = np.asarray(objectives, dtype=np.float64)
-    ideal = np.asarray(ideal, dtype=np.float64)
-    nadir = np.asarray(nadir, dtype=np.float64)
-    span = nadir - ideal
-    span[span == 0] = 1.0
-    return (objectives - ideal) / span

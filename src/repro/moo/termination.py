@@ -1,10 +1,11 @@
-"""Search budgets and convergence detection.
+"""Search budgets.
 
-The paper bounds every algorithm by a wall-clock stop time ``T_stop`` and
-declares convergence when the PHV improves by less than 0.5 % over five
-iterations (Section V.C).  :class:`Budget` generalises the stop condition to
+The paper bounds every algorithm by a wall-clock stop time ``T_stop``
+(Section V.C).  :class:`Budget` generalises the stop condition to
 iterations / evaluations / seconds so the reduced benchmark harness can use a
-deterministic evaluation budget.
+deterministic evaluation budget.  The paper's convergence criterion is not a
+stop condition: it is read after the run from the search history, by
+:meth:`~repro.moo.result.OptimizationResult.convergence_effort`.
 """
 
 from __future__ import annotations
@@ -63,44 +64,6 @@ class Budget:
     def seconds(cls, seconds: float) -> "Budget":
         """Budget limited only by wall-clock time (the paper's ``T_stop``)."""
         return cls(max_seconds=seconds)
-
-
-class ConvergenceDetector:
-    """Sliding-window relative-improvement convergence test.
-
-    ``update(value)`` returns True once the monitored value (PHV) has improved
-    by less than ``tolerance`` (relative) over the last ``window`` updates —
-    the paper's "<0.5 % improvement in 5 iterations" criterion.
-    """
-
-    def __init__(self, window: int = 5, tolerance: float = 0.005):
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        self.window = require_count(window, "window", 1)
-        self.tolerance = tolerance
-        self._values: list[float] = []
-        self.converged_at: int | None = None
-
-    def update(self, value: float) -> bool:
-        """Record a new value; returns True when convergence is (or was) reached."""
-        self._values.append(float(value))
-        if self.converged_at is not None:
-            return True
-        if len(self._values) <= self.window:
-            return False
-        baseline = self._values[-1 - self.window]
-        current = self._values[-1]
-        if baseline <= 0:
-            return False
-        if (current - baseline) / baseline < self.tolerance:
-            self.converged_at = len(self._values) - 1
-            return True
-        return False
-
-    @property
-    def values(self) -> list[float]:
-        """All recorded values in order."""
-        return list(self._values)
 
 
 class StopWatch:

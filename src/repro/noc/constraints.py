@@ -562,9 +562,3 @@ def random_design(config: PlatformConfig, rng: RngLike = None) -> NocDesign:
         links=random_link_placement(config, rng),
     )
     return design
-
-
-def random_designs(config: PlatformConfig, count: int, rng: RngLike = None) -> list[NocDesign]:
-    """Generate ``count`` independent random feasible designs."""
-    rng = ensure_rng(rng)
-    return [random_design(config, rng) for _ in range(count)]

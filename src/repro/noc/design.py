@@ -28,7 +28,7 @@ correctness: a missing or stale delta only costs a fresh table build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -214,39 +214,3 @@ def annotate_move(child: NocDesign, delta: MoveDelta) -> NocDesign:
 def move_delta_of(design: NocDesign) -> "MoveDelta | None":
     """The :class:`MoveDelta` a move operator attached to ``design``, if any."""
     return getattr(design, "move_delta", None)
-
-
-@dataclass(frozen=True)
-class DesignSummary:
-    """Lightweight structural statistics of a design (used by featurisers and reports)."""
-
-    num_tiles: int
-    num_links: int
-    num_planar_links: int
-    num_vertical_links: int
-    mean_link_length: float
-    max_link_length: int
-    mean_degree: float
-    max_degree: int
-    connected: bool = field(default=True)
-
-
-def summarize(design: NocDesign, config: PlatformConfig) -> DesignSummary:
-    """Compute structural statistics for a design."""
-    grid = config.grid
-    partition = design.links_by_kind(grid)
-    lengths = design.link_lengths(grid)
-    degrees = design.degrees()
-    from repro.noc.constraints import is_connected  # local import to avoid a cycle
-
-    return DesignSummary(
-        num_tiles=design.num_tiles,
-        num_links=design.num_links,
-        num_planar_links=len(partition[LinkKind.PLANAR]),
-        num_vertical_links=len(partition[LinkKind.VERTICAL]),
-        mean_link_length=float(lengths.mean()) if len(lengths) else 0.0,
-        max_link_length=int(lengths.max()) if len(lengths) else 0,
-        mean_degree=float(degrees.mean()),
-        max_degree=int(degrees.max()),
-        connected=is_connected(design),
-    )

@@ -32,8 +32,6 @@ placement-only moves (full routing reuse) from link-mutating moves
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.noc.constraints import ConstraintChecker, is_connected
@@ -122,12 +120,6 @@ class MoveGenerator:
         """Return ``count`` random feasible neighbours (possibly with repeats)."""
         rng = ensure_rng(rng)
         return [self.random_neighbor(design, rng) for _ in range(count)]
-
-    def iter_neighbors(self, design: NocDesign, rng: RngLike = None) -> Iterator[NocDesign]:
-        """Yield an endless stream of random feasible neighbours."""
-        rng = ensure_rng(rng)
-        while True:
-            yield self.random_neighbor(design, rng)
 
     # ------------------------------------------------------------------ #
     # Individual moves
@@ -223,10 +215,6 @@ class MoveGenerator:
                         ),
                     )
         return None
-
-    def add_remove_link_pair(self, design: NocDesign, rng: RngLike = None) -> NocDesign | None:
-        """Alias of :meth:`rewire_link` kept for API compatibility with MOOS-style moves."""
-        return self.rewire_link(design, rng)
 
     # ------------------------------------------------------------------ #
     # Traffic-aware moves (require a workload)

@@ -254,27 +254,48 @@ def _budgets(config: PlatformConfig) -> tuple[tuple[LinkKind, int, tuple[Link, .
     )
 
 
+# One-entry caches of facts about an immutable link tuple, which an operator
+# hands to a later one, keyed on the tuple's identity: an operator that leaves
+# the links alone passes the same tuple on, and any other link set misses and
+# derives the fact again.
+#: ``(links, grid, per-kind counts)`` of the links budget-trim returned last.
+_trimmed_counts: tuple = (None, None, ())
+#: The link tuple restore-connectivity last found connected.
+_connected_links: "tuple[Link, ...] | None" = None
+
+
 def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
     """Cut each kind over its budget down to a random subset of that size."""
+    global _trimmed_counts
     partition = design.links_by_kind(config.grid)
     kept: list[Link] = []
+    counts: list[int] = []
     for kind, budget, _ in _budgets(config):
         links = partition[kind]
         if len(links) > budget:
             links = [links[int(i)] for i in rng.permutation(len(links))[:budget]]
         kept.extend(links)
-    if len(kept) == design.num_links:
-        return design
-    return NocDesign(placement=design.placement, links=tuple(kept))
+        counts.append(len(links))
+    if len(kept) != design.num_links:
+        design = NocDesign(placement=design.placement, links=tuple(kept))
+    _trimmed_counts = (design.links, config.grid, tuple(counts))
+    return design
 
 
 def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    """Add random unused links to each kind short of its budget; ``design`` if none is."""
-    partition = design.links_by_kind(config.grid)
+    """Add random unused links to each kind short of its budget; ``design`` if none is.
+
+    The per-kind counts come from budget-trim when it returned these links,
+    so a trimmed design is partitioned by kind only once.
+    """
+    trimmed, grid, counts = _trimmed_counts
+    if trimmed is not design.links or grid is not config.grid:
+        partition = design.links_by_kind(config.grid)
+        counts = tuple(len(partition[kind]) for kind, _, _ in _budgets(config))
     shortfalls = [
-        (budget - len(partition[kind]), pool)
-        for kind, budget, pool in _budgets(config)
-        if len(partition[kind]) < budget
+        (budget - count, pool)
+        for (_, budget, pool), count in zip(_budgets(config), counts)
+        if count < budget
     ]
     if not shortfalls:
         return design
@@ -304,11 +325,13 @@ def _restore_connectivity(design: NocDesign, config: PlatformConfig, rng) -> Noc
     disconnected network is a candidate victim: none is redundant for
     connectivity, since removing a link cannot connect it.
     """
+    global _connected_links
     grid = config.grid
     current = design
     for _ in range(4 * config.num_links):
         components = connected_components(current)
         if len(components) <= 1:
+            _connected_links = current.links
             break
         bridge = _find_bridge(components, current, config, rng)
         if bridge is None:
@@ -354,9 +377,12 @@ def _links_feasible(design: NocDesign, config: PlatformConfig) -> bool:
 
     The operators leave every link unique, of a feasible shape, within the
     degree cap and within its kind's budget, so the set is feasible exactly
-    when it is connected and its total meets the total budget.
+    when it is connected and its total meets the total budget.  Links
+    restore-connectivity just found connected are not traversed again.
     """
-    return design.num_links == config.num_links and is_connected(design)
+    if design.num_links != config.num_links:
+        return False
+    return design.links is _connected_links or is_connected(design)
 
 
 def _repair_link_set(

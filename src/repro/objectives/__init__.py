@@ -21,7 +21,7 @@ from repro.objectives.evaluator import (
 )
 from repro.objectives.energy import communication_energy
 from repro.objectives.latency import cpu_llc_latency
-from repro.objectives.thermal import ThermalModel, thermal_objective
+from repro.objectives.thermal import ThermalModel
 from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "cpu_llc_latency",
     "link_utilizations",
     "scenario_for",
-    "thermal_objective",
     "traffic_mean",
     "traffic_variance",
 ]

@@ -100,9 +100,3 @@ class ThermalModel:
         peak = float(temperatures.max())
         spread = float(self.layer_spread(temperatures).max())
         return peak * spread
-
-
-
-def thermal_objective(design: NocDesign, workload: Workload) -> float:
-    """Convenience wrapper computing Eq. 7 with the platform's default constants."""
-    return ThermalModel(workload.config).objective(design, workload)

@@ -174,13 +174,3 @@ def result_from_dict(payload: dict[str, Any]) -> OptimizationResult:
     if "hypervolume" in payload:
         result.metadata["hypervolume"] = float(payload["hypervolume"])
     return result
-
-
-def save_result(result: OptimizationResult, path: "str | Path", reference: np.ndarray | None = None) -> Path:
-    """Write a result summary to a JSON file (atomically) and return the path."""
-    return write_json_atomic(result_to_dict(result, reference), path)
-
-
-def load_result(path: "str | Path") -> OptimizationResult:
-    """Read a result summary written by :func:`save_result`."""
-    return result_from_dict(json.loads(Path(path).read_text()))

@@ -7,7 +7,7 @@ provides seeded synthetic generators that reproduce the qualitative traffic
 and power structure of each benchmark (documented in DESIGN.md).
 """
 
-from repro.workloads.registry import WorkloadRegistry, get_workload, list_applications
+from repro.workloads.registry import WorkloadRegistry, get_workload
 from repro.workloads.rodinia import RODINIA_APPLICATIONS, RodiniaProfile, generate_rodinia_workload
 from repro.workloads.workload import Workload
 
@@ -18,5 +18,4 @@ __all__ = [
     "WorkloadRegistry",
     "generate_rodinia_workload",
     "get_workload",
-    "list_applications",
 ]

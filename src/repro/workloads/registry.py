@@ -64,8 +64,3 @@ _DEFAULT_REGISTRY = WorkloadRegistry()
 def get_workload(name: str, config: PlatformConfig, seed: int = 0) -> Workload:
     """Fetch an application workload from the default registry."""
     return _DEFAULT_REGISTRY.get(name, config, seed=seed)
-
-
-def list_applications() -> list[str]:
-    """Applications available in the default registry."""
-    return _DEFAULT_REGISTRY.applications()

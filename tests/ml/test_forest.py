@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import r2_score
+
+
+def _r2(y, predictions):
+    """Coefficient of determination of ``predictions`` against ``y``."""
+    return 1.0 - np.sum((y - predictions) ** 2) / np.sum((y - y.mean()) ** 2)
 
 
 class TestForest:
@@ -13,7 +17,7 @@ class TestForest:
         X = rng.uniform(-1, 1, size=(300, 4))
         y = 3.0 * X[:, 0] + X[:, 1] ** 2 - 2.0 * X[:, 2]
         forest = RandomForestRegressor(n_estimators=25, max_depth=10, rng=0).fit(X, y)
-        score = r2_score(y, forest.predict(X))
+        score = _r2(y, forest.predict(X))
         assert score > 0.8
 
     def test_prediction_shape(self):
@@ -38,7 +42,7 @@ class TestForest:
         y = 5.0 * X[:, 0]
         forest = RandomForestRegressor(n_estimators=4, bootstrap=False, max_features=None, rng=0)
         forest.fit(X, y)
-        assert r2_score(y, forest.predict(X)) > 0.9
+        assert _r2(y, forest.predict(X)) > 0.9
 
     def test_ensemble_averages_trees(self):
         rng = np.random.default_rng(4)

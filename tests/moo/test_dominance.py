@@ -11,7 +11,6 @@ from repro.moo.dominance import (
     dominance_matrix,
     dominates,
     fast_non_dominated_sort,
-    non_dominated_front,
     non_dominated_mask,
 )
 
@@ -51,11 +50,6 @@ class TestNonDominated:
         objectives = np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0], [3.0, 3.0]])
         mask = non_dominated_mask(objectives)
         assert mask.tolist() == [True, True, True, False]
-
-    def test_front_extraction(self):
-        objectives = np.array([[1.0, 4.0], [2.0, 2.0], [3.0, 3.0]])
-        front = non_dominated_front(objectives)
-        assert front.shape == (2, 2)
 
     def test_single_point_is_non_dominated(self):
         assert non_dominated_mask(np.array([[1.0, 2.0]])).tolist() == [True]

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.moo.hypervolume import (
-    hypervolume,
-    hypervolume_contribution,
-    hypervolume_monte_carlo,
-    reference_point_from,
-)
+from repro.moo.hypervolume import hypervolume, hypervolume_contribution, reference_point_from
+from tests.oracles import pareto as oracle
 
 
 class TestExactHypervolume:
@@ -58,15 +54,13 @@ class TestExactHypervolume:
         with pytest.raises(ValueError):
             hypervolume([[1.0, 1.0]], [2.0, 2.0, 2.0])
 
-    def test_agrees_with_monte_carlo_estimate(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0.0, 0.9, size=(8, 3))
-        reference = np.ones(3)
-        exact = hypervolume(points, reference)
-        estimate = hypervolume_monte_carlo(
-            points, reference, ideal=np.zeros(3), num_samples=40_000, rng=3
-        )
-        assert estimate == pytest.approx(exact, rel=0.05)
+    @pytest.mark.parametrize("num_objectives", [3, 5])
+    @pytest.mark.parametrize("num_points", [1, 2, 8, 12])
+    def test_matches_oracle_exactly(self, num_points, num_objectives):
+        rng = np.random.default_rng(100 * num_points + num_objectives)
+        points = rng.uniform(0.0, 0.9, size=(num_points, num_objectives))
+        reference = np.ones(num_objectives)
+        assert hypervolume(points, reference) == oracle.hypervolume(points, reference)
 
     def test_five_objective_front(self):
         rng = np.random.default_rng(7)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.moo.result import OptimizationResult, SearchSnapshot
+from repro.moo import result as result_module
+from repro.moo.result import CONVERGENCE_WINDOW, OptimizationResult, SearchSnapshot
 
 
 def _result_with_history():
@@ -22,6 +23,18 @@ def _result_with_history():
         evaluations=40,
         elapsed_seconds=0.4,
     )
+
+
+class _FixedHistory(OptimizationResult):
+    """A result whose hypervolume history is given outright (it may be <= 0)."""
+
+    def __init__(self, phv):
+        history = [SearchSnapshot(i, 10 * (i + 1), 0.1 * (i + 1), [[0.0, 0.0]]) for i in range(len(phv))]
+        super().__init__("TEST", "toy", [], np.zeros((0, 2)), history=history)
+        self._phv = np.asarray(phv, dtype=np.float64)
+
+    def hypervolume_history(self, reference):
+        return self._phv
 
 
 class TestSnapshot:
@@ -77,7 +90,7 @@ class TestResult:
     def test_convergence_effort_defaults_to_last_snapshot(self):
         result = _result_with_history()
         reference = np.array([5.0, 5.0])
-        effort, phv = result.convergence_effort(reference, window=5)
+        effort, phv = result.convergence_effort(reference)
         assert effort == 40
         assert phv == pytest.approx(result.history[-1].hypervolume(reference))
 
@@ -86,8 +99,32 @@ class TestResult:
             SearchSnapshot(i, 10 * (i + 1), 0.1 * (i + 1), [[1.0, 1.0]]) for i in range(8)
         ]
         result = OptimizationResult("TEST", "toy", ["a"], np.array([[1.0, 1.0]]), history=history)
-        effort, _ = result.convergence_effort(np.array([2.0, 2.0]), window=3)
-        assert effort == 40  # first snapshot after the window with zero improvement
+        effort, _ = result.convergence_effort(np.array([2.0, 2.0]))
+        # first snapshot after the window with zero improvement
+        assert effort == 10 * (CONVERGENCE_WINDOW + 1)
+
+    @pytest.mark.parametrize(
+        "phv, tolerance, expected",
+        [
+            pytest.param([0.0] * 8, None, 7, id="zero-baseline-never-triggers"),
+            pytest.param([-1.0] * 8, None, 7, id="negative-baseline-never-triggers"),
+            pytest.param([1.0] * 5, None, 4, id="window-5-needs-6-snapshots"),
+            pytest.param([1.0] * 6 + [9.0], None, 5, id="sixth-snapshot-can-trigger"),
+            pytest.param([1.0] * 5 + [1.004, 2.0], None, 5, id="below-tolerance"),
+            pytest.param([1.0] * 5 + [1.006, 1.0, 1.0], None, 6, id="above-tolerance"),
+            pytest.param([1.0] * 7, 0.0, 6, id="tolerance-0-flat-never-converges"),
+            pytest.param([1.0] * 6 + [0.5, 0.5], 0.0, 6, id="tolerance-0-regression-converges"),
+            pytest.param([1.0, 2.0] + [3.0] * 9, None, 7, id="first-trigger-wins"),
+            pytest.param([1.1**i for i in range(8)], None, 7, id="never-triggers-uses-last"),
+        ],
+    )
+    def test_convergence_rule(self, monkeypatch, phv, tolerance, expected):
+        """``expected`` is the index of the snapshot the rule settles on."""
+        if tolerance is not None:
+            monkeypatch.setattr(result_module, "CONVERGENCE_TOLERANCE", tolerance)
+        result = _FixedHistory(phv)
+        assert result.convergence_effort(None) == (10.0 * (expected + 1), phv[expected])
+        assert result.convergence_effort(None, measure="iterations")[0] == expected
 
     def test_summary_fields(self):
         summary = _result_with_history().summary()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moo.scalarization import normalize_objectives, tchebycheff, weighted_distance
+from repro.moo.scalarization import tchebycheff, weighted_distance
 
 
 class TestWeightedDistance:
@@ -55,17 +55,3 @@ class TestTchebycheff:
     def test_nonpositive_scale_entries_ignored(self):
         value = tchebycheff([2.0, 2.0], [0.5, 0.5], [0.0, 0.0], scale=[0.0, 2.0])
         assert value == pytest.approx(max(0.5 * 2.0 / 1.0, 0.5 * 2.0 / 2.0))
-
-
-class TestNormalize:
-    def test_normalisation_to_unit_box(self):
-        objectives = np.array([[1.0, 10.0], [3.0, 30.0]])
-        ideal = np.array([1.0, 10.0])
-        nadir = np.array([3.0, 30.0])
-        normalized = normalize_objectives(objectives, ideal, nadir)
-        assert np.allclose(normalized, [[0.0, 0.0], [1.0, 1.0]])
-
-    def test_degenerate_span_handled(self):
-        objectives = np.array([[2.0, 5.0]])
-        normalized = normalize_objectives(objectives, np.array([2.0, 5.0]), np.array([2.0, 5.0]))
-        assert np.all(np.isfinite(normalized))

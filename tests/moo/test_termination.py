@@ -1,10 +1,10 @@
-"""Tests for budgets and convergence detection."""
+"""Tests for budgets and the stopwatch."""
 
 import time
 
 import pytest
 
-from repro.moo.termination import Budget, ConvergenceDetector, StopWatch
+from repro.moo.termination import Budget, StopWatch
 
 
 class TestBudget:
@@ -40,94 +40,6 @@ class TestBudget:
             Budget(max_evaluations=0)
         with pytest.raises(ValueError):
             Budget(max_seconds=0.0)
-
-
-class TestConvergenceDetector:
-    def test_no_convergence_while_improving(self):
-        detector = ConvergenceDetector(window=3, tolerance=0.01)
-        values = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
-        assert not any(detector.update(v) for v in values)
-
-    def test_convergence_on_plateau(self):
-        detector = ConvergenceDetector(window=3, tolerance=0.01)
-        converged = [detector.update(v) for v in [1.0, 2.0, 2.0, 2.0, 2.001, 2.001]]
-        assert converged[-1]
-        assert detector.converged_at is not None
-
-    def test_stays_converged_once_triggered(self):
-        detector = ConvergenceDetector(window=2, tolerance=0.01)
-        for value in [1.0, 1.0, 1.0, 1.0]:
-            detector.update(value)
-        assert detector.update(100.0)
-
-    def test_zero_baseline_does_not_trigger(self):
-        detector = ConvergenceDetector(window=2, tolerance=0.01)
-        assert not any(detector.update(v) for v in [0.0, 0.0, 0.0])
-
-    def test_values_recorded(self):
-        detector = ConvergenceDetector()
-        detector.update(1.0)
-        detector.update(2.0)
-        assert detector.values == [1.0, 2.0]
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ConvergenceDetector(window=0)
-        with pytest.raises(ValueError):
-            ConvergenceDetector(tolerance=-0.1)
-
-    def test_never_converges_before_window_plus_one_updates(self):
-        """The baseline is the value `window` updates ago, so a window of w
-        needs w+1 values before the criterion can fire at all."""
-        detector = ConvergenceDetector(window=4, tolerance=1.0)
-        assert not any(detector.update(1.0) for _ in range(4))
-        assert detector.converged_at is None
-        assert detector.update(1.0)
-        assert detector.converged_at == 4
-
-    def test_window_of_one_compares_consecutive_values(self):
-        detector = ConvergenceDetector(window=1, tolerance=0.01)
-        assert not detector.update(1.0)
-        assert not detector.update(2.0)  # +100% improvement
-        assert detector.update(2.0)      # flat step converges immediately
-
-    def test_zero_tolerance_requires_strictly_positive_improvement(self):
-        detector = ConvergenceDetector(window=1, tolerance=0.0)
-        detector.update(1.0)
-        assert not detector.update(2.0)   # improving: not converged
-        assert not detector.update(2.0)   # flat: (2-2)/2 = 0, not < 0
-        assert detector.update(1.5)       # regression is < 0: converged
-
-    def test_negative_baseline_does_not_trigger(self):
-        """Relative improvement over a negative baseline is meaningless; the
-        detector waits for a positive one instead of dividing through it."""
-        detector = ConvergenceDetector(window=1, tolerance=0.01)
-        assert not any(detector.update(v) for v in [-1.0, -1.0, -1.0])
-        assert detector.converged_at is None
-
-    def test_converged_at_records_first_trigger_index(self):
-        detector = ConvergenceDetector(window=2, tolerance=0.01)
-        values = [1.0, 2.0, 3.0, 3.0, 3.0, 100.0]
-        flags = [detector.update(v) for v in values]
-        # first True at index 4: 3.0 vs baseline 3.0 two updates earlier
-        assert flags == [False, False, False, False, True, True]
-        assert detector.converged_at == 4
-        # the latch never re-evaluates, even on a later huge improvement
-        assert detector.update(1e9)
-        assert detector.converged_at == 4
-
-    def test_values_property_returns_a_copy(self):
-        detector = ConvergenceDetector()
-        detector.update(1.0)
-        snapshot = detector.values
-        snapshot.append(99.0)
-        assert detector.values == [1.0]
-
-    def test_large_tolerance_converges_despite_improvement(self):
-        """tolerance >= actual relative gain counts as 'no real improvement'."""
-        detector = ConvergenceDetector(window=1, tolerance=0.5)
-        detector.update(1.0)
-        assert detector.update(1.2)  # +20% < 50% tolerance
 
 
 class TestStopWatch:

@@ -14,7 +14,6 @@ from repro.noc.constraints import (
     ViolationReport,
     is_connected,
     random_design,
-    random_designs,
     random_link_placement,
     random_placement,
     violation_details,
@@ -55,10 +54,6 @@ class TestRandomGeneration:
         planar = sum(1 for l in links if grid.coord(l.a).same_layer(grid.coord(l.b)))
         assert planar == small_config.num_planar_links
         assert len(links) - planar == small_config.num_vertical_links
-
-    def test_random_designs_helper_count(self, tiny_config):
-        designs = random_designs(tiny_config, 4, np.random.default_rng(0))
-        assert len(designs) == 4
 
     def test_generation_is_reproducible(self, tiny_config):
         a = random_design(tiny_config, 42)

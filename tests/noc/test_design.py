@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.noc.design import NocDesign, summarize
+from repro.noc.design import NocDesign
 from repro.noc.links import Link, LinkKind
-from repro.noc.mesh import mesh_design
 
 
 class TestConstruction:
@@ -86,18 +85,3 @@ class TestIdentity:
 
     def test_key_is_hashable(self, tiny_designs):
         assert {tiny_designs[0].key(): 1}
-
-
-class TestSummary:
-    def test_summary_of_mesh_design(self, tiny_config):
-        design = mesh_design(tiny_config)
-        summary = summarize(design, tiny_config)
-        assert summary.connected
-        assert summary.num_links == design.num_links
-        assert summary.num_planar_links + summary.num_vertical_links == design.num_links
-        assert summary.max_degree <= tiny_config.max_router_degree
-
-    def test_summary_counts_match_budgets(self, small_config, small_designs):
-        summary = summarize(small_designs[0], small_config)
-        assert summary.num_planar_links == small_config.num_planar_links
-        assert summary.num_vertical_links == small_config.num_vertical_links

@@ -28,13 +28,6 @@ class TestRandomNeighbor:
         neighbors = small_moves.neighbors(design, 10, rng)
         assert any(n != design for n in neighbors)
 
-    def test_iter_neighbors_is_endless(self, small_config, small_moves):
-        rng = np.random.default_rng(2)
-        design = random_design(small_config, rng)
-        stream = small_moves.iter_neighbors(design, rng)
-        produced = [next(stream) for _ in range(5)]
-        assert len(produced) == 5
-
 
 class TestIndividualMoves:
     def test_swap_pe_preserves_links(self, small_config, small_moves):

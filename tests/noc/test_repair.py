@@ -7,14 +7,23 @@ replaying bit-identically from its seed and ``repro explain`` rendering a
 non-empty structured report for each.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.noc import repair
 from repro.noc.constraints import ConstraintChecker, random_design
 from repro.noc.design import NocDesign
-from repro.noc.links import Link
+from repro.noc.links import Link, candidate_planar_links
 from repro.noc.platform import PlatformConfig
-from repro.noc.repair import RepairBudget, RepairPlan, _fill_budgets, repair_design
+from repro.noc.repair import (
+    RepairBudget,
+    RepairPlan,
+    _fill_budgets,
+    _repair_link_set,
+    repair_design,
+)
 
 
 def _drop_links(design: NocDesign, count: int) -> NocDesign:
@@ -88,6 +97,50 @@ class TestBudgetFill:
         state = rng.bit_generator.state
         assert _fill_budgets(design, small_config, rng) is design
         assert rng.bit_generator.state == state
+
+    def test_fills_links_budget_trim_did_not_return(self, small_config):
+        """budget-trim's counts describe only the links it returned."""
+        on_budget = random_design(small_config, np.random.default_rng(4))
+        assert repair._trim_budgets(on_budget, small_config, np.random.default_rng(9)) is on_budget
+        short = NocDesign(on_budget.placement, on_budget.links[:-3])
+        filled = _fill_budgets(short, small_config, np.random.default_rng(9))
+        assert filled.num_links == small_config.num_links
+
+
+class TestSharedLinkFacts:
+    """budget-fill reuses budget-trim's partition; the verdict reuses restore-connectivity's traversal."""
+
+    def _run_counted(self, design, config, monkeypatch):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(NocDesign, "links_by_kind", counted("partition", NocDesign.links_by_kind))
+        monkeypatch.setattr(repair, "connected_components", counted("components", repair.connected_components))
+        monkeypatch.setattr(repair, "is_connected", counted("is_connected", repair.is_connected))
+        repaired, actions = _repair_link_set(design, config, np.random.default_rng(1))
+        assert ConstraintChecker(config).is_feasible(repaired)
+        return calls, actions
+
+    def test_feasible_links_are_partitioned_and_traversed_once(self, small_config, monkeypatch):
+        design = random_design(small_config, np.random.default_rng(2))
+        calls, actions = self._run_counted(design, small_config, monkeypatch)
+        assert actions == ()
+        assert calls == {"partition": 1, "components": 1}
+
+    def test_trimmed_and_refilled_links_are_partitioned_once(self, small_config, monkeypatch):
+        design = random_design(small_config, np.random.default_rng(0))
+        extra = tuple(link for link in candidate_planar_links(small_config) if link not in design.links)
+        calls, actions = self._run_counted(
+            NocDesign(design.placement, design.links + extra), small_config, monkeypatch
+        )
+        assert {"budget-trim", "budget-fill"} <= set(actions)
+        assert calls["partition"] == 1
+        assert calls["is_connected"] == 0
 
 
 class TestRepairWalk:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.noc.constraints import random_design
 from repro.noc.platform import PlatformConfig
-from repro.objectives.thermal import ThermalModel, thermal_objective
+from repro.objectives.thermal import ThermalModel
 from repro.workloads.workload import Workload
 
 
@@ -55,7 +55,8 @@ class TestTemperatures:
         assert model.peak_temperature(small_designs[0], small_workload) > 0
 
     def test_objective_depends_on_placement(self, small_config, small_workload, small_designs):
-        values = {round(thermal_objective(d, small_workload), 6) for d in small_designs}
+        model = ThermalModel(small_config)
+        values = {round(model.objective(d, small_workload), 6) for d in small_designs}
         assert len(values) > 1
 
     def test_moving_hot_pe_away_from_sink_raises_peak(self, tiny_config):

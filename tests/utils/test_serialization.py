@@ -11,12 +11,10 @@ from repro.utils.serialization import (
     design_from_dict,
     design_to_dict,
     load_design,
-    load_result,
     platform_to_dict,
     result_from_dict,
     result_to_dict,
     save_design,
-    save_result,
     write_json_atomic,
 )
 
@@ -76,11 +74,6 @@ class TestResultSerialization:
         assert payload["hypervolume"] > 0
         assert payload["reference_point"] == [5.0, 5.0]
 
-    def test_save_result_writes_json(self, tiny_designs, tmp_path):
-        path = save_result(self._result(tiny_designs[:2]), tmp_path / "result.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["problem"] == "toy"
-
     def test_result_round_trips_in_memory(self, tiny_designs):
         result = self._result(tiny_designs[:2])
         rebuilt = result_from_dict(result_to_dict(result))
@@ -97,8 +90,8 @@ class TestResultSerialization:
         """JSON's repr-based float encoding preserves binary64 values losslessly."""
         result = self._result(tiny_designs[:2])
         result.objectives[0, 0] = 1.0 / 3.0  # a value with no short decimal form
-        path = save_result(result, tmp_path / "result.json", reference=np.array([5.0, 5.0]))
-        rebuilt = load_result(path)
+        path = write_json_atomic(result_to_dict(result, np.array([5.0, 5.0])), tmp_path / "result.json")
+        rebuilt = result_from_dict(json.loads(path.read_text()))
         np.testing.assert_array_equal(rebuilt.objectives, result.objectives)
         assert rebuilt.metadata["hypervolume"] == result.final_hypervolume(np.array([5.0, 5.0]))
 

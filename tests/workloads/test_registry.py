@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.workloads.registry import WorkloadRegistry, get_workload, list_applications
+from repro.workloads.registry import WorkloadRegistry, get_workload
 from repro.workloads.rodinia import RODINIA_APPLICATIONS
 from repro.workloads.workload import Workload
 
 
 class TestDefaultRegistry:
     def test_lists_all_rodinia_applications(self):
-        assert set(list_applications()) >= set(RODINIA_APPLICATIONS)
+        assert set(WorkloadRegistry().applications()) >= set(RODINIA_APPLICATIONS)
 
     def test_get_workload_round_trip(self, tiny_config):
         workload = get_workload("BFS", tiny_config, seed=3)
