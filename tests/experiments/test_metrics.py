@@ -55,6 +55,18 @@ class TestSpeedupAndPhv:
         factor = speedup_factor(slow, fast, reference)
         assert factor > 1.0
 
+    def test_speedup_is_competitor_convergence_over_moela_effort(self):
+        # competitor PHV 1, 4, then 9 flat: the rule triggers at snapshot 7 (80 evaluations)
+        competitor = _result("c", [[[10.0, 10.0]], [[9.0, 9.0]]] + [[[8.0, 8.0]]] * 7)
+        # MOELA reaches PHV 9 at its second snapshot (20 evaluations)
+        moela = _result("m", [[[9.0, 9.0]], [[8.0, 8.0]]])
+        assert speedup_factor(competitor, moela, np.array([11.0, 11.0])) == 4.0
+
+    def test_speedup_uses_moela_full_effort_when_target_never_reached(self):
+        competitor = _result("c", [[[10.0, 10.0]], [[9.0, 9.0]]] + [[[8.0, 8.0]]] * 7)
+        moela = _result("m", [[[10.0, 10.0]], [[9.5, 9.5]]], evals_per_iter=5)
+        assert speedup_factor(competitor, moela, np.array([11.0, 11.0])) == 8.0
+
     def test_phv_gain_sign(self):
         better = _result("better", [[[1.0, 1.0]]])
         worse = _result("worse", [[[3.0, 3.0]]])

@@ -116,6 +116,12 @@ class TestResult:
             pytest.param([1.0] * 6 + [0.5, 0.5], 0.0, 6, id="tolerance-0-regression-converges"),
             pytest.param([1.0, 2.0] + [3.0] * 9, None, 7, id="first-trigger-wins"),
             pytest.param([1.1**i for i in range(8)], None, 7, id="never-triggers-uses-last"),
+            pytest.param(
+                [1.1**i for i in range(8)], 0.9, 5, id="large-tolerance-converges-despite-improvement"
+            ),
+            pytest.param(
+                [0.0] * 5 + [1.0] * 6, None, 10, id="zero-baselines-skipped-then-triggers"
+            ),
         ],
     )
     def test_convergence_rule(self, monkeypatch, phv, tolerance, expected):
@@ -125,6 +131,12 @@ class TestResult:
         result = _FixedHistory(phv)
         assert result.convergence_effort(None) == (10.0 * (expected + 1), phv[expected])
         assert result.convergence_effort(None, measure="iterations")[0] == expected
+
+    def test_convergence_rule_reads_the_window_constant(self, monkeypatch):
+        """A window of one compares each snapshot with the one before it."""
+        monkeypatch.setattr(result_module, "CONVERGENCE_WINDOW", 1)
+        result = _FixedHistory([1.0, 2.0, 2.0, 2.0])
+        assert result.convergence_effort(None, measure="iterations") == (2.0, 2.0)
 
     def test_summary_fields(self):
         summary = _result_with_history().summary()

@@ -28,6 +28,14 @@ class TestRandomNeighbor:
         neighbors = small_moves.neighbors(design, 10, rng)
         assert any(n != design for n in neighbors)
 
+    def test_neighbor_sequence_is_reproducible_from_the_seed(self, small_config, small_moves):
+        design = random_design(small_config, np.random.default_rng(2))
+        runs = []
+        for _ in range(2):
+            rng = np.random.default_rng(7)
+            runs.append([small_moves.random_neighbor(design, rng) for _ in range(5)])
+        assert runs[0] == runs[1]
+
 
 class TestIndividualMoves:
     def test_swap_pe_preserves_links(self, small_config, small_moves):
