@@ -128,9 +128,6 @@ def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
                         help="fault-scenario grid axis, e.g. identity "
                         "'link_failure(k=1,mode=remove)' (docs/scenarios.md; "
                         "non-identity scenarios need campaign mode)")
-    parser.add_argument("--no-routing-cache", dest="routing_cache", action="store_false",
-                        default=None,
-                        help="disable the cross-design routing cache (perf escape hatch)")
     parser.add_argument("--no-progress", dest="progress", action="store_false",
                         help="do not stream per-iteration/shard progress events")
 

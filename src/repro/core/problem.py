@@ -38,12 +38,6 @@ class NocDesignProblem(Problem):
         Size of the objective-vector memoisation cache.
     mutation_strength:
         Number of random moves applied by :meth:`mutate`.
-    routing_cache:
-        Routes all evaluation through the evaluator's own
-        :class:`~repro.noc.routing_engine.RoutingEngine` (cross-design route
-        cache with incremental repair, private to this problem).  ``False``
-        selects the historical fresh-build-per-design path; results are
-        bit-identical either way.
     scenario_model:
         Optional fault/scenario model (a :class:`~repro.scenarios.ScenarioModel`
         or its canonical key, e.g. ``"link_failure(k=1,mode=remove)"``)
@@ -60,7 +54,6 @@ class NocDesignProblem(Problem):
         scenario: "int | ObjectiveScenario" = 5,
         cache_size: int = 50_000,
         mutation_strength: int = 1,
-        routing_cache: bool = True,
         scenario_model: "ScenarioModel | str | None" = None,
         scenario_seed: int = 0,
     ):
@@ -78,7 +71,6 @@ class NocDesignProblem(Problem):
             workload,
             scenario,
             cache_size=cache_size,
-            routing_cache=routing_cache,
             scenario_model=scenario_model,
             scenario_seed=scenario_seed,
         )

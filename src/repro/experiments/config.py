@@ -164,7 +164,9 @@ class CampaignConfig:
     manifest (see :func:`repro.experiments.runner.run_campaign`).  Every
     cell, pooled or inline, appends its events to the durable
     ``events.jsonl`` next to the manifest, which the caller's subscribers
-    tail.
+    tail.  Every cell owns its route cache (cells share no routing state,
+    inline or pooled); its hit/miss/repair counters are recorded in its
+    shard and summarised in the manifest.
 
     Parameters
     ----------
@@ -180,14 +182,6 @@ class CampaignConfig:
     resume:
         When True, cells whose shard already exists and parses are skipped —
         re-running a killed campaign only executes the missing cells.
-    routing_cache:
-        Routes every cell's evaluation through the cross-design
-        :class:`~repro.noc.routing_engine.RoutingEngine` route cache (the
-        default); ``False`` is the escape hatch selecting the historical
-        fresh-build-per-design path.  Every cell owns its route cache (cells
-        share no routing state, inline or pooled); each cell's
-        hit/miss/repair counters are recorded in its shard and summarised in
-        the campaign manifest.
     max_evaluations:
         Per-cell evaluation budget override; ``None`` uses the experiment's
         ``max_evaluations``.
@@ -197,13 +191,11 @@ class CampaignConfig:
     algorithms: tuple[str, ...] = ()
     max_workers: int = 1
     resume: bool = True
-    routing_cache: bool = True
     max_evaluations: int | None = None
 
     def __post_init__(self) -> None:
         require_count(self.max_workers, "max_workers", 1)
         require_flag(self.resume, "resume")
-        require_flag(self.routing_cache, "routing_cache")
         if self.max_evaluations is not None:
             require_count(self.max_evaluations, "max_evaluations", 1)
 

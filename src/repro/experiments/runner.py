@@ -71,7 +71,6 @@ def make_problem(
     experiment: ExperimentConfig,
     application: str,
     num_objectives: int,
-    routing_cache: bool = True,
     scenario_model: str = "identity",
     scenario_seed: int = 0,
 ) -> NocDesignProblem:
@@ -86,7 +85,6 @@ def make_problem(
     return NocDesignProblem(
         workload,
         scenario=num_objectives,
-        routing_cache=routing_cache,
         scenario_model=scenario_model,
         scenario_seed=scenario_seed,
     )
@@ -447,7 +445,6 @@ def _run_campaign_cell(
         experiment,
         cell.application,
         cell.num_objectives,
-        routing_cache=campaign.routing_cache,
         scenario_model=cell.scenario,
         scenario_seed=cell.seed,
     )

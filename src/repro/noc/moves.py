@@ -116,11 +116,6 @@ class MoveGenerator:
                 return candidate
         return design
 
-    def neighbors(self, design: NocDesign, count: int, rng: RngLike = None) -> list[NocDesign]:
-        """Return ``count`` random feasible neighbours (possibly with repeats)."""
-        rng = ensure_rng(rng)
-        return [self.random_neighbor(design, rng) for _ in range(count)]
-
     # ------------------------------------------------------------------ #
     # Individual moves
     # ------------------------------------------------------------------ #

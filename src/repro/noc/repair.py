@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import ne
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -222,10 +223,10 @@ def _swap_llcs_to_edge(design: NocDesign, config: PlatformConfig, rng) -> NocDes
 def _drop_invalid_links(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
     """Remove duplicate, out-of-range and shape-invalid links."""
     feasible = feasible_link_set(config)
-    kept = tuple(sorted({link for link in design.links if link in feasible}))
-    if kept == design.links:
+    links = design.links  # sorted, so any duplicate sits next to its twin
+    if feasible.issuperset(links) and all(map(ne, links, links[1:])):
         return design
-    return NocDesign(placement=design.placement, links=kept)
+    return NocDesign(placement=design.placement, links=feasible.intersection(links))
 
 
 def _trim_degrees(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:

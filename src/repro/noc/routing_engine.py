@@ -25,8 +25,8 @@ Move deltas are *hints*, never trusted for correctness: the repair path
 recomputes the actual link diff between the cached parent tables and the
 design, so a stale or missing annotation can only cost a fresh build.  All
 three outcomes produce bit-identical tables (see the routing-engine property
-suite), which is what lets the evaluator's ``routing_cache`` flag toggle the
-engine without perturbing any objective value.
+suite), so evaluation keeps the engine on: scoring a design on a new
+evaluator, whose engine is empty, gives the same objective values.
 """
 
 from __future__ import annotations

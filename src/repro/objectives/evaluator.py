@@ -9,8 +9,8 @@ Routing tables are shared by all objectives and owned by a single
 engine caches tables across *designs*, keyed on the link set alone, so
 placement-only children reuse their parent's tables wholesale and
 link-mutating children trigger an incremental all-pairs repair.  The
-``routing_cache=False`` escape hatch restores the pre-engine behaviour (one
-fresh table build per computed design).  On top of that topology tier, the
+engine is always on; only fresh-build comparisons switch it off (see
+:class:`ObjectiveEvaluator`).  On top of that topology tier, the
 evaluator memoises complete objective vectors per design key (LRU-bounded)
 and counts evaluations so experiments can report search effort; the engine's
 hit/miss/repair counters are exposed via :meth:`ObjectiveEvaluator.routing_cache_stats`.
@@ -112,9 +112,12 @@ class ObjectiveEvaluator:
         When True (the default) routing tables come from the evaluator's own
         :class:`~repro.noc.routing_engine.RoutingEngine` (``routing_engine``
         attribute), which caches them across designs by link set and repairs
-        them incrementally for small link deltas.  ``False`` is the escape
-        hatch selecting the historical fresh-build-per-design path; both
-        settings produce bit-identical objective vectors.
+        them incrementally for small link deltas.  ``False`` builds fresh
+        tables per design, with bit-identical objective vectors.  It exists
+        only for fresh-build comparisons (the perfbench re-score oracle and
+        ``benchmarks/bench_components.py::_time_brood``); no library caller
+        passes it, and it goes once those comparisons score on a new
+        evaluator per design, whose empty engine always builds fresh.
     scenario_model:
         Optional fault/scenario model (see :mod:`repro.scenarios`) applied
         pre-evaluation: workload and thermal transforms run once here,

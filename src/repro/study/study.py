@@ -205,7 +205,6 @@ STUDY_KEYS: dict[str, _Key] = {
     "evaluations": _Key(ExperimentConfig, "max_evaluations", EXPERIMENT_CHECKS["max_evaluations"]),
     "scenarios": _Key(ExperimentConfig, "scenario_models", EXPERIMENT_CHECKS["scenario_models"]),
     "seed": _Key(ExperimentConfig, "seed", EXPERIMENT_CHECKS["seed"]),
-    "routing_cache": _Key(CampaignConfig, "routing_cache", require_flag),
     "campaign": _Key(None, None, _campaign),
     "campaign.output_dir": _Key(None, None, _output_dir),
     "campaign.max_workers": _Key(CampaignConfig, "max_workers", partial(require_count, minimum=1)),
@@ -261,9 +260,6 @@ class Study:
         e.g. ``"link_failure(k=1,mode=remove)"``; see :mod:`repro.scenarios`).
         Validated at build time; campaign mode only — the default is the
         single nominal ``identity`` axis.
-    routing_cache:
-        ``False`` disables the cross-design routing engine (escape hatch;
-        results are bit-identical either way).
     """
 
     def __init__(
@@ -276,7 +272,6 @@ class Study:
         evaluations: "int | None" = None,
         seed: "int | None" = None,
         scenarios: "tuple[str, ...] | list[str] | None" = None,
-        routing_cache: "bool | None" = None,
     ):
         self._settings: dict[str, Any] = {}
         self._on_event: EventCallback | None = None
@@ -289,7 +284,6 @@ class Study:
             "evaluations": evaluations,
             "seed": seed,
             "scenarios": scenarios,
-            "routing_cache": routing_cache,
         }
         for key, value in overrides.items():
             if value is not None:
@@ -351,10 +345,6 @@ class Study:
     def seed(self, seed: int) -> "Study":
         """Set the base seed per-cell seeds are derived from (an integer >= 0)."""
         return self._set("seed", seed)
-
-    def routing_cache(self, enabled: bool) -> "Study":
-        """Toggle the cross-design routing cache (performance only; a bool)."""
-        return self._set("routing_cache", enabled)
 
     def scenarios(self, *models: str) -> "Study":
         """Set the fault/scenario grid axis (canonical keys; campaign mode).
@@ -471,7 +461,6 @@ class Study:
         return CampaignConfig(
             experiment=self.experiment(),
             algorithms=tuple(name for name, _ in entries),
-            **_fields(self._settings, CampaignConfig),
             **_fields(self._settings["campaign"], CampaignConfig, "campaign."),
         )
 
@@ -502,10 +491,9 @@ class Study:
             )
         entries = self._entries()
         names = tuple(name for name, _ in entries)
-        routing_cache = self._settings.get("routing_cache", True)
         cells = [(a, m) for a in experiment.applications for m in experiment.objective_counts]
         if cells:  # build every optimiser once: a bad override fails before any run
-            problem = make_problem(experiment, *cells[0], routing_cache=routing_cache)
+            problem = make_problem(experiment, *cells[0])
             for name, options in entries:
                 default_registry().create(name, problem, experiment, experiment.seed, **options)
         self._emit(
@@ -517,9 +505,7 @@ class Study:
         runs: RunMap = {}
         for application, num_objectives in cells:
             if runs:  # the first group runs on the problem built above
-                problem = make_problem(
-                    experiment, application, num_objectives, routing_cache=routing_cache
-                )
+                problem = make_problem(experiment, application, num_objectives)
             group: dict[str, OptimizationResult] = {}
             for name, options in entries:
                 # budget=None defers to the spec's default budget wiring

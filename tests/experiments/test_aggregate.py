@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import problem as problem_module
 from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
     MANIFEST_NAME,
@@ -15,6 +16,7 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.tables import CampaignAggregate, aggregate_campaign
+from tests.oracles.evaluation import FreshEvaluator
 
 
 @pytest.fixture()
@@ -72,13 +74,6 @@ class TestRoutingCacheStats:
         manifest = load_manifest(summary.output_dir)
         assert manifest["routing_cache"] == summary.routing_cache
 
-    def test_escape_hatch_disables_engine_in_cells(self, campaign, tmp_path):
-        disabled = replace(campaign, routing_cache=False)
-        summary = run_campaign(disabled, tmp_path)
-        manifest = load_manifest(summary.output_dir)
-        stats = manifest["routing_cache"]
-        assert stats["requests"] == 0 and stats["hit_rate"] == 0.0
-
     def test_aggregation_tolerates_legacy_shards(self, finished_campaign):
         campaign, summary = finished_campaign
         cells = campaign_cells(campaign)
@@ -90,9 +85,12 @@ class TestRoutingCacheStats:
         assert stats["cells_counted"] == len(cells) - 1
         assert stats["cells_missing_stats"] == 1
 
-    def test_routing_cache_flag_does_not_change_results(self, campaign, tmp_path):
+    def test_routing_cache_does_not_change_results(self, campaign, tmp_path, monkeypatch):
         on = run_campaign(campaign, tmp_path / "on")
-        off = run_campaign(replace(campaign, routing_cache=False), tmp_path / "off")
+        # Inline cells build their problems in this process, so every cell
+        # of the second campaign scores each design on a fresh evaluator.
+        monkeypatch.setattr(problem_module, "ObjectiveEvaluator", FreshEvaluator)
+        off = run_campaign(campaign, tmp_path / "off")
         for cell in on.cells:
             payload_on = json.loads((on.output_dir / cell.shard_name).read_text())
             payload_off = json.loads((off.output_dir / cell.shard_name).read_text())
@@ -102,6 +100,7 @@ class TestRoutingCacheStats:
                 rtol=1e-12,
             )
             assert payload_on["designs"] == payload_off["designs"]
+            assert payload_off["routing_cache"]["requests"] == 0
 
 
 class TestAggregateCampaign:

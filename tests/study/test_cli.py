@@ -77,7 +77,7 @@ class TestRun:
         args = build_parser().parse_args([
             "run", "--config", str(config), "--platform", "tiny", "--apps", "BFS",
             "--objectives", "3", "--algorithms", "nsga2", "--evaluations", "40",
-            "--population", "8", "--scenarios", "identity", "--no-routing-cache",
+            "--population", "8", "--scenarios", "identity",
         ])
         assert _study_from_args(args).to_dict() == {
             "preset": "smoke",
@@ -89,9 +89,14 @@ class TestRun:
             "evaluations": 40,
             "scenarios": ["identity"],
             "seed": 4,
-            "routing_cache": False,
         }
-        assert "routing_cache" not in _study_from_args(build_parser().parse_args(["run"])).to_dict()
+        assert _study_from_args(build_parser().parse_args(["run"])).to_dict() == {"preset": "reduced"}
+
+    def test_retired_routing_cache_flag_is_unrecognised(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--preset", "smoke", "--no-routing-cache", "--no-progress"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-routing-cache" in capsys.readouterr().err
 
     def test_unknown_algorithm_fails_cleanly(self, capsys):
         code = main([

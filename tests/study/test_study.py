@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MOELAConfig
+from repro.core.problem import NocDesignProblem
 from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import make_problem, run_algorithm, run_campaign
 from repro.moo.base import PopulationOptimizer
@@ -96,9 +97,6 @@ REJECTED_SETTINGS = [
     ),
     _rejected("constructor-objectives-float", lambda: Study(objectives=5.9), "objectives"),
     _rejected("constructor-objectives-string", lambda: Study(objectives="5"), "objectives"),
-    _rejected(
-        "constructor-routing-cache-string", lambda: Study(routing_cache="false"), "routing_cache"
-    ),
     _rejected("constructor-apps-int-entry", lambda: Study(apps=[5]), "applications"),
     _rejected("constructor-platform-int", lambda: Study(platform=5), "platform"),
     # The fluent setters.
@@ -115,8 +113,6 @@ REJECTED_SETTINGS = [
         for setter in ("evaluations", "population_size")
         for value in (150.7, "9", True)
     ],
-    _rejected("setter-routing-cache-string", lambda: Study().routing_cache("no"), "routing_cache"),
-    _rejected("setter-routing-cache-int", lambda: Study().routing_cache(0), "routing_cache"),
     _rejected("setter-apps-int", lambda: Study().apps(5), "applications"),
     _rejected("setter-scenarios-int", lambda: Study().scenarios(5), "scenarios"),
     # Study.from_dict.
@@ -145,11 +141,6 @@ REJECTED_SETTINGS = [
         lambda: Study.from_dict({"objectives": 7}),
         "objectives",
         ValueError,
-    ),
-    _rejected(
-        "from-dict-routing-cache-string",
-        lambda: Study.from_dict({"routing_cache": "false"}),
-        "routing_cache",
     ),
     _rejected(
         "from-dict-applications-string",
@@ -240,11 +231,6 @@ REJECTED_SETTINGS = [
     ],
     _rejected("campaign-config-resume-string", lambda: CampaignConfig(resume="no"), "resume"),
     _rejected(
-        "campaign-config-routing-cache-string",
-        lambda: CampaignConfig(routing_cache="no"),
-        "routing_cache",
-    ),
-    _rejected(
         "budget-evaluations-float", lambda: Budget.evaluations(150.5), "max_evaluations"
     ),
     _rejected("budget-iterations-bool", lambda: Budget(max_iterations=True), "max_iterations"),
@@ -312,6 +298,11 @@ def test_every_entry_point_rejects_malformed_settings(build, error, key):
         build()
 
 
+#: The unknown-key error a payload setting the retired ``routing_cache`` key
+#: raises: it names the key and lists the accepted ones.
+RETIRED_ROUTING_CACHE_KEY = r"^unknown study keys \['routing_cache'\]; accepted: preset, platform"
+
+
 class TestStudyValidation:
     def test_unknown_algorithm_raises_with_available_names(self):
         with pytest.raises(ValueError, match="available: MOELA, MOEA/D"):
@@ -341,7 +332,6 @@ class TestStudyValidation:
         assert payload["objectives"] == [5] and type(payload["objectives"][0]) is int
         assert payload["seed"] == 3 and type(payload["seed"]) is int
         assert payload["evaluations"] == 40 and type(payload["evaluations"]) is int
-        assert Study(routing_cache=False).to_dict()["routing_cache"] is False
 
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already part of the study"):
@@ -393,13 +383,37 @@ class TestStudyValidation:
         setting = study.campaign_settings()[key]
         assert setting == value and type(setting) is type(value)
 
-    def test_from_dict_keeps_routing_cache_false(self):
-        assert Study.from_dict({"routing_cache": False}).to_dict()["routing_cache"] is False
+    def test_from_dict_rejects_the_retired_routing_cache_key(self):
+        with pytest.raises(ValueError, match=RETIRED_ROUTING_CACHE_KEY):
+            Study.from_dict({"routing_cache": False})
 
-    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start"])
+    @pytest.mark.parametrize(
+        "suffix, text", [(".json", '{"routing_cache": false}'), (".toml", "routing_cache = false\n")]
+    )
+    def test_study_file_with_the_retired_routing_cache_key_fails(self, tmp_path, suffix, text):
+        path = tmp_path / f"study{suffix}"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=RETIRED_ROUTING_CACHE_KEY):
+            Study.from_file(path)
+
+    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start", "routing_cache"])
     def test_campaign_config_has_no_retired_route_sharing_fields(self, key):
         with pytest.raises(TypeError, match=key):
             CampaignConfig(**{key: True})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda workload: Study(routing_cache=False),
+            lambda workload: Study().routing_cache(False),
+            lambda workload: make_problem(ExperimentConfig.smoke(), "BFS", 3, routing_cache=False),
+            lambda workload: NocDesignProblem(workload, scenario=3, routing_cache=False),
+        ],
+        ids=["study-constructor", "study-setter", "make-problem", "noc-design-problem"],
+    )
+    def test_routing_cache_switch_is_gone_above_the_evaluator(self, build, tiny_workload):
+        with pytest.raises((TypeError, AttributeError), match="routing_cache"):
+            build(tiny_workload)
 
     def test_campaign_config_takes_only_campaign_settings(self):
         campaign = Study(evaluations=60).campaign("x").campaign_config()

@@ -1,11 +1,31 @@
 """The docs tree must exist, stay linked, and keep its links unbroken."""
 
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
+
+
+def _table_entries(content: str, heading: str | None = None) -> list[str]:
+    """The backticked first cell of every table row (under ``heading`` only, if given)."""
+    if heading is not None:
+        content = content.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", content, flags=re.MULTILINE)
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string ``parser`` and its subcommands accept."""
+    options: set[str] = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _option_strings(subparser)
+    return options
 
 
 class TestDocsTree:
@@ -50,9 +70,19 @@ class TestDocsTree:
         from repro.study.study import STUDY_KEYS
 
         content = (DOCS / "configuration.md").read_text()
-        for key in STUDY_KEYS:
-            name = key.partition(".")[2] or key  # campaign.<key> rows are documented bare
-            assert f"`{name}`" in content, f"configuration.md does not document key {key!r}"
+        # The two key tables list exactly STUDY_KEYS: a key missing from
+        # them is undocumented, a row STUDY_KEYS lacks documents a key that
+        # no longer exists.  campaign.<key> rows are documented bare.
+        documented = {
+            *_table_entries(content, "## Top-level keys"),
+            *(f"campaign.{key}" for key in _table_entries(content, "## `campaign` keys")),
+        }
+        assert not set(STUDY_KEYS) - documented, (
+            f"configuration.md does not document keys {sorted(set(STUDY_KEYS) - documented)}"
+        )
+        assert not documented - set(STUDY_KEYS), (
+            f"configuration.md documents unknown keys {sorted(documented - set(STUDY_KEYS))}"
+        )
         # Every built-in optimizer's declared hyperparameters appear.
         registry = default_registry()
         for name in registry.names():
@@ -60,6 +90,18 @@ class TestDocsTree:
                 assert f"`{option}`" in content, (
                     f"configuration.md does not document {name}'s option {option!r}"
                 )
+
+    def test_cli_page_flag_tables_list_only_accepted_flags(self):
+        from repro.cli import build_parser
+
+        documented = {
+            entry.split()[0]
+            for entry in _table_entries((DOCS / "cli.md").read_text())
+            if entry.startswith("-")
+        }
+        assert documented, "cli.md has no flag table"
+        unknown = sorted(documented - _option_strings(build_parser()))
+        assert not unknown, f"cli.md documents flags the CLI does not accept: {unknown}"
 
     def test_performance_page_records_the_pool_decision(self):
         content = (DOCS / "performance.md").read_text()
