@@ -19,7 +19,7 @@ import pytest
 from repro.core.features import DesignFeaturizer
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.scaler import StandardScaler
-from repro.moo.hypervolume import hypervolume
+from repro.moo.hypervolume import hypervolume, hypervolume_contribution
 from repro.noc.constraints import is_connected, random_design, random_link_placement
 from repro.noc.crossover import crossover, crossover_links, crossover_placement
 from repro.noc.design import NocDesign, move_delta_of
@@ -29,6 +29,7 @@ from repro.noc.repair import repair_links
 from repro.noc.routing import RoutingTables
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
+from tests.oracles import pareto as pareto_oracle
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
 from tests.oracles.tree import RandomForestRegressor as OracleForest
@@ -614,6 +615,75 @@ def test_hypervolume_5obj_50_points(benchmark):
     reference = np.full(5, 1.1)
     value = benchmark(lambda: hypervolume(points, reference))
     assert value > 0
+
+
+def _hypervolume_brood(fronts: int = 4, size: int = 16, neighbors: int = 6):
+    """MOOS-shaped PHV work: 16-point 5-objective archive fronts and their neighbours.
+
+    Each front is mutually non-dominated (rows on the unit sphere's positive
+    orthant), as a MOOS archive is; each neighbour is a perturbed member, so
+    some contribute volume and some are dominated.  One front is one local
+    search's full-archive PHV plus its brood's ``hypervolume_contribution``
+    calls against that front.
+    """
+    rng = np.random.default_rng(29)
+    reference = np.full(5, 1.2)
+    brood = []
+    for _ in range(fronts):
+        weights = rng.dirichlet(np.ones(5), size)
+        front = weights / np.linalg.norm(weights, axis=1, keepdims=True)
+        members = front[rng.integers(size, size=neighbors)]
+        brood.append((front, members + rng.normal(scale=0.05, size=members.shape)))
+    return reference, brood
+
+
+#: (hypervolume, hypervolume_contribution) of the kernel and of its oracle.
+PHV_SIDES = {
+    "kernel": (hypervolume, hypervolume_contribution),
+    "oracle": (pareto_oracle.hypervolume, pareto_oracle.hypervolume_contribution),
+}
+
+
+def _score_hypervolume_brood(side: str, reference, brood) -> list[str]:
+    """Every PHV value of the brood under one side's functions, as ``float.hex``."""
+    phv, contribution = PHV_SIDES[side]
+    values = []
+    for front, neighbours in brood:
+        values.append(phv(front, reference))
+        values += [contribution(n, front, reference) for n in neighbours]
+    return [value.hex() for value in values]
+
+
+def test_hypervolume_matches_oracle_smoke():
+    """The PHV kernel gives the oracle's bits on the MOOS-shaped brood (no timing)."""
+    reference, brood = _hypervolume_brood()
+    assert _score_hypervolume_brood("kernel", reference, brood) == _score_hypervolume_brood(
+        "oracle", reference, brood
+    )
+
+
+@pytest.mark.perf
+def test_hypervolume_speedup():
+    """The sorted-list WFG kernel is >= 1.6x the per-pair oracle on the MOOS-shaped brood.
+
+    Rounds alternate which side runs first and the median round counts;
+    both run in this process, so the gate needs no particular CPU count.
+    """
+    reference, brood = _hypervolume_brood()
+    seconds: dict[str, list[float]] = {name: [] for name in PHV_SIDES}
+    for round_index in range(6):
+        order = list(PHV_SIDES) if round_index % 2 == 0 else list(reversed(PHV_SIDES))
+        values = {}
+        for name in order:
+            start = time.perf_counter()
+            values[name] = _score_hypervolume_brood(name, reference, brood)
+            seconds[name].append(time.perf_counter() - start)
+        assert values["kernel"] == values["oracle"]
+    kernel, oracle = np.median(seconds["kernel"]), np.median(seconds["oracle"])
+    speedup = oracle / kernel
+    print(f"MOOS-shaped PHV brood ({len(brood)} fronts): kernel {kernel * 1e3:.1f} ms vs "
+          f"oracle {oracle * 1e3:.1f} ms -> {speedup:.2f}x")
+    assert speedup >= 1.6, f"hypervolume kernel only {speedup:.2f}x the oracle"
 
 
 @pytest.mark.benchmark(group="components")

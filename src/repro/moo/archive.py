@@ -15,12 +15,16 @@ class ParetoArchive:
 
     When a maximum size is set and exceeded, the most crowded members are
     evicted first (crowding-distance based truncation), preserving spread.
+    :attr:`revision` changes whenever the members do, so a caller can reuse a
+    value computed from the archive while the revision it saw still holds.
     """
 
     def __init__(self, max_size: int | None = None):
         self.max_size = None if max_size is None else require_count(max_size, "max_size", 1)
         self._designs: list[Any] = []
         self._objectives: list[np.ndarray] = []
+        #: Bumped by every accepted :meth:`add`, whose truncation included.
+        self.revision = 0
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -49,6 +53,7 @@ class ParetoArchive:
         self._designs.append(design)
         self._objectives.append(objectives)
         self._truncate()
+        self.revision += 1
         return True
 
     def add_many(self, designs: list[Any], objectives: np.ndarray) -> int:

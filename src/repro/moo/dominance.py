@@ -2,8 +2,10 @@
 
 A vector ``a`` dominates ``b`` when it is no worse in every objective and
 strictly better in at least one.  These functions back the Pareto archive,
-NSGA-II's non-dominated sorting and the hypervolume routines, which all
-compare rows through one vectorized kernel, :func:`dominance_matrix`.
+the optimizers' fronts and NSGA-II's non-dominated sorting, which all compare
+rows through one vectorized kernel, :func:`dominance_matrix`.  The
+hypervolume recursion filters its small limited sets with its own loop
+(``repro.moo.hypervolume._non_dominated``).
 """
 
 from __future__ import annotations

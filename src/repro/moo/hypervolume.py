@@ -6,13 +6,21 @@ reference point must be no better than every point in every objective).  The
 exact computation uses the WFG-style recursive "exclusive hypervolume"
 decomposition, which is practical for the paper's dimensionalities (3-5
 objectives) and population sizes (tens of points).
+
+The order of the float operations is part of the seeded contract, because
+MOOS and MOO-STAGE train on PHV values: the points are stably sorted on the
+first objective once, every box is the left-to-right product of
+``reference - point`` (what ``np.prod`` computes for these row lengths), and
+each point's exclusive volume is its box minus the volume of its limited set,
+accumulated in sorted order.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import prod
+from operator import le, sub
 
-from repro.moo.dominance import non_dominated_mask
+import numpy as np
 
 
 def _validate(points: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,7 +39,8 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
     """Exact hypervolume of ``points`` w.r.t. ``reference`` (minimisation).
 
     Points that do not dominate the reference point contribute nothing and are
-    discarded; dominated points are likewise discarded before the recursion.
+    discarded; dominated and repeated points are likewise discarded before
+    the recursion.
     """
     points, reference = _validate(points, reference)
     if len(points) == 0:
@@ -40,40 +49,70 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
     points = points[inside]
     if len(points) == 0:
         return 0.0
-    points = points[non_dominated_mask(points)]
     return _wfg(points, reference)
 
 
 def _wfg(points: np.ndarray, reference: np.ndarray) -> float:
     """WFG exclusive-hypervolume recursion.
 
-    ``points`` must be mutually non-dominated and strictly better than
-    ``reference`` in every objective; both public entry points filter to that.
+    ``points`` must be strictly better than ``reference`` in every objective;
+    both public entry points filter to that.  The one sort, ascending on the
+    first objective, happens here: a limited set keeps that order (see
+    :func:`_wfg_sorted`), so the recursion runs on plain Python lists and
+    never sorts again.
     """
-    if len(points) == 1:
-        return float(np.prod(reference - points[0]))
-    # Sort by the first objective (descending volume contribution order helps
-    # keep the limited sets small).
     order = np.argsort(points[:, 0], kind="stable")
-    points = points[order]
-    # The WFG float-operation order is part of the seeded contract: each box
-    # is the same product as ``np.prod(reference - point)``, and the
-    # subtraction and accumulation below keep their order.
-    boxes = np.prod(reference - points, axis=1)
+    return _wfg_sorted(_non_dominated(points[order].tolist()), reference.tolist())
+
+
+def _wfg_sorted(points: list[list[float]], reference: list[float]) -> float:
+    """WFG recursion on distinct non-dominated rows sorted ascending on the first objective."""
     total = 0.0
-    for idx in range(len(points)):
-        point = points[idx]
-        exclusive = float(boxes[idx])
-        if idx + 1 < len(points):
-            # Limit the remaining points to the region dominated by `point`.
-            # The max of two points inside the reference box is inside it, so
-            # nothing needs dropping; a single point is non-dominated.
-            limited = np.maximum(points[idx + 1 :], point)
-            if len(limited) > 1:
-                limited = limited[non_dominated_mask(limited)]
-            exclusive -= _wfg(limited, reference)
+    for idx, point in enumerate(points):
+        exclusive = prod(map(sub, reference, point))
+        rest = points[idx + 1 :]
+        if rest:
+            # Limit the later rows to the region dominated by `point`.  Their
+            # first objective is no smaller than the point's, so the max leaves
+            # it, and with it the sort order, unchanged; the max of two points
+            # inside the reference box is inside it.
+            limited = [[p if p > r else r for r, p in zip(row, point)] for row in rest]
+            if len(limited) == 1:
+                exclusive -= prod(map(sub, reference, limited[0]))
+            else:
+                exclusive -= _wfg_sorted(_non_dominated(limited), reference)
         total += exclusive
     return total
+
+
+def _non_dominated(points: list[list[float]]) -> list[list[float]]:
+    """The rows no other row dominates, in their order, each value once.
+
+    ``points`` is sorted ascending on the first objective, so only earlier
+    rows and later first-objective ties can dominate a row.  Of equal rows
+    only the last is kept: in WFG an earlier copy's limited set holds the
+    later one, so its exclusive volume is exactly ``box - box = 0.0`` and
+    dropping it leaves every float of the recursion unchanged, while keeping
+    ``k`` copies would cost ``2**k`` recursion nodes.
+    """
+    kept = []
+    for idx, row in enumerate(points):
+        head = row[0]
+        covered = False
+        for other in points[:idx]:
+            if other != row and all(map(le, other, row)):
+                covered = True
+                break
+        if not covered:
+            for other in points[idx + 1 :]:
+                if other[0] != head:
+                    break
+                if all(map(le, other, row)):
+                    covered = True
+                    break
+        if not covered:
+            kept.append(row)
+    return kept
 
 
 def hypervolume_contribution(point: np.ndarray, front: np.ndarray, reference: np.ndarray) -> float:
@@ -97,7 +136,6 @@ def hypervolume_contribution(point: np.ndarray, front: np.ndarray, reference: np
     clipped = clipped[np.all(clipped < reference, axis=1)]
     if len(clipped) == 0:
         return box
-    clipped = clipped[non_dominated_mask(clipped)]
     return box - _wfg(clipped, reference)
 
 

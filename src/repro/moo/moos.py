@@ -37,6 +37,8 @@ class MOOS(LearnedLocalSearch):
         self.directions = uniform_weights(
             problem.num_objectives, require_count(num_directions, "num_directions", 2), self.rng
         )
+        # (archive revision, reference, PHV) of the last full-archive PHV.
+        self._archive_phv: tuple[int, np.ndarray, float] | None = None
 
     # ------------------------------------------------------------------ #
     # Algorithm
@@ -117,7 +119,7 @@ class MOOS(LearnedLocalSearch):
         current_obj = np.asarray(start_objectives, dtype=np.float64)
         ideal = self.archive.objectives.min(axis=0) if len(self.archive) else current_obj
         start_features = np.concatenate([self.problem.features(start_design), direction])
-        phv_before = hypervolume(self.archive.objectives, self.reference)
+        phv_before = self._archive_hypervolume()
         current_scalar = tchebycheff(current_obj, direction, ideal)
         for _ in range(self.local_search_steps):
             if budget.exhausted(iteration, self.evaluations, self.elapsed()):
@@ -147,5 +149,18 @@ class MOOS(LearnedLocalSearch):
             current_obj = best_candidate_obj
             current_scalar = best_scalar
             self.archive.add(current, current_obj)
-        phv_after = hypervolume(self.archive.objectives, self.reference)
+        phv_after = self._archive_hypervolume()
         self._record_training_sample(start_features, phv_after - phv_before)
+
+    def _archive_hypervolume(self) -> float:
+        """PHV of the archive, recomputed only when its members or the reference changed.
+
+        One search's ``phv_after`` is the next one's ``phv_before`` unless
+        the archive changed in between, so half of the full-archive PHVs
+        would repeat the call before them.
+        """
+        memo = self._archive_phv
+        if memo is None or memo[0] != self.archive.revision or memo[1] is not self.reference:
+            value = hypervolume(self.archive.objectives, self.reference)
+            memo = self._archive_phv = (self.archive.revision, self.reference, value)
+        return memo[2]

@@ -60,6 +60,34 @@ class TestArchiveUpdates:
         assert inserted == 2
 
 
+class TestRevision:
+    def test_rejected_add_keeps_the_revision(self):
+        archive = ParetoArchive()
+        archive.add("a", [1.0, 1.0])
+        revision = archive.revision
+        assert not archive.add("b", [2.0, 2.0])
+        assert not archive.add("c", [1.0, 1.0])
+        assert archive.revision == revision
+
+    def test_accepted_add_changes_the_revision(self):
+        archive = ParetoArchive()
+        seen = {archive.revision}
+        for design, objectives in [("a", [1.0, 3.0]), ("b", [3.0, 1.0]), ("c", [0.5, 0.5])]:
+            assert archive.add(design, objectives)
+            assert archive.revision not in seen
+            seen.add(archive.revision)
+
+    def test_truncation_changes_the_revision(self):
+        archive = ParetoArchive(max_size=2)
+        archive.add("a", [0.0, 3.0])
+        archive.add("b", [3.0, 0.0])
+        revision = archive.revision
+        # "c" is non-dominated; truncation then evicts the most crowded "a".
+        assert archive.add("c", [-1.0, 5.0])
+        assert archive.designs == ["b", "c"]
+        assert archive.revision != revision
+
+
 class TestTruncation:
     def test_max_size_enforced(self):
         rng = np.random.default_rng(1)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.moo import moos
 from repro.moo.dominance import dominates
+from repro.moo.hypervolume import hypervolume
 from repro.moo.moos import MOOS
 from repro.moo.termination import Budget
 from tests.moo.toyproblem import GridAnchorProblem
@@ -74,3 +76,28 @@ class TestMOOS:
             MOOS(problem, neighbors_per_step=0, rng=0)
         with pytest.raises(ValueError):
             MOOS(problem, num_directions=1, rng=0)
+
+    def test_memoised_archive_phv_equals_a_fresh_one(self, monkeypatch):
+        computed = []
+
+        def counting_hypervolume(points, reference):
+            computed.append(None)
+            return hypervolume(points, reference)
+
+        monkeypatch.setattr(moos, "hypervolume", counting_hypervolume)
+        problem = GridAnchorProblem(3)
+        optimizer = MOOS(problem, population_size=8, searches_per_iteration=3,
+                         local_search_steps=3, neighbors_per_step=2, rng=5)
+        memoised = optimizer._archive_hypervolume
+        served = []
+
+        def checked():
+            value = memoised()
+            fresh = hypervolume(optimizer.archive.objectives, optimizer.reference)
+            assert value.hex() == fresh.hex()
+            served.append(value)
+            return value
+
+        optimizer._archive_hypervolume = checked
+        optimizer.run(Budget.iterations(6))
+        assert len(served) > len(computed) > 0

@@ -5,7 +5,9 @@ These are verbatim copies of the loop implementations of
 the WFG recursion (one ``np.prod`` per point) that ``repro.moo`` used before it
 moved to the row-blocked ``dominance_matrix`` kernel.  They live only here, as
 bit-exact oracles: ``tests/properties/test_moo_properties.py`` asserts that the
-array code returns exactly (``==``, not ``allclose``) what these return.
+array code returns exactly (``==``, not ``allclose``) what these return, and
+``tests/moo/test_hypervolume_equivalence.py`` pins the sorted-list WFG kernel
+to this recursion by ``float.hex``.
 """
 
 from __future__ import annotations
