@@ -32,6 +32,7 @@ from repro.workloads.registry import get_workload
 from tests.oracles import pareto as pareto_oracle
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
+from tests.oracles.routing import tree_link_loads
 from tests.oracles.tree import RandomForestRegressor as OracleForest
 
 PLATFORM = PlatformConfig.small_3x3x3()
@@ -458,9 +459,10 @@ def test_big_grid_rewire_repair_speedup():
 
     The v1 trajectory measured 0.83x here — canonical pair-table assembly
     swamped the saved Dijkstra re-runs — and row-block adoption lifted it to
-    1.06-1.30x.  A repair now re-derives only the routes a rewire changes
-    (about 1% of them), so it must clearly beat a fresh build on the
-    repair-heaviest brood at the scale that motivated it.
+    1.06-1.30x.  A repair now re-derives only the distances and
+    predecessors a rewire changes, then builds the child's route-tree
+    levels as a fresh table does, so it must clearly beat a fresh build on
+    the repair-heaviest brood at the scale that motivated it.
     """
     entry = _big_grid_entry("big-8x8x4")
     speedup = entry["broods"]["rewire"]["speedup"]
@@ -480,7 +482,7 @@ def test_crossover_brood_built_fresh():
     then nearly equal, so the 64-tile gate takes the median ratio of eleven
     rounds, each timing both sides back to back in alternating order.  At 256 tiles the wall
     clock is not gated: the engine keeps every table it builds, and the
-    fresh pages those 3 MB tables need cost a miss-only brood about 10-15%
+    fresh pages those 2 MB tables need cost a miss-only brood about 10-15%
     against fresh builds whose memory is reused, whatever the repair budget.
     """
     for platform_name in ("paper-4x4x4", "big-8x8x4"):
@@ -580,6 +582,31 @@ def test_routing_table_construction(benchmark):
     """All-pairs deterministic routing for one design."""
     routing = benchmark(lambda: RoutingTables(DESIGNS[0], PLATFORM.grid))
     assert routing.is_reachable(0, PLATFORM.num_tiles - 1)
+
+
+def test_link_loads_match_tree_oracle_smoke():
+    """Link loads give the tree-walk oracle's bits on a miss, a repair and a hit (no timing).
+
+    At 64 and 256 tiles: a fresh table's first loads (miss), the loads of a
+    rewired child repaired from it (repair), and a second call on the
+    fresh table once it is built (hit), each under its design's traffic.
+    """
+    for platform in (PlatformConfig.paper_4x4x4(), PlatformConfig.big_8x8x4()):
+        workload = get_workload("BFS", platform, seed=0)
+        parent = random_design(platform, 0)
+        rng = np.random.default_rng(1)
+        child = None
+        while child is None:
+            child = MoveGenerator(platform, workload).rewire_link(parent, rng)
+        fresh = RoutingTables(parent, platform.grid)
+        cases = [("miss", fresh, parent)]
+        cases.append(("repair", fresh.incremental_update(child.links), child))
+        cases.append(("hit", fresh, parent))
+        for label, tables, design in cases:
+            frequencies = workload.pair_frequencies(design.placement_array())
+            loads = tables.link_loads(frequencies)
+            expected = tree_link_loads(tables, frequencies)
+            assert loads.tobytes() == expected.tobytes(), f"{platform.name} {label}"
 
 
 @pytest.mark.benchmark(group="components")

@@ -25,7 +25,8 @@ read-only across designs and repaired incrementally:
 
 Pair-granular repair
 --------------------
-A rewire changes few routes, so a repair re-derives only those:
+A rewire changes few routes, so a repair re-derives only the distances and
+predecessors it can change:
 
 * only the *affected* sources — whose route tree crosses a removed link, or
   whose distances an added link ties or beats — get new distances, and of
@@ -33,14 +34,12 @@ A rewire changes few routes, so a repair re-derives only those:
   re-run Dijkstra; the rest gain links only and are updated in closed form;
 * inside an affected row, a canonical predecessor is re-derived only where
   its inputs changed: the node's distance, a neighbour's distance, or its
-  incident links;
-* a route changes exactly when some node on its new chain got a new
-  predecessor, so one propagation down each new tree finds the changed
-  pairs.  Only they are re-swept; every other pair copies its ``P`` entries
-  (link ids renumbered), hop count and length from the parent.
+  incident links.
 
-A fresh build is the every-pair-changed case of the same pair-table builder,
-and a repaired table holds the same arrays as a fresh build byte for byte.
+Every per-pair table of the child is then derived from its own
+predecessors, as on a fresh build, and nothing is copied from the parent's
+pair tables, so a repaired table holds the same arrays as a fresh build
+byte for byte.
 
 Tables depend only on the *link set* (plus the grid), never on the PE
 placement, which is why :class:`repro.noc.routing_engine.RoutingEngine` can
@@ -51,36 +50,46 @@ Batch path tables
 -----------------
 Besides the per-pair query API, :class:`RoutingTables` exposes compact batch
 structures used by the vectorized objective engine in :mod:`repro.objectives`.
-They are reconstructed lazily, in a single vectorized sweep over the
-predecessor matrix (one iteration per path-length step, all pairs at once),
-instead of walking predecessors pair-by-pair:
+They are built lazily and together, from one layout of the route trees
+(:meth:`RoutingTables._build_pair_tables`, below):
 
-* :meth:`pair_link_pattern` — the CSR pattern ``(indptr, indices)`` (int32)
-  of the path-link incidence ``P`` of shape ``(num_tiles**2, num_links)``:
-  row ``p = src * num_tiles + dst`` lists the links the route of the ordered
-  tile pair ``p`` traverses.  Every entry of ``P`` is 1, so no data array is
-  stored.
-* :meth:`link_loads` — ``P.T @ f`` for a pair-frequency vector ``f`` (link
-  utilisation), as one ``bincount`` over the pattern.
+* :meth:`link_loads` — ``u = P.T @ f`` for a pair-frequency vector ``f``:
+  the summed weight of the pairs routed over each link (link utilisation).
+  The path-link incidence ``P`` itself is never stored.
 * :meth:`pair_router_ports` — per-pair sums of router port counts
   (``degree + 1``) over every router on the route, endpoints included (a
-  self pair visits only its own router): the router-energy term.  It is
-  summed down the predecessor trees with the table's own degrees, so no
-  pair-router incidence is stored.
+  self pair visits only its own router): the router-energy term, with the
+  table's own degrees.
 * :meth:`pair_hops` / :meth:`pair_lengths` — dense per-pair hop counts
-  ``h_ij`` (int16) and physical route lengths ``d_ij``.
+  ``h_ij`` and physical route lengths ``d_ij`` (both int16).
 * :meth:`reachable_pairs` — boolean per-pair reachability in the same flat
   ``src * num_tiles + dst`` order.
 
-Minimal routes are simple paths, so every incidence entry is 0/1 and
-``pair_hops`` equals the row lengths of ``P``.
+Route-tree levels
+-----------------
+The routes from one source form its predecessor tree: the route to ``v`` is
+the route to ``pred(v)`` plus the link ``pred(v) -> v``.  Every routed pair
+(a reachable pair of distinct tiles) is laid out by hop count, level 1
+first, and by flat pair index inside a level.  In that order the table keeps
+three int32 arrays: the pair, its parent pair's position in the level above,
+and its last-hop link.  Then:
 
-The rows of ``P`` are stored in *route order*, not sorted by column: the
-sweep writes the ``s``-th step of a pair's route straight into slot ``s`` of
-its row, so a row lists the last hop first (:meth:`RoutingTables._route_order_pattern`).
-No sort is needed, and the objectives do not depend on the in-row order:
-``P.T @ f`` accumulates into each link in pair order, and the route lengths
-and port sums add integers, which is exact in any order.
+* hop counts are read off the distances (``hops + epsilon * length`` rounds
+  to ``hops``) and checked against the trees: every pair sits one level
+  below its parent;
+* route lengths and port sums run top-down, one level at a time: a pair's
+  value is its parent's plus its own last hop's.  They are integers, so
+  the result is exact;
+* :meth:`link_loads` runs bottom-up.  It seeds an accumulator with ``f``
+  and, deepest level first, adds each pair into its parent (one
+  ``bincount`` per level), so a pair ends up holding the traffic of its
+  whole subtree: the traffic over its last hop.  One ``bincount`` over the
+  last-hop links then gives the loads.
+
+The loads are summed in tree order, not pair order, so they can differ from
+a pair-order ``P.T @ f`` in the last few bits (up to about 3e-15 relative).
+``tests/oracles/routing.py`` keeps a scalar tree walk that adds in the same
+order, and ``P`` rebuilt from the predecessors for the sparse product.
 """
 
 from __future__ import annotations
@@ -125,8 +134,6 @@ class RoutingTables:
     #: of float accumulation noise); anything closer than this tolerance is
     #: the same value computed along a different equal-cost path.
     _TIE_TOLERANCE = 1e-6
-    #: Pairs per block of :meth:`link_loads`.
-    _LOAD_BLOCK = 16384
 
     def __init__(self, design: NocDesign, grid: Grid3D):
         self._build(design.links, design.num_tiles, grid)
@@ -195,8 +202,10 @@ class RoutingTables:
     def _reset_lazy(self) -> None:
         self._path_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         # Lazily built batch structures (see _build_pair_tables).
-        self._pair_indptr: np.ndarray | None = None
-        self._pair_links: np.ndarray | None = None
+        self._tree_pairs: np.ndarray | None = None
+        self._tree_parents: np.ndarray | None = None
+        self._tree_links: np.ndarray | None = None
+        self._level_starts: tuple[int, ...] = ()
         self._pair_hops: np.ndarray | None = None
         self._pair_lengths: np.ndarray | None = None
         self._pair_ports: np.ndarray | None = None
@@ -335,12 +344,10 @@ class RoutingTables:
         distances and canonical routes, so its rows are copied.  Affected
         rows get new distances (:meth:`_repaired_distances`), but a
         predecessor is re-derived only where its inputs changed
-        (:meth:`_stale_entries`).  A route then changes exactly when some
-        node on its new chain got a new predecessor (:func:`_changed_routes`),
-        and only those pairs are re-swept: every other pair's pattern
-        entries, hops and length are copied from the parent.  Cached tables
-        stay untouched ("repair" returns a new instance), because the
-        parent's entry remains live under its own topology key.
+        (:meth:`_stale_entries`).  The pair tables are left to the child's
+        own lazy build.  Cached tables stay untouched ("repair" returns a new
+        instance), because the parent's entry remains live under its own
+        topology key.
 
         The result is bit-identical (routes, hops, pair tables) to a fresh
         :class:`RoutingTables` build for ``new_links``.
@@ -371,26 +378,21 @@ class RoutingTables:
         distance = updated._repaired_distances(self, cut, affected, added)
         predecessors = self._predecessors.copy()
         rows = np.flatnonzero(affected)
-        changed_pairs = np.empty(0, dtype=np.intp)
         if rows.size:
             block = distance[rows]
             endpoints = np.concatenate((ends_a, ends_b, new_a, new_b))
             stale = updated._stale_entries(self._distance[rows], block, endpoints)
-            old = self._predecessors[rows]
             if 2 * stale.size < block.size:
-                new = old.copy()
+                new = predecessors[rows]
                 new.ravel()[stale] = updated._local_predecessors(block, stale)
             else:
                 # A large delta leaves most entries stale, and per entry the
                 # whole-row derivation costs about half the listed one.
                 new = updated._canonical_predecessors(block)
             predecessors[rows] = new
-            changed_rows, changed_nodes = np.nonzero(_changed_routes(old, new))
-            changed_pairs = rows[changed_rows] * self.num_tiles + changed_nodes
         updated._distance = distance
         updated._predecessors = predecessors
         updated._reset_lazy()
-        updated._adopt_pair_tables(self, changed_pairs)
         return updated
 
     # ------------------------------------------------------------------ #
@@ -445,40 +447,27 @@ class RoutingTables:
         """Flat index of the ordered tile pair ``(src, dst)`` in the batch tables."""
         return src * self.num_tiles + dst
 
-    def pair_link_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR pattern ``(indptr, indices)`` of the path-link incidence ``P``.
-
-        ``P`` has shape ``(num_tiles**2, num_links)`` and every stored entry
-        is 1, so the pattern is the whole matrix.  Both arrays are read-only
-        int32, and each row lists its route's links last hop first.
-        """
-        if self._pair_links is None:
-            self._build_pair_tables()
-        return self._pair_indptr, self._pair_links
-
     def link_loads(self, pair_weights: np.ndarray) -> np.ndarray:
         """``P.T @ pair_weights``: the summed weight of the pairs routed over each link.
 
-        ``bincount`` (first block) and then ``np.add.at`` add into each link
-        in pair order, the order scipy's ``P.T @ w`` uses, so the result is
-        bit-identical to the sparse product.  Going through the pairs in
-        blocks keeps the per-entry weights a few hundred kB at a time instead
-        of one array as long as ``P``'s pattern (2 MB at 256 tiles): an
-        allocation that large comes back as fresh, page-faulting memory on
-        most calls.
+        Sums up the route trees (see the module docstring): an accumulator
+        in level order starts as the pairs' weights and, deepest level
+        first, each level is added into the level above with one
+        ``bincount`` over its parent positions.  A pair then holds its
+        subtree's weight, which is the weight over its last hop, and one
+        ``bincount`` over the last-hop links gives the loads.  Unreachable
+        and self pairs route over no link.
         """
-        indptr, links = self.pair_link_pattern()
-        hops = self.pair_hops()
-        loads = None
-        for start in range(0, hops.size, self._LOAD_BLOCK):
-            end = min(start + self._LOAD_BLOCK, hops.size)
-            block_links = links[indptr[start] : indptr[end]]
-            weights = np.repeat(pair_weights[start:end], hops[start:end])
-            if loads is None:
-                loads = np.bincount(block_links, weights=weights, minlength=self.num_links)
-            else:
-                np.add.at(loads, block_links, weights)
-        return loads
+        if self._tree_pairs is None:
+            self._build_pair_tables()
+        starts, parents = self._level_starts, self._tree_parents
+        totals = pair_weights.take(self._tree_pairs)
+        for level in range(len(starts) - 1, 1, -1):
+            above, first, end = starts[level - 2], starts[level - 1], starts[level]
+            totals[above:first] += np.bincount(
+                parents[first:end], weights=totals[first:end], minlength=first - above
+            )
+        return np.bincount(self._tree_links, weights=totals, minlength=self.num_links)
 
     def pair_router_ports(self) -> np.ndarray:
         """Per-pair sum of router port counts over the route (int32, read-only).
@@ -486,23 +475,10 @@ class RoutingTables:
         A router has ``degree + 1`` ports (its links plus the local PE port),
         from this table's own link set.  Every router on a route is counted,
         endpoints included; a self pair counts its own router, an unreachable
-        pair is 0.  The sums run down each source's predecessor tree
-        (:func:`_chain_reduce`), so they read neither ``P`` nor a parent's
-        sums — a rewire changes router degrees on routes that did not move.
-        All integers, so the result is exact in any order.
+        pair is 0.  All integers, so the result is exact in any order.
         """
         if self._pair_ports is None:
-            ends = np.concatenate((self._ends_a, self._ends_b))
-            ports = np.bincount(ends, minlength=self.num_tiles).astype(np.int32) + 1
-            # Each node below a source contributes its own ports; the source
-            # (every chain's root) is added once at the end.
-            below = self._predecessors != NO_PREDECESSOR
-            sums = _chain_reduce(np.where(below, ports, 0), self._predecessors, np.add)
-            sums += ports[:, None]
-            sums = sums.ravel()
-            sums[~self.reachable_pairs()] = 0
-            sums.setflags(write=False)
-            self._pair_ports = sums
+            self._build_pair_tables()
         return self._pair_ports
 
     def pair_hops(self) -> np.ndarray:
@@ -512,7 +488,7 @@ class RoutingTables:
         return self._pair_hops
 
     def pair_lengths(self) -> np.ndarray:
-        """Per-pair physical route lengths ``d_ij`` (0 where no route exists)."""
+        """Per-pair physical route lengths ``d_ij`` (int16; 0 where no route exists)."""
         if self._pair_lengths is None:
             self._build_pair_tables()
         return self._pair_lengths
@@ -540,141 +516,71 @@ class RoutingTables:
         return total
 
     def _build_pair_tables(self) -> None:
-        """Reconstruct every route at once from the predecessor matrix."""
-        self._route_pair_tables(np.arange(self.num_tiles * self.num_tiles))
+        """Lay the route trees out by hop level and derive every per-pair table.
 
-    def _adopt_pair_tables(self, parent: "RoutingTables", changed_pairs: np.ndarray) -> None:
-        """Repair the batch structures from a parent's, re-sweeping only changed pairs.
-
-        Every other pair keeps its canonical route, and such a route never
-        traverses a removed link, so its row of ``P`` survives verbatim with
-        the link ids remapped to the new link indexing.  No-op (tables stay
-        lazy) when the parent never built its batch structures.  Router port
-        sums are never adopted: a rewire changes router degrees on routes
-        that did not move, so the child derives its own.
-        """
-        if parent._pair_links is None:
-            return
-        # Both key arrays are ascending, so surviving parent links map to new
-        # indices with one searchsorted (no per-link Python lookups).  The
-        # table is int32 like the pattern it renumbers.
-        old_to_new = np.full(parent.num_links, -1, dtype=np.int32)
-        if self.num_links:
-            positions = np.searchsorted(self._link_keys, parent._link_keys)
-            positions = np.minimum(positions, self.num_links - 1)
-            survives = self._link_keys[positions] == parent._link_keys
-            old_to_new[survives] = positions[survives]
-        self._route_pair_tables(changed_pairs, parent, old_to_new)
-
-    def _route_pair_tables(
-        self,
-        changed_pairs: np.ndarray,
-        parent: "RoutingTables | None" = None,
-        link_remap: "np.ndarray | None" = None,
-    ) -> None:
-        """Build ``P``'s pattern, hops and lengths: sweep changed pairs, copy the rest.
-
-        The one builder behind fresh builds (every pair changed, no parent)
-        and repairs (every other pair's entries and length come from the
-        ``parent``, link ids renumbered through ``link_remap``).
-        """
-        steps = self._route_steps(changed_pairs)
-        if parent is None:
-            lengths = np.zeros(self.num_tiles * self.num_tiles, dtype=np.float64)
-        else:
-            lengths = parent._pair_lengths.copy()
-            lengths[changed_pairs] = 0.0
-        # Link lengths are integer-valued floats, so these step-wise sums are
-        # exact (identical to any other summation order).
-        for pairs, step_links in steps:
-            lengths[pairs] += self.link_lengths[step_links]
-        indptr, links = self._route_order_pattern(steps, changed_pairs, parent, link_remap)
-        # Minimal routes are simple paths, so h_ij is exactly the number of
-        # entries in the pair's row.
-        hops = np.diff(indptr).astype(np.int16)
-        for array in (indptr, links, hops, lengths):
-            array.setflags(write=False)
-        self._pair_indptr, self._pair_links = indptr, links
-        self._pair_hops, self._pair_lengths = hops, lengths
-
-    def _route_steps(self, pairs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Route reconstruction sweep for the listed flat pairs (ascending).
-
-        Walks all destination-to-source chains simultaneously: iteration ``s``
-        advances every still-active pair one predecessor step and emits the
-        link of the traversed ``(prev, cur)`` edge.  The loop runs
-        ``max h_ij`` times (at most the network diameter), with all per-pair
-        work vectorized.
-
-        Returns a list of ``(pair rows, link ids)`` chunks with flat pair
-        rows (``src * num_tiles + dst``).  Chunk ``s`` holds link ``s`` of
-        each listed row in route order, from the destination back to the
-        source, so a row lists the last hop first.  Each chunk lists a row at
-        most once, in ascending row order.
+        The one builder behind fresh builds and repairs alike: it reads only
+        this table's distances, predecessors and links.
         """
         num_tiles = self.num_tiles
-        src, dst = np.divmod(pairs, num_tiles)
-        reachable = np.isfinite(self._distance.ravel()[pairs])
-        # Dense (tile, tile) -> link lookup, so each step maps its traversed
-        # edges to links with one gather.  It lives only for this sweep.
-        edge_link = np.full((num_tiles, num_tiles), -1, dtype=np.int32)
+        # A distance is hops + epsilon * length, and epsilon * length < 0.5
+        # on every route the check below accepts, so rint recovers the hops.
+        hops = np.rint(self._distance)
+        hops[~self.reachable_matrix()] = 0
+        hops = hops.astype(np.int16).ravel()
+        order = np.argsort(hops, kind="stable")
+        # Level 1 always exists (maybe empty), so ``starts`` has at least two entries.
+        counts = np.bincount(hops, minlength=2)
+        level_ends = np.cumsum(counts)
+        # Rank of every pair inside its level.
+        rank = np.empty(hops.size, dtype=np.int32)
+        rank[order] = np.arange(hops.size, dtype=np.int32)
+        rank -= (level_ends - counts).astype(np.int32).take(hops)
+        # Level 0 holds the self and unreachable pairs; the rest are routed.
+        pairs = order[level_ends[0] :].astype(np.int32)
+        dst = pairs % num_tiles
+        pred = self._predecessors.ravel().take(pairs).astype(np.int32)
+        parents = pairs - dst + pred
+        if not np.array_equal(hops.take(parents) + 1, hops.take(pairs)):
+            raise ValueError(
+                "route lengths too long to read hop counts off the distances: "
+                f"epsilon {self._LENGTH_EPSILON} times a route length reaches 0.5"
+            )
+        # Dense (tile, tile) -> link lookup; it lives only for this build.
+        edge_link = np.full(num_tiles * num_tiles, -1, dtype=np.int32)
         link_ids = np.arange(self.num_links, dtype=np.int32)
-        edge_link[self._ends_a, self._ends_b] = link_ids
-        edge_link[self._ends_b, self._ends_a] = link_ids
+        edge_link[self._ends_a * num_tiles + self._ends_b] = link_ids
+        edge_link[self._ends_b * num_tiles + self._ends_a] = link_ids
+        links = edge_link.take(pred * num_tiles + dst)
+        parent_rank = rank.take(parents)
+        starts = tuple(int(end) - int(level_ends[0]) for end in level_ends)
 
-        steps: list[tuple[np.ndarray, np.ndarray]] = []
-        cur = dst.copy()
-        active = np.flatnonzero(reachable & (src != dst))
-        while active.size:
-            prev = self._predecessors[src[active], cur[active]]
-            steps.append((pairs[active], edge_link[prev, cur[active]]))
-            cur[active] = prev
-            active = active[prev != src[active]]
-        return steps
+        # Top-down, one level at a time: a pair's length and port sum are its
+        # parent's plus its own last hop's (level 1's parent is the source).
+        ports = np.bincount(
+            np.concatenate((self._ends_a, self._ends_b)), minlength=num_tiles
+        ).astype(np.int32)
+        ports += 1
+        lengths = self.link_lengths.astype(np.int32).take(links)
+        port_sums = ports.take(dst)
+        port_sums[: starts[1]] += ports.take(pred[: starts[1]])
+        for level in range(2, len(starts)):
+            above, first, end = starts[level - 2], starts[level - 1], starts[level]
+            up = parent_rank[first:end]
+            lengths[first:end] += lengths[above:first].take(up)
+            port_sums[first:end] += port_sums[above:first].take(up)
+        if lengths.size and lengths.max() > np.iinfo(np.int16).max:
+            raise OverflowError(f"route length {lengths.max()} does not fit the int16 length table")
 
-    def _route_order_pattern(
-        self,
-        steps: list[tuple[np.ndarray, np.ndarray]],
-        changed_pairs: np.ndarray,
-        parent: "RoutingTables | None" = None,
-        link_remap: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Route-order int32 CSR pattern from swept steps, plus rows kept from a parent.
-
-        Entry ``s`` of a swept row goes straight into slot ``indptr[row] +
-        s``, so every row lists its links in route order and no sort is
-        needed.  With a ``parent`` pattern (itself route-ordered), every row
-        not in ``changed_pairs`` is copied from it in one masked gather, with
-        link ids renumbered through ``link_remap``.  A repaired table
-        therefore holds the same arrays as a fresh build byte for byte.
-        """
-        if parent is None:
-            counts = np.zeros(self.num_tiles * self.num_tiles, dtype=np.int32)
-        else:
-            parent_indptr, parent_links = parent._pair_indptr, parent._pair_links
-            counts = np.diff(parent_indptr)
-            parent_counts = counts[changed_pairs]
-            counts[changed_pairs] = 0
-        for rows, _ in steps:
-            counts[rows] += 1
-        indptr = np.zeros(counts.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        links = np.empty(int(indptr[-1]), dtype=np.int32)
-        if parent is not None:
-            # Mask out the changed rows' entries on both sides; what is left
-            # lines up entry for entry, since kept rows keep their lengths.
-            kept_in = np.ones(parent_links.size, dtype=bool)
-            kept_in[_segment_ranges(parent_indptr[changed_pairs], parent_counts)[0]] = False
-            kept_out = np.ones(links.size, dtype=bool)
-            kept_out[_segment_ranges(indptr[changed_pairs], counts[changed_pairs])[0]] = False
-            links[kept_out] = link_remap.take(parent_links[kept_in])
-        row_starts = indptr[:-1]
-        for step, (rows, step_links) in enumerate(steps):
-            links[row_starts[rows] + step] = step_links
-        assert links.size == 0 or links.min() >= 0, (
-            "route of an unchanged pair crossed a removed link"
-        )
-        return indptr, links
+        pair_lengths = np.zeros(hops.size, dtype=np.int16)
+        pair_lengths[pairs] = lengths
+        pair_ports = np.zeros(hops.size, dtype=np.int32)
+        pair_ports[pairs] = port_sums
+        pair_ports[:: num_tiles + 1] = ports
+        for array in (pairs, parent_rank, links, hops, pair_lengths, pair_ports):
+            array.setflags(write=False)
+        self._tree_pairs, self._tree_parents, self._tree_links = pairs, parent_rank, links
+        self._level_starts = starts
+        self._pair_hops, self._pair_lengths, self._pair_ports = hops, pair_lengths, pair_ports
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -713,39 +619,3 @@ def _segment_ranges(firsts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     starts = ends - counts
     total = int(ends[-1]) if ends.size else 0
     return np.arange(total) + np.repeat(firsts - starts, counts), starts
-
-
-def _chain_reduce(values: np.ndarray, predecessors: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """Fold ``ufunc`` over every node's chain in a block of predecessor rows.
-
-    The chain of ``v`` in a source row is ``v, pred(v), ...`` up to the
-    source; the result at ``v`` is ``values`` folded over it.  Pointer
-    doubling does this in ``log2(depth)`` gathers: after round ``k`` an
-    entry covers ``2**k`` nodes of its chain and ``ancestor`` points just
-    past them.  Sources and unreachable nodes point to themselves, so
-    ``values`` must be ``ufunc``'s identity there unless ``ufunc`` is
-    idempotent.  ``values`` is consumed.
-    """
-    num_rows, num_tiles = predecessors.shape
-    folded = values.ravel()
-    row_base = np.arange(num_rows)[:, None] * num_tiles
-    ancestor = np.where(
-        predecessors == NO_PREDECESSOR, row_base + np.arange(num_tiles), row_base + predecessors
-    ).ravel()
-    while True:
-        next_ancestor = ancestor[ancestor]
-        if np.array_equal(next_ancestor, ancestor):
-            return folded.reshape(predecessors.shape)
-        ufunc(folded, folded[ancestor], out=folded)
-        ancestor = next_ancestor
-
-
-def _changed_routes(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Which routes of a block of source rows differ between two predecessor blocks.
-
-    ``old`` and ``new`` hold the same sources' predecessors before and after
-    a rewire.  The route to ``v`` is its chain in the new tree, so it
-    changes exactly when some node on that chain has a new predecessor (an
-    unreachable node that becomes reachable, or the reverse, counts too).
-    """
-    return _chain_reduce(new != old, new, np.logical_or)

@@ -6,11 +6,13 @@ Objective 1 minimises the mean of ``u`` over all links; objective 2 minimises
 its variance (reducing hotspots improves GPU throughput).
 
 :func:`link_utilizations` is vectorized: it computes ``u = P.T @ f``, where
-``P`` is the path-link incidence whose pattern
-:meth:`~repro.noc.routing.RoutingTables.pair_link_pattern` stores, and ``f`` is
-the design's tile-pair frequency vector
-(:meth:`~repro.workloads.workload.Workload.pair_frequencies`), with one
-``bincount`` (:meth:`~repro.noc.routing.RoutingTables.link_loads`).
+``P`` is the path-link incidence (``P[ij, k] = p_ijk``) and ``f`` is the
+design's tile-pair frequency vector
+(:meth:`~repro.workloads.workload.Workload.pair_frequencies`).  ``P`` is never
+built: :meth:`~repro.noc.routing.RoutingTables.link_loads` adds ``f`` up each
+source's route tree, one hop level at a time, so every pair ends up holding
+the traffic over its last hop, and one ``bincount`` over those links gives
+``u``.
 """
 
 from __future__ import annotations

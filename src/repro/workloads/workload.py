@@ -116,7 +116,8 @@ class Workload:
         Flattened row-major, this is the pair-frequency vector consumed by the
         vectorized objective engine: its order matches the flat
         ``src * num_tiles + dst`` pair indexing of the routing tables' pair
-        structures (:meth:`repro.noc.routing.RoutingTables.pair_link_pattern`).
+        structures (:meth:`repro.noc.routing.RoutingTables.link_loads`,
+        :meth:`~repro.noc.routing.RoutingTables.pair_lengths`, ...).
         """
         placement = np.asarray(placement, dtype=np.int64)
         return self.traffic[np.ix_(placement, placement)]

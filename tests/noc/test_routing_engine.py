@@ -9,15 +9,18 @@ from repro.noc.moves import MoveGenerator, mutate
 from repro.noc.crossover import crossover
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
-from tests.oracles.routing import router_ports
+from tests.oracles.routing import router_ports, tree_link_loads
 
 
 def assert_tables_identical(left: RoutingTables, right: RoutingTables) -> None:
     """Full structural equality: distances, routes, pair tables."""
     np.testing.assert_array_equal(left._predecessors, right._predecessors)
     assert np.allclose(left._distance, right._distance, rtol=0, atol=1e-9)
-    for ours, theirs in zip(left.pair_link_pattern(), right.pair_link_pattern()):
-        np.testing.assert_array_equal(ours, theirs)
+    weights = np.random.default_rng(0).random(left.num_tiles**2)
+    assert left.link_loads(weights).tobytes() == right.link_loads(weights).tobytes()
+    assert left.link_loads(weights).tobytes() == tree_link_loads(left, weights).tobytes()
+    for attr in ("_tree_pairs", "_tree_parents", "_tree_links", "_level_starts"):
+        np.testing.assert_array_equal(getattr(left, attr), getattr(right, attr))
     np.testing.assert_array_equal(left.pair_router_ports(), right.pair_router_ports())
     np.testing.assert_array_equal(left.pair_router_ports(), router_ports(left))
     np.testing.assert_array_equal(left.pair_hops(), right.pair_hops())

@@ -1,13 +1,15 @@
-"""Pair-table rows are stored in route order, and the objectives do not notice.
+"""The retired route-order incidences, and the tables' sums against them.
 
-``RoutingTables`` writes the ``s``-th step of each route straight into slot
-``s`` of the pair's row of the ``P`` pattern, so a row lists the last hop
-first.  These tests pin that layout on random 256-tile designs (fresh and
-incrementally repaired tables), against the retired route-order ``R`` builder
-whose rows read ``dst, ..., src``.  They also check that every quantity the
-objectives read — ``P.T @ f``, the route lengths and the router port sums —
-is byte-identical to the same product over the sorted-index CSR the tables
-used to build (``tests/oracles/routing.py``).
+The retired sweep (``tests/oracles/routing.py``) rebuilds ``P`` from a
+table's predecessors, writing the ``s``-th step of each route straight into
+slot ``s`` of the pair's row, so a row lists the last hop first.  These
+tests pin that layout on random 256-tile designs (fresh and incrementally
+repaired tables), against the retired route-order ``R`` builder whose rows
+read ``dst, ..., src``, and check that its products are byte-identical to
+the same products over the sorted-index CSR.  The tables' own sums are held
+to those products: the route lengths and router port sums exactly, the link
+loads byte for byte against the tree-order oracle and at ``rtol=1e-12``
+against ``P.T @ f``.
 """
 
 import numpy as np
@@ -17,7 +19,12 @@ from repro.noc.constraints import random_design
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
-from tests.oracles.routing import canonical_csr, pair_link_incidence, pair_tile_incidence
+from tests.oracles.routing import (
+    canonical_csr,
+    pair_link_incidence,
+    pair_tile_incidence,
+    tree_link_loads,
+)
 
 BIG = PlatformConfig.big_8x8x4()
 
@@ -30,7 +37,7 @@ def _tables(seed):
     rng = np.random.default_rng(seed)
     design = random_design(BIG, rng)
     fresh = RoutingTables(design, BIG.grid)
-    fresh.pair_link_pattern()  # materialise, so the repair below adopts rows
+    fresh.pair_hops()  # materialise: the repair below must not read the parent's tables
     child = MoveGenerator(BIG).random_neighbor(design, rng)
     return [(design, fresh), (child, fresh.incremental_update(child.links))]
 
@@ -86,8 +93,10 @@ def test_products_are_byte_identical_to_the_sorted_index_oracle(designs_and_tabl
         frequencies = rng.random(links.shape[0]) * rng.choice([0.0, 1e-3, 1.0, 1e4], links.shape[0])
         ports = design.degrees().astype(np.float64) + 1.0
         assert (links.T @ frequencies).tobytes() == (oracle_links.T @ frequencies).tobytes()
-        assert tables.link_loads(frequencies).tobytes() == (oracle_links.T @ frequencies).tobytes()
+        loads = tables.link_loads(frequencies)
+        assert loads.tobytes() == tree_link_loads(tables, frequencies).tobytes()
+        np.testing.assert_allclose(loads, oracle_links.T @ frequencies, rtol=1e-12, atol=0)
         assert (links @ tables.link_lengths).tobytes() == (oracle_links @ tables.link_lengths).tobytes()
-        assert tables.pair_lengths().tobytes() == (oracle_links @ tables.link_lengths).tobytes()
+        assert np.array_equal(tables.pair_lengths(), oracle_links @ tables.link_lengths)
         assert (tiles @ ports).tobytes() == (oracle_tiles @ ports).tobytes()
         assert np.array_equal(tables.pair_router_ports(), oracle_tiles @ ports)

@@ -1,12 +1,13 @@
-"""Row-block pair-table adoption: spliced tables are byte-identical to fresh.
+"""Repaired tables are byte-identical to fresh builds.
 
-``RoutingTables.incremental_update`` no longer rebuilds the lazy pair tables
-from scratch: surviving parent rows are spliced block-wise into the child's
-``P`` pattern (``_adopt_pair_tables`` / ``_route_order_pattern``).  These tests pin
-the contract that adoption is invisible — every array a fresh
-``from_links`` build produces is byte-for-byte identical, on the 256-tile
-grid the optimisation targets and across delta shapes (single link, multiple
-links, placement-only).
+``RoutingTables.incremental_update`` re-derives only the distances and
+predecessors a link delta changes; every lazy pair table of the child (the
+route-tree levels, hops, lengths, router port sums) is then built from the
+child's own predecessors.  These tests pin the contract that the repair is
+invisible — every array a fresh ``from_links`` build produces, and the link
+loads over it, are byte-for-byte identical — on the 256-tile grid, across
+delta shapes (single link, multiple links, placement-only, crossover-sized,
+a tile cut off and restored) and along chains of repairs.
 """
 
 import numpy as np
@@ -20,22 +21,30 @@ from repro.noc.links import Link, candidate_links
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
-from tests.oracles.routing import changed_route_pairs, pair_link_incidence, router_ports
+from tests.oracles.routing import (
+    changed_route_pairs,
+    pair_link_incidence,
+    router_ports,
+    tree_link_loads,
+)
 
 BIG = PlatformConfig.big_8x8x4()
 SMALL = PlatformConfig.small_3x3x3()
 TINY = PlatformConfig.tiny_2x2x2()
 
 
+TREE_ARRAYS = ("_tree_pairs", "_tree_parents", "_tree_links")
+
+
 def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
     """Every pair-table array matches the fresh build byte for byte.
 
     ``tobytes()`` equality is stricter than ``==``: it also pins dtypes and
-    element order, so a splice that produced the right values in a different
-    dtype (e.g. int64 indices where the tables store int32) still fails.
-    The router port sums are also pinned to the retired ``R @ (degrees +
-    1)`` oracle, since a repaired child must derive them from its own
-    degrees.
+    element order, so a repair that produced the right values in a different
+    dtype (e.g. int64 pairs where the tables store int32) still fails.  The
+    link loads of one weight vector must match too.  The router port sums
+    are also pinned to the retired ``R @ (degrees + 1)`` oracle, since a
+    repaired child must derive them from its own degrees.
 
     The raw Dijkstra ``_distance`` is the one exception: for equal-cost path
     ties, scipy's traversal order (and thus float summation grouping) depends
@@ -45,11 +54,13 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
     (routes, hops, incidences, objectives) is byte-checked above; the raw
     distances are pinned to the tolerance instead.
     """
-    for attr, left, right in zip(
-        ("indptr", "indices"), adopted.pair_link_pattern(), fresh.pair_link_pattern()
-    ):
-        assert left.dtype == right.dtype, f"pattern {attr} dtype"
-        assert left.tobytes() == right.tobytes(), f"pattern {attr} bytes"
+    weights = np.random.default_rng(0).random(fresh.num_tiles**2)
+    assert adopted.link_loads(weights).tobytes() == fresh.link_loads(weights).tobytes()
+    for attr in TREE_ARRAYS:
+        left, right = getattr(adopted, attr), getattr(fresh, attr)
+        assert left.dtype == right.dtype == np.int32, f"{attr} dtype"
+        assert left.tobytes() == right.tobytes(), f"{attr} bytes"
+    assert adopted._level_starts == fresh._level_starts
     assert adopted.pair_hops().tobytes() == fresh.pair_hops().tobytes()
     assert adopted.pair_router_ports().tobytes() == fresh.pair_router_ports().tobytes()
     assert np.array_equal(adopted.pair_router_ports(), router_ports(adopted))
@@ -83,7 +94,7 @@ def rewired_links(links, rng, moves=1):
 
 
 class TestBigGridAdoption:
-    """Seeded equivalence on the 8x8x4 grid (the scale that motivated splicing)."""
+    """Seeded equivalence on the 8x8x4 grid (the scale repairs target)."""
 
     @pytest.fixture(scope="class")
     def parent(self):
@@ -105,25 +116,25 @@ class TestBigGridAdoption:
 
     def test_placement_delta_adopts_every_row(self, parent):
         """A placement-only move keeps the link set: zero affected sources,
-        so adoption splices *all* parent rows — still byte-identical."""
+        so every distance and predecessor row is the parent's — still
+        byte-identical."""
         design, tables = parent
         updated = tables.incremental_update(design.links)
         fresh = RoutingTables.from_links(design.links, BIG.num_tiles, BIG.grid)
         assert_byte_identical(updated, fresh)
 
     def test_adoption_after_parent_tables_materialised(self, parent):
-        """Splicing reads the parent's built tables; building them first (the
-        cache-warm case an engine is always in) must not change the child."""
+        """Building the parent's pair tables first (the cache-warm case an
+        engine is always in) must not change the child."""
         design, tables = parent
-        tables.pair_link_pattern()  # force the lazy build
-        tables.pair_router_ports()
+        tables.pair_hops()  # force the lazy build
         rng = np.random.default_rng(3)
         child_links, fresh = rewired_links(design.links, rng, moves=2)
         assert_byte_identical(tables.incremental_update(child_links), fresh)
 
 
 class TestMoveGeneratorDeltas:
-    """Adoption under the real move operators on the 27-tile platform."""
+    """Repairs under the real move operators on the 27-tile platform."""
 
     def test_rewire_chain_matches_fresh(self):
         moves = MoveGenerator(SMALL)
@@ -141,7 +152,7 @@ class TestMoveGeneratorDeltas:
 @given(seed=st.integers(min_value=0, max_value=10_000), steps=st.integers(min_value=1, max_value=5))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_adopted_rows_byte_identical_property(seed, steps):
-    """Hypothesis: chained random moves keep adoption byte-exact (tiny grid)."""
+    """Hypothesis: chained random moves keep repairs byte-exact (tiny grid)."""
     moves = MoveGenerator(TINY)
     rng = np.random.default_rng(seed)
     design = random_design(TINY, rng)
@@ -154,29 +165,9 @@ def test_adopted_rows_byte_identical_property(seed, steps):
 
 
 # ---------------------------------------------------------------------- #
-# Pair-granular repair: only the routes a rewire changes are re-swept
+# Pair-granular repair: changed routes, on real rewires
 # ---------------------------------------------------------------------- #
 PAPER = PlatformConfig.paper_4x4x4()
-
-
-def repair_and_swept_pairs(tables, links, monkeypatch):
-    """``tables.incremental_update(links)`` plus the flat pairs it re-swept.
-
-    Spies on the pair-table builder, which a repair calls once with the
-    pairs whose routes it re-derives (the parent's tables must be built).
-    """
-    swept = []
-    original = RoutingTables._route_pair_tables
-
-    def spy(self, changed_pairs, *args):
-        swept.append(np.array(changed_pairs))
-        return original(self, changed_pairs, *args)
-
-    monkeypatch.setattr(RoutingTables, "_route_pair_tables", spy)
-    child = tables.incremental_update(links)
-    monkeypatch.undo()
-    assert len(swept) == 1, "a repair of built tables adopts them exactly once"
-    return child, swept[0]
 
 
 def fresh_tables(links, platform):
@@ -184,33 +175,36 @@ def fresh_tables(links, platform):
 
 
 class TestChangedPairSet:
-    """The re-swept pairs are exactly the pairs whose tile path changed."""
+    """Repairs that change routes still match a fresh build byte for byte."""
 
     @pytest.mark.parametrize("platform", [SMALL, PAPER], ids=lambda p: p.name)
-    def test_swept_pairs_match_brute_force_path_diff(self, platform, monkeypatch):
+    def test_rewires_that_move_routes_match_fresh(self, platform):
         moves = MoveGenerator(platform)
         rng = np.random.default_rng(21)
         design = random_design(platform, 4)
         tables = RoutingTables(design, platform.grid)
-        tables.pair_link_pattern()
+        tables.pair_hops()
         nonempty = 0
         for _ in range(4):
             child = None
             while child is None:
                 child = moves.rewire_link(design, rng)
-            repaired, swept = repair_and_swept_pairs(tables, child.links, monkeypatch)
-            np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
-            assert_byte_identical(repaired, fresh_tables(child.links, platform))
-            nonempty += swept.size > 0
+            repaired = tables.incremental_update(child.links)
+            fresh = fresh_tables(child.links, platform)
+            np.testing.assert_array_equal(
+                changed_route_pairs(tables, repaired), changed_route_pairs(tables, fresh)
+            )
+            assert_byte_identical(repaired, fresh)
+            nonempty += changed_route_pairs(tables, repaired).size > 0
         assert nonempty, "no rewire changed a route: the check proved nothing"
 
-    def test_crossover_sized_delta(self, monkeypatch):
+    def test_crossover_sized_delta(self):
         """A delta that changes about 40% of the links (NSGA-II crossover
         children are that large) leaves most predecessors stale; the repair
-        must still match a fresh build and sweep exactly the changed pairs."""
+        must still match a fresh build."""
         design = random_design(PAPER, 8)
         tables = RoutingTables(design, PAPER.grid)
-        tables.pair_link_pattern()
+        tables.pair_hops()
         rng = np.random.default_rng(12)
         pool = [c for c in candidate_links(PAPER) if c not in set(design.links)]
         moves = int(0.4 * len(design.links))
@@ -222,43 +216,44 @@ class TestChangedPairSet:
             fresh = fresh_tables(links, PAPER)
             if np.isfinite(fresh._distance).all():
                 break
-        repaired, swept = repair_and_swept_pairs(tables, links, monkeypatch)
+        repaired = tables.incremental_update(links)
         assert_byte_identical(repaired, fresh)
-        np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
+        assert changed_route_pairs(tables, repaired).size > 0
 
-    def test_placement_delta_sweeps_nothing(self, monkeypatch):
+    def test_placement_delta_changes_no_route(self):
         design = random_design(PAPER, 2)
         tables = RoutingTables(design, PAPER.grid)
-        tables.pair_link_pattern()
-        repaired, swept = repair_and_swept_pairs(tables, design.links, monkeypatch)
-        assert swept.size == 0
+        tables.pair_hops()
+        repaired = tables.incremental_update(design.links)
+        assert changed_route_pairs(tables, repaired).size == 0
         assert_byte_identical(repaired, fresh_tables(design.links, PAPER))
 
 
 class TestDisconnectReconnect:
     """Cutting every link of a tile, then restoring them, stays byte-exact."""
 
-    def test_tile_cut_off_and_restored(self, monkeypatch):
+    def test_tile_cut_off_and_restored(self):
         design = random_design(PAPER, 6)
         tables = RoutingTables(design, PAPER.grid)
-        tables.pair_link_pattern()
+        tables.pair_hops()
         tile = 5
         cut = tuple(link for link in design.links if tile not in link)
         assert len(cut) < len(design.links)
-        isolated, swept = repair_and_swept_pairs(tables, cut, monkeypatch)
+        isolated = tables.incremental_update(cut)
         assert_byte_identical(isolated, fresh_tables(cut, PAPER))
         assert not isolated.reachable_matrix()[tile, :tile].any()
-        # Every route to or from the cut tile disappeared, so each was swept.
+        # Every route to or from the cut tile disappeared, and so did its
+        # pairs from the route trees.
         num_tiles = PAPER.num_tiles
         to_tile = np.arange(num_tiles) * num_tiles + tile
         from_tile = tile * num_tiles + np.arange(num_tiles)
         lost = np.setdiff1d(np.r_[to_tile, from_tile], [tile * num_tiles + tile])
-        assert np.isin(lost, swept).all()
-        np.testing.assert_array_equal(swept, changed_route_pairs(tables, isolated))
+        assert np.isin(lost, changed_route_pairs(tables, isolated)).all()
+        assert not np.isin(lost, isolated._tree_pairs).any()
 
-        restored, swept = repair_and_swept_pairs(isolated, design.links, monkeypatch)
+        restored = isolated.incremental_update(design.links)
         assert_byte_identical(restored, fresh_tables(design.links, PAPER))
-        np.testing.assert_array_equal(swept, changed_route_pairs(isolated, restored))
+        assert np.isin(lost, restored._tree_pairs).all()
 
 
 def tie_only_link(platform, seed):
@@ -286,17 +281,16 @@ def tie_only_link(platform, seed):
     raise AssertionError("no tie-only link on this design")
 
 
-def test_tie_only_added_link_flips_predecessor(monkeypatch):
+def test_tie_only_added_link_flips_predecessor():
     """A tie moves no distance, so only the changed link's endpoints tell
     the repair which predecessors to re-derive; the flip must still land."""
     tables, links, fresh, source = tie_only_link(SMALL, 0)
-    tables.pair_link_pattern()
-    repaired, swept = repair_and_swept_pairs(tables, links, monkeypatch)
+    tables.pair_hops()
+    repaired = tables.incremental_update(links)
     assert_byte_identical(repaired, fresh)
     num_tiles = SMALL.num_tiles
     flipped = np.flatnonzero(fresh._predecessors[source] != tables._predecessors[source])
-    assert np.isin(source * num_tiles + flipped, swept).all()
-    np.testing.assert_array_equal(swept, changed_route_pairs(tables, repaired))
+    assert np.isin(source * num_tiles + flipped, changed_route_pairs(tables, repaired)).all()
 
 
 def test_repair_of_repair_chain_at_64_tiles():
@@ -305,7 +299,7 @@ def test_repair_of_repair_chain_at_64_tiles():
     rng = np.random.default_rng(33)
     design = random_design(PAPER, 9)
     tables = RoutingTables(design, PAPER.grid)
-    tables.pair_link_pattern()
+    tables.pair_hops()
     for _ in range(5):
         child = None
         while child is None:
@@ -315,18 +309,19 @@ def test_repair_of_repair_chain_at_64_tiles():
         design = child
 
 
-def test_blocked_link_loads_match_sparse_product_at_256_tiles():
-    """``link_loads`` walks the pairs in blocks; at 256 tiles there are
-    several, and the sums must still equal scipy's ``P.T @ f`` byte for
-    byte on a fresh and on a repaired table."""
+def test_link_loads_match_tree_oracle_at_256_tiles():
+    """At 256 tiles the route trees are many levels deep; the loads must
+    equal the scalar tree walk byte for byte on a fresh and on a repaired
+    table, and scipy's ``P.T @ f`` to 1e-12."""
     design = random_design(BIG, 3)
     tables = RoutingTables(design, BIG.grid)
-    tables.pair_link_pattern()
+    tables.pair_hops()
     child_links, _ = rewired_links(design.links, np.random.default_rng(4), moves=2)
     rng = np.random.default_rng(5)
     num_pairs = BIG.num_tiles**2
-    assert num_pairs > 2 * RoutingTables._LOAD_BLOCK
     for table in (tables, tables.incremental_update(child_links)):
         weights = rng.random(num_pairs) * rng.choice([0.0, 1e-3, 1.0, 1e4], num_pairs)
-        expected = pair_link_incidence(table).T @ weights
-        assert table.link_loads(weights).tobytes() == expected.tobytes()
+        loads = table.link_loads(weights)
+        assert len(table._level_starts) > 4
+        assert loads.tobytes() == tree_link_loads(table, weights).tobytes()
+        np.testing.assert_allclose(loads, pair_link_incidence(table).T @ weights, rtol=1e-12, atol=0)

@@ -31,7 +31,12 @@ from tests.oracles.objectives import (
     objective_reference,
     temperatures_reference,
 )
-from tests.oracles.routing import pair_link_incidence, pair_tile_incidence, router_ports
+from tests.oracles.routing import (
+    pair_link_incidence,
+    pair_tile_incidence,
+    router_ports,
+    tree_link_loads,
+)
 
 RTOL = 1e-12
 
@@ -60,10 +65,12 @@ class TestObjectiveFunctionEquivalence:
         fast = link_utilizations(design, small_workload, routing)
         reference = link_utilizations_reference(design, small_workload, routing)
         np.testing.assert_allclose(fast, reference, rtol=RTOL)
-        # The bincount over P's pattern adds in the sparse product's order.
+        # The loads add up the route trees in the scalar tree walk's order;
+        # the sparse product adds in pair order, so it agrees to rounding.
         frequencies = small_workload.pair_frequencies(design.placement_array())
+        assert fast.tobytes() == tree_link_loads(routing, frequencies).tobytes()
         oracle = pair_link_incidence(routing).T @ frequencies
-        assert fast.tobytes() == oracle.tobytes()
+        np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cpu_llc_latency_matches(self, small_config, small_workload, seed):
@@ -216,5 +223,7 @@ class TestRoutingBatchTables:
         pair = routing.pair_index(0, isolated)
         assert pair_link_incidence(routing).getrow(pair).nnz == 0
         assert routing.pair_hops()[pair] == 0
+        assert routing.pair_lengths()[pair] == 0
+        assert pair not in routing._tree_pairs
         assert routing.pair_router_ports()[pair] == 0
         np.testing.assert_array_equal(routing.pair_router_ports(), router_ports(routing))

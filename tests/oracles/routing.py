@@ -1,14 +1,18 @@
 """Retired routing-table builders, kept as oracles for the compact tables.
 
-``RoutingTables`` used to hold its path incidences as float64 CSR matrices:
-``P`` (pair x link) and ``R`` (pair x router).  It now stores only ``P``'s
-int32 pattern and sums the router-energy terms ``R @ ports`` down its
-predecessor trees, so ``R`` is no longer built at all.  The builders live on
+``RoutingTables`` used to hold its path incidences as CSR matrices: ``P``
+(pair x link) and ``R`` (pair x router).  It now stores neither: link loads
+are added up the route trees and the router-energy terms ``R @ ports`` and
+route lengths ``P @ lengths`` are summed down them.  The builders live on
 here:
 
-* :func:`pair_link_incidence` assembles ``P`` as a ``csr_matrix`` from the
-  stored pattern, so tests can take ``P.T @ f`` and ``P @ lengths`` with
-  scipy and compare them with the tables' own results byte for byte;
+* :func:`tree_link_loads` is a scalar walk over each source's route tree
+  that adds in the same order as ``RoutingTables.link_loads``, so the two
+  agree byte for byte;
+* :func:`pair_link_incidence` is the retired route-order sweep that built
+  ``P`` from the predecessor matrix, as a ``csr_matrix``, so tests can take
+  ``P.T @ f`` (a cross-check at ``rtol=1e-12``: it sums in pair order) and
+  ``P @ lengths`` with scipy;
 * :func:`pair_tile_incidence` is the retired route-order sweep that built
   ``R`` from the predecessor matrix, and :func:`router_ports` its product
   with ``degrees + 1``;
@@ -48,17 +52,108 @@ def canonical_csr(rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: i
     )
 
 
-def pair_link_incidence(tables) -> csr_matrix:
-    """``P`` of shape ``(num_tiles**2, num_links)`` as a 0/1 float64 ``csr_matrix``.
+def _route_order_csr(steps, num_rows: int, num_cols: int) -> csr_matrix:
+    """0/1 CSR whose row ``r`` lists, in sweep order, the entries ``steps`` gave it.
 
-    Rows keep the tables' route order (last hop first).
+    ``steps`` is a list of ``(rows, cols)`` chunks; chunk ``s`` holds entry
+    ``s`` of each listed row, so entry ``s`` goes straight into slot
+    ``indptr[row] + s`` and no sort is needed.
     """
-    indptr, links = tables.pair_link_pattern()
-    num_pairs = tables.num_tiles * tables.num_tiles
+    counts = np.zeros(num_rows, dtype=np.int64)
+    for rows, _ in steps:
+        counts[rows] += 1
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for step, (rows, cols) in enumerate(steps):
+        indices[indptr[rows] + step] = cols
     return csr_matrix(
-        (np.ones(links.size, dtype=np.float64), links.copy(), indptr.copy()),
-        shape=(num_pairs, tables.num_links),
+        (np.ones(indices.size, dtype=np.float64), indices, indptr),
+        shape=(num_rows, num_cols),
     )
+
+
+def pair_link_incidence(tables) -> csr_matrix:
+    """``P`` of shape ``(num_tiles**2, num_links)``: the retired route-order sweep.
+
+    ``P[p, k] = 1`` iff the route of pair ``p`` traverses link ``k``.  One
+    vectorized sweep over the predecessor matrix advances every route one
+    hop per iteration, from the destination back to the source, so a row
+    lists the last hop first.  Self and unreachable pairs have empty rows.
+    """
+    num_tiles = tables.num_tiles
+    pairs = np.arange(num_tiles * num_tiles)
+    src, dst = pairs // num_tiles, pairs % num_tiles
+    edge_link = np.full((num_tiles, num_tiles), -1, dtype=np.int64)
+    ends = link_ends(tables.links)
+    edge_link[ends[:, 0], ends[:, 1]] = edge_link[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
+    steps = []
+    cur = dst.copy()
+    active = np.flatnonzero(tables.reachable_pairs() & (src != dst))
+    while active.size:
+        prev = tables._predecessors[src[active], cur[active]].astype(np.int64)
+        steps.append((active, edge_link[prev, cur[active]]))
+        cur[active] = prev
+        active = active[prev != src[active]]
+    return _route_order_csr(steps, pairs.size, tables.num_links)
+
+
+def tree_link_loads(tables, pair_weights: np.ndarray) -> np.ndarray:
+    """Link loads summed up each source's route tree, one pair at a time.
+
+    Every routed pair ``(s, v)`` (reachable, ``s != v``) sits on level
+    ``hops(s, v)`` of source ``s``'s predecessor tree.  Bottom-up from the
+    deepest level of any tree, a pair's total is its own weight plus the sum
+    of its children's totals, added in ascending tile order starting from
+    ``0.0``; only the pairs on that deepest level keep their weight as is.
+    The total of ``(s, v)`` is the weight routed over its last hop
+    ``pred(v) -> v``, and the loads add the totals into each link level by
+    level, then by source, then by ``v`` ascending.  That is the order in
+    which ``RoutingTables.link_loads`` adds.
+    """
+    num_tiles = tables.num_tiles
+    predecessors = tables._predecessors.tolist()
+    reachable = tables.reachable_matrix().tolist()
+    weights = np.asarray(pair_weights, dtype=np.float64).reshape(num_tiles, num_tiles).tolist()
+    edge_link = {}
+    for index, (a, b) in enumerate(link_ends(tables.links).tolist()):
+        edge_link[(a, b)] = edge_link[(b, a)] = index
+
+    # levels[s][k]: the tiles v on level k of source s's tree, ascending.
+    levels: list[dict[int, list[int]]] = []
+    for s in range(num_tiles):
+        pred, depth, tree = predecessors[s], {s: 0}, {}
+        for v in range(num_tiles):
+            chain, node = [], v
+            while node not in depth and reachable[s][node]:
+                chain.append(node)
+                node = pred[node]
+            for node in reversed(chain):
+                depth[node] = depth[pred[node]] + 1
+        for v in range(num_tiles):
+            if v != s and reachable[s][v]:
+                tree.setdefault(depth[v], []).append(v)
+        levels.append(tree)
+    deepest = max((max(tree, default=0) for tree in levels), default=0)
+
+    totals = []
+    for s, tree in enumerate(levels):
+        pred = predecessors[s]
+        total = {v: weights[s][v] for nodes in tree.values() for v in nodes}
+        for level in range(deepest, 1, -1):
+            children: dict[int, float] = {}
+            for v in tree.get(level, ()):
+                children[pred[v]] = children.get(pred[v], 0.0) + total[v]
+            for u in tree.get(level - 1, ()):
+                total[u] = total[u] + children.get(u, 0.0)
+        totals.append(total)
+
+    loads = [0.0] * tables.num_links
+    for level in range(1, deepest + 1):
+        for s, tree in enumerate(levels):
+            for v in tree.get(level, ()):
+                loads[edge_link[(predecessors[s][v], v)]] += totals[s][v]
+    return np.array(loads, dtype=np.float64)
 
 
 def pair_tile_incidence(tables) -> csr_matrix:
@@ -82,18 +177,7 @@ def pair_tile_incidence(tables) -> csr_matrix:
         steps.append((active, prev))
         cur[active] = prev
         active = active[prev != src[active]]
-    counts = np.zeros(pairs.size, dtype=np.int64)
-    for rows, _ in steps:
-        counts[rows] += 1
-    indptr = np.zeros(pairs.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for step, (rows, tiles) in enumerate(steps):
-        indices[indptr[rows] + step] = tiles
-    return csr_matrix(
-        (np.ones(indices.size, dtype=np.float64), indices, indptr),
-        shape=(pairs.size, num_tiles),
-    )
+    return _route_order_csr(steps, pairs.size, num_tiles)
 
 
 def router_ports(tables) -> np.ndarray:

@@ -3,7 +3,8 @@
 The central claim of the routing cache: for *any* sequence of moves, the
 tables the engine serves (cache hits, incremental repairs and fresh builds
 alike) are identical to a fresh all-pairs Dijkstra build — same paths, same
-hop counts, same incidence matrices, and the same disconnection errors.
+hop counts, same route-tree levels and link loads, and the same disconnection
+errors.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
-from tests.oracles.routing import router_ports
+from tests.oracles.routing import router_ports, tree_link_loads
 
 TINY = PlatformConfig.tiny_2x2x2()
 SMALL = PlatformConfig.small_3x3x3()
@@ -35,8 +36,12 @@ SETTINGS = settings(
 
 def assert_engine_matches_fresh(engine_tables: RoutingTables, fresh: RoutingTables) -> None:
     np.testing.assert_array_equal(engine_tables._predecessors, fresh._predecessors)
-    for ours, theirs in zip(engine_tables.pair_link_pattern(), fresh.pair_link_pattern()):
-        np.testing.assert_array_equal(ours, theirs)
+    weights = np.random.default_rng(0).random(fresh.num_tiles**2)
+    loads = engine_tables.link_loads(weights)
+    assert loads.tobytes() == fresh.link_loads(weights).tobytes()
+    assert loads.tobytes() == tree_link_loads(engine_tables, weights).tobytes()
+    for attr in ("_tree_pairs", "_tree_parents", "_tree_links", "_level_starts"):
+        np.testing.assert_array_equal(getattr(engine_tables, attr), getattr(fresh, attr))
     np.testing.assert_array_equal(engine_tables.pair_router_ports(), fresh.pair_router_ports())
     np.testing.assert_array_equal(engine_tables.pair_router_ports(), router_ports(engine_tables))
     np.testing.assert_array_equal(engine_tables.pair_hops(), fresh.pair_hops())
