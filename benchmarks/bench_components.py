@@ -481,9 +481,10 @@ def test_crossover_brood_built_fresh():
     tiles and the engine only adds its lookup.  Engine and fresh builds are
     then nearly equal, so the 64-tile gate takes the median ratio of eleven
     rounds, each timing both sides back to back in alternating order.  At 256 tiles the wall
-    clock is not gated: the engine keeps every table it builds, and the
-    fresh pages those 2 MB tables need cost a miss-only brood about 10-15%
-    against fresh builds whose memory is reused, whatever the repair budget.
+    clock is not gated: the engine keeps the tables it builds up to its byte
+    budget (a brood's 1.5 MB tables all fit the default), and the fresh
+    pages those tables need cost a miss-only brood about 10-15% against
+    fresh builds whose memory is reused, whatever the repair budget.
     """
     for platform_name in ("paper-4x4x4", "big-8x8x4"):
         brood = _big_grid_entry(platform_name)["broods"]["crossover"]

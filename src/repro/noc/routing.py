@@ -17,11 +17,15 @@ read-only across designs and repaired incrementally:
   (:meth:`RoutingTables._canonical_predecessors`): the predecessor of ``v`` on
   the route from ``i`` is the smallest-id neighbour ``u`` with
   ``dist(i, u) + w(u, v) == dist(i, v)``.  Link weights are
-  ``1 + epsilon * length`` with integer lengths, so distinct
-  ``(hops, length)`` combinations differ by at least ``epsilon`` and the tie
-  test is a pure function of the distance matrix — immune to heap-order
-  artefacts of the Dijkstra implementation.  That property is what makes
-  :meth:`RoutingTables.incremental_update` exact.
+  ``1 + epsilon * length`` with integer lengths and ``epsilon = 2**-10``, so
+  every weight and every sum of weights is exact in binary: a distance is
+  exactly ``hops + length / 1024`` whatever the path or the summation order,
+  distinct ``(hops, length)`` combinations differ by at least ``epsilon``,
+  and the tie test is a pure function of the distance matrix — immune to
+  heap-order artefacts of the Dijkstra implementation.  That property is
+  what makes :meth:`RoutingTables.incremental_update` exact, down to the
+  bytes of the distance matrix.  The distances are stored as float32, which
+  holds them exactly while ``1024 * distance < 2**24``.
 
 Pair-granular repair
 --------------------
@@ -71,8 +75,8 @@ The routes from one source form its predecessor tree: the route to ``v`` is
 the route to ``pred(v)`` plus the link ``pred(v) -> v``.  Every routed pair
 (a reachable pair of distinct tiles) is laid out by hop count, level 1
 first, and by flat pair index inside a level.  In that order the table keeps
-three int32 arrays: the pair, its parent pair's position in the level above,
-and its last-hop link.  Then:
+three arrays: the pair and its parent pair's position in the level above
+(int32), and its last-hop link (int16).  Then:
 
 * hop counts are read off the distances (``hops + epsilon * length`` rounds
   to ``hops``) and checked against the trees: every pair sits one level
@@ -122,17 +126,20 @@ class RoutingTables:
     Notes
     -----
     The edge weight used for the search is ``1 + epsilon * length`` so that
-    hop count dominates and physical length breaks ties; ``epsilon`` is small
-    enough that no sum of length terms can outweigh a single hop.  Tables are
+    hop count dominates and physical length breaks ties; ``epsilon`` is a
+    power of two, so every distance is exact, and small enough that no sum
+    of length terms can outweigh a single hop.  Tables are
     a function of ``(links, num_tiles, grid)`` only — the placement never
     enters — so one instance can serve every design sharing a link set.
     """
 
-    _LENGTH_EPSILON = 1e-3
-    #: Distances are ``hops + epsilon * length`` with integer hops/lengths, so
-    #: genuinely different values are at least ``epsilon`` apart (up to ~1e-13
-    #: of float accumulation noise); anything closer than this tolerance is
-    #: the same value computed along a different equal-cost path.
+    #: A power of two: ``1 + length / 1024`` and every sum of such weights is
+    #: exact in binary (and in float32 while ``1024 * distance < 2**24``).
+    _LENGTH_EPSILON = 2.0**-10
+    #: Distances are exactly ``hops + epsilon * length`` with integer
+    #: hops/lengths, so different values are at least ``epsilon`` apart and
+    #: equal ones are equal bit for bit; the tolerance only has to sit below
+    #: ``epsilon``.  Unreachable pairs (``inf - inf`` is nan) never tie.
     _TIE_TOLERANCE = 1e-6
 
     def __init__(self, design: NocDesign, grid: Grid3D):
@@ -153,7 +160,7 @@ class RoutingTables:
     def _build(self, links: tuple[Link, ...], num_tiles: int, grid: Grid3D) -> None:
         """Full fresh build: graph setup, all-pairs Dijkstra, canonical routes."""
         self._setup_static(links, num_tiles, grid)
-        self._distance = dijkstra(self._graph)
+        self._distance = dijkstra(self._graph).astype(np.float32)
         self._predecessors = self._canonical_predecessors(self._distance)
         self._reset_lazy()
 
@@ -239,6 +246,9 @@ class RoutingTables:
             # Edges sorted by head, so a single reduceat computes, per
             # (source, head), the minimum tail satisfying the tie test.
             tails, weights, head_ptr = self._in_edges()
+            # Weights and their sums are dyadic, so the float32 test is exact
+            # and its (sources x in-edges) temporaries are half the size.
+            weights = weights.astype(distance_rows.dtype)
             degrees = np.diff(head_ptr)
             heads = np.repeat(np.arange(num_tiles), degrees)
             # inf - inf (both endpoints unreachable) yields nan, which the
@@ -349,8 +359,8 @@ class RoutingTables:
         instance), because the parent's entry remains live under its own
         topology key.
 
-        The result is bit-identical (routes, hops, pair tables) to a fresh
-        :class:`RoutingTables` build for ``new_links``.
+        The result is bit-identical (distances, routes, hops, pair tables)
+        to a fresh :class:`RoutingTables` build for ``new_links``.
         """
         updated = object.__new__(RoutingTables)
         updated._setup_static(tuple(sorted(new_links)), self.num_tiles, self.grid)
@@ -470,7 +480,7 @@ class RoutingTables:
         return np.bincount(self._tree_links, weights=totals, minlength=self.num_links)
 
     def pair_router_ports(self) -> np.ndarray:
-        """Per-pair sum of router port counts over the route (int32, read-only).
+        """Per-pair sum of router port counts over the route (int16, read-only).
 
         A router has ``degree + 1`` ports (its links plus the local PE port),
         from this table's own link set.  Every router on a route is counted,
@@ -545,9 +555,11 @@ class RoutingTables:
                 "route lengths too long to read hop counts off the distances: "
                 f"epsilon {self._LENGTH_EPSILON} times a route length reaches 0.5"
             )
+        if self.num_links > np.iinfo(np.int16).max + 1:
+            raise OverflowError(f"{self.num_links} link ids do not fit the int16 last-hop table")
         # Dense (tile, tile) -> link lookup; it lives only for this build.
-        edge_link = np.full(num_tiles * num_tiles, -1, dtype=np.int32)
-        link_ids = np.arange(self.num_links, dtype=np.int32)
+        edge_link = np.full(num_tiles * num_tiles, -1, dtype=np.int16)
+        link_ids = np.arange(self.num_links, dtype=np.int16)
         edge_link[self._ends_a * num_tiles + self._ends_b] = link_ids
         edge_link[self._ends_b * num_tiles + self._ends_a] = link_ids
         links = edge_link.take(pred * num_tiles + dst)
@@ -568,12 +580,13 @@ class RoutingTables:
             up = parent_rank[first:end]
             lengths[first:end] += lengths[above:first].take(up)
             port_sums[first:end] += port_sums[above:first].take(up)
-        if lengths.size and lengths.max() > np.iinfo(np.int16).max:
-            raise OverflowError(f"route length {lengths.max()} does not fit the int16 length table")
+        for name, values in (("route length", lengths), ("router port sum", port_sums)):
+            if values.size and values.max() > np.iinfo(np.int16).max:
+                raise OverflowError(f"{name} {values.max()} does not fit an int16 pair table")
 
         pair_lengths = np.zeros(hops.size, dtype=np.int16)
         pair_lengths[pairs] = lengths
-        pair_ports = np.zeros(hops.size, dtype=np.int32)
+        pair_ports = np.zeros(hops.size, dtype=np.int16)
         pair_ports[pairs] = port_sums
         pair_ports[:: num_tiles + 1] = ports
         for array in (pairs, parent_rank, links, hops, pair_lengths, pair_ports):

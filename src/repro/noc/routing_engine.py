@@ -8,18 +8,26 @@ unchanged, and ``rewire_link``-style moves touch only a couple of links.  The
 *link set alone* (routing never depends on the PE placement):
 
 * **hit** — the design's link tuple is already cached; the full
-  :class:`~repro.noc.routing.RoutingTables` (the ``P`` pattern and per-pair
-  hops, lengths and router ports included) is shared read-only.  Every
-  placement-only move lands here for free.
+  :class:`~repro.noc.routing.RoutingTables` (the route-tree levels and the
+  per-pair hops, lengths and router port sums included) is shared
+  read-only.  Every placement-only move lands here for free.
 * **incremental repair** — the design carries a
   :class:`~repro.noc.design.MoveDelta` whose parent topology is cached and
   whose link delta is small; the parent's tables are repaired via
-  :meth:`~repro.noc.routing.RoutingTables.incremental_update`.  The repair
-  is pair-granular: only sources whose route tree a changed link touches
-  get new distances, only their predecessors whose inputs changed are
-  re-derived, and only the (src, dst) routes that actually moved are
-  re-swept; every other pair's entries are copied from the parent.
+  :meth:`~repro.noc.routing.RoutingTables.incremental_update`.  Only sources
+  whose route tree a changed link touches get new distances, and only their
+  predecessors whose inputs changed are re-derived; the child's route-tree
+  levels and pair tables are then built from its own predecessors, as on a
+  fresh build.
 * **miss** — anything else gets a fresh build.
+
+The cache is bounded by bytes, not by entries: a table's size grows with the
+square of the tile count, so one entry count cannot suit both a 64-tile and
+a 256-tile search.  The engine builds a new table's pair tables before it
+caches it (every table it serves is scored at once anyway), so the table's
+:attr:`~repro.noc.routing.RoutingTables.nbytes` is final and the engine
+keeps a running total.  Least recently used tables are evicted until the
+total fits ``cache_bytes``; the newest table always stays.
 
 Move deltas are *hints*, never trusted for correctness: the repair path
 recomputes the actual link diff between the cached parent tables and the
@@ -47,8 +55,12 @@ class RoutingEngine:
     ----------
     grid:
         The tile grid shared by every design the engine serves.
-    cache_size:
-        Maximum number of cached topologies (LRU eviction); an integer >= 1.
+    cache_bytes:
+        Byte budget of the cached tables (LRU eviction), summed over their
+        :attr:`~repro.noc.routing.RoutingTables.nbytes`; an integer >= 1.
+        The newest table is kept even when it alone exceeds the budget.  The
+        default holds about 65 materialised 256-tile tables (1.47 MiB each)
+        or about 950 64-tile ones (0.098 MiB each).
     max_repair_fraction:
         A delta changing more than this fraction of the design's links falls
         back to a fresh build.  The default sits at the measured break-even:
@@ -62,13 +74,14 @@ class RoutingEngine:
     def __init__(
         self,
         grid: Grid3D,
-        cache_size: int = 256,
+        cache_bytes: int = 96 * 2**20,
         max_repair_fraction: float = 0.04,
     ):
         self.grid = grid
-        self.cache_size = require_count(cache_size, "cache_size", 1)
+        self.cache_bytes = require_count(cache_bytes, "cache_bytes", 1)
         self.max_repair_fraction = require_probability(max_repair_fraction, "max_repair_fraction")
         self._cache: OrderedDict[tuple[Link, ...], RoutingTables] = OrderedDict()
+        self._cached_bytes = 0
         self.hits = 0
         self.misses = 0
         self.incremental_repairs = 0
@@ -92,14 +105,14 @@ class RoutingEngine:
             self._cache.move_to_end(key)
             return cached
         tables = self._build(design)
+        # Any pair-table accessor builds them all, so ``nbytes`` is final.
+        tables.pair_lengths()
         self._cache[key] = tables
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
+        self._cached_bytes += tables.nbytes
+        while self._cached_bytes > self.cache_bytes and len(self._cache) > 1:
+            _, evicted = self._cache.popitem(last=False)
+            self._cached_bytes -= evicted.nbytes
         return tables
-
-    def tables_for_links(self, links: tuple[Link, ...]) -> "RoutingTables | None":
-        """The cached tables for a link tuple, or None (no build, no counting)."""
-        return self._cache.get(links)
 
     def _build(self, design: NocDesign) -> RoutingTables:
         delta = move_delta_of(design)
@@ -135,7 +148,7 @@ class RoutingEngine:
         return self.hits / requests if requests else 0.0
 
     def stats(self) -> dict[str, "int | float"]:
-        """Counters snapshot (used by evaluator reports and campaign shards)."""
+        """Counters plus the cache's size gauges (used by evaluator reports and campaign shards)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -143,4 +156,5 @@ class RoutingEngine:
             "requests": self.requests,
             "hit_rate": self.hit_rate,
             "cached_topologies": len(self._cache),
+            "cached_bytes": self._cached_bytes,
         }

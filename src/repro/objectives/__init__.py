@@ -2,9 +2,10 @@
 
 The public objective functions (:func:`link_utilizations`,
 :func:`cpu_llc_latency`, :func:`communication_energy`, and the thermal model)
-are vectorized: they compute from sparse path-link / path-router incidence
-matrices exposed by :class:`repro.noc.routing.RoutingTables` and the
-workload's tile-pair frequency vector, instead of per-pair Python loops.
+are vectorized: they compute from the route-tree link loads and the dense
+per-pair hop, length and router-port tables exposed by
+:class:`repro.noc.routing.RoutingTables` and the workload's tile-pair
+frequency vector, instead of per-pair Python loops.
 The original per-pair loops live on as scalar oracles in
 ``tests/oracles/objectives.py``, used by equivalence tests and benchmarks.
 

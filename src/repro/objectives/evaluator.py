@@ -6,14 +6,15 @@ and ``5-obj`` adds the thermal objective.  All objectives are minimised.
 
 Routing tables are shared by all objectives and owned by a single
 :class:`~repro.noc.routing_engine.RoutingEngine` instance per evaluator: the
-engine caches tables across *designs*, keyed on the link set alone, so
-placement-only children reuse their parent's tables wholesale and
-link-mutating children trigger an incremental all-pairs repair.  The
+engine caches tables across *designs* within one byte budget, keyed on the
+link set alone, so placement-only children reuse their parent's tables
+wholesale and link-mutating children trigger an incremental all-pairs repair.  The
 engine is always on; only fresh-build comparisons switch it off (see
 :class:`ObjectiveEvaluator`).  On top of that topology tier, the
 evaluator memoises complete objective vectors per design key (LRU-bounded)
 and counts evaluations so experiments can report search effort; the engine's
-hit/miss/repair counters are exposed via :meth:`ObjectiveEvaluator.routing_cache_stats`.
+hit/miss/repair counters and cache size are exposed via
+:meth:`ObjectiveEvaluator.routing_cache_stats`.
 
 Batch evaluation engine
 -----------------------
@@ -21,9 +22,9 @@ Batch evaluation engine
 the optimisers.  It keys every design exactly once, partitions the batch into
 cache hits, in-batch duplicates and genuine misses, and computes only the
 unique misses, serially in this process.  Each per-design computation runs
-on the vectorized objective implementations (sparse incidence-matrix
-products, see :mod:`repro.noc.routing`), so a batch evaluation performs no
-per-pair Python loops at all.  Parallelism lives one level up: campaign
+on the vectorized objective implementations (sums over the route-tree
+levels and dense per-pair tables, see :mod:`repro.noc.routing`), so a batch
+evaluation performs no per-pair Python loops at all.  Parallelism lives one level up: campaign
 cells fan out across processes (see :mod:`repro.experiments.runner`).
 
 Cached vectors are returned as read-only views (``ndarray.setflags(write=False)``)
@@ -245,6 +246,7 @@ class ObjectiveEvaluator:
                 "requests": 0,
                 "hit_rate": 0.0,
                 "cached_topologies": 0,
+                "cached_bytes": 0,
             }
         return {"enabled": True, **self.routing_engine.stats()}
 

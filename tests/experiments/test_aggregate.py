@@ -52,6 +52,7 @@ class TestRoutingCacheStats:
         for cell in summary.cells:
             stats = json.loads((summary.output_dir / cell.shard_name).read_text())["routing_cache"]
             assert 0 < stats["cached_topologies"] <= stats["misses"] + stats["incremental_repairs"]
+            assert stats["cached_bytes"] > 0
             assert not [key for key in stats if key.startswith("store_")]
         assert not (summary.output_dir / "routing_store").exists()
         assert not [key for key in load_manifest(summary.output_dir)["routing_cache"] if key.startswith("store_")]
@@ -65,6 +66,8 @@ class TestRoutingCacheStats:
         assert stats["hits"] > 0  # placement-only moves must have hit the cache
         assert stats["requests"] == stats["hits"] + stats["misses"] + stats["incremental_repairs"]
         assert 0.0 < stats["hit_rate"] <= 1.0
+        # Cache sizes are per-engine gauges, not counters: nothing sums them.
+        assert "cached_bytes" not in stats and "cached_topologies" not in stats
         assert summary.routing_cache == stats
 
     def test_resume_preserves_manifest_stats(self, finished_campaign):

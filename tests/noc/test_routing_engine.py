@@ -9,7 +9,16 @@ from repro.noc.moves import MoveGenerator, mutate
 from repro.noc.crossover import crossover
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
+from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
+from repro.workloads.registry import get_workload
 from tests.oracles.routing import router_ports, tree_link_loads
+
+
+def engine_table_bytes(platform, design) -> int:
+    """Bytes a materialised table for ``design`` adds to an engine's budget."""
+    tables = RoutingTables(design, platform.grid)
+    tables.pair_hops()
+    return tables.nbytes
 
 
 def assert_tables_identical(left: RoutingTables, right: RoutingTables) -> None:
@@ -95,6 +104,7 @@ class TestRoutingEngine:
             "requests": 2,
             "hit_rate": 0.5,
             "cached_topologies": 1,
+            "cached_bytes": first.nbytes,
         }
 
     def test_link_move_repairs_incrementally_and_matches_fresh(self, small_config, rng):
@@ -132,14 +142,35 @@ class TestRoutingEngine:
         tables = engine.tables(forged)
         assert_tables_identical(tables, RoutingTables(design_b, small_config.grid))
 
-    def test_lru_eviction_bounds_cache(self, small_config):
-        engine = RoutingEngine(small_config.grid, cache_size=2)
+    def test_lru_eviction_bounds_cache_bytes(self, small_config):
         designs = [random_design(small_config, seed) for seed in range(4)]
+        sizes = [engine_table_bytes(small_config, design) for design in designs]
+        engine = RoutingEngine(small_config.grid, cache_bytes=sizes[-2] + sizes[-1])
         for design in designs:
             engine.tables(design)
         assert len(engine) == 2
-        assert engine.tables_for_links(designs[0].links) is None
-        assert engine.tables_for_links(designs[-1].links) is not None
+        assert engine.stats()["cached_bytes"] == sizes[-2] + sizes[-1]
+        engine.tables(designs[-1])
+        assert (engine.hits, engine.misses) == (1, 4)
+        engine.tables(designs[0])
+        assert (engine.hits, engine.misses) == (1, 5)
+        # Re-requesting the evicted design evicted the least recently used one.
+        assert len(engine) == 2
+        engine.tables(designs[-1])
+        assert (engine.hits, engine.misses) == (2, 5)
+
+    def test_hit_refreshes_recency(self, small_config):
+        designs = [random_design(small_config, seed) for seed in range(3)]
+        sizes = [engine_table_bytes(small_config, design) for design in designs]
+        engine = RoutingEngine(small_config.grid, cache_bytes=sizes[0] + max(sizes[1:]))
+        engine.tables(designs[0])
+        engine.tables(designs[1])
+        engine.tables(designs[0])  # hit: designs[1] is now least recently used
+        engine.tables(designs[2])
+        engine.tables(designs[0])
+        assert (engine.hits, engine.misses) == (2, 3)
+        engine.tables(designs[1])
+        assert (engine.hits, engine.misses) == (2, 4)
 
     def test_zero_repair_fraction_disables_repairs(self, small_config, rng):
         engine = RoutingEngine(small_config.grid, max_repair_fraction=0.0)
@@ -153,42 +184,47 @@ class TestRoutingEngine:
 
     def test_invalid_parameters_rejected(self, small_config):
         with pytest.raises(ValueError):
-            RoutingEngine(small_config.grid, cache_size=0)
+            RoutingEngine(small_config.grid, cache_bytes=0)
         with pytest.raises(ValueError):
             RoutingEngine(small_config.grid, max_repair_fraction=1.5)
 
-    @pytest.mark.parametrize("cache_size", [2.7, "5", True])
-    def test_non_integer_cache_size_raises_type_error(self, small_config, cache_size):
-        """Fractions, strings and bools are not truncated to a cache size."""
+    def test_cache_size_is_not_a_parameter(self, small_config):
         with pytest.raises(TypeError):
-            RoutingEngine(small_config.grid, cache_size=cache_size)
+            RoutingEngine(small_config.grid, cache_size=2)
 
-    def test_integer_like_cache_size_is_accepted(self, small_config):
-        engine = RoutingEngine(small_config.grid, cache_size=np.int64(3))
-        assert engine.cache_size == 3 and type(engine.cache_size) is int
+    @pytest.mark.parametrize("cache_bytes", [2.7, "5", True])
+    def test_non_integer_cache_bytes_raises_type_error(self, small_config, cache_bytes):
+        """Fractions, strings and bools are not truncated to a byte budget."""
+        with pytest.raises(TypeError):
+            RoutingEngine(small_config.grid, cache_bytes=cache_bytes)
 
-    @pytest.mark.parametrize("cache_size", [0, -1, np.int64(-5)])
-    def test_cache_size_below_one_raises_value_error(self, small_config, cache_size):
-        with pytest.raises(ValueError, match="cache_size must be >= 1"):
-            RoutingEngine(small_config.grid, cache_size=cache_size)
+    def test_integer_like_cache_bytes_is_accepted(self, small_config):
+        engine = RoutingEngine(small_config.grid, cache_bytes=np.int64(3))
+        assert engine.cache_bytes == 3 and type(engine.cache_bytes) is int
 
-    def test_cache_size_one_keeps_only_the_latest_topology(self, small_config):
-        engine = RoutingEngine(small_config.grid, cache_size=1)
+    @pytest.mark.parametrize("cache_bytes", [0, -1, np.int64(-5)])
+    def test_cache_bytes_below_one_raises_value_error(self, small_config, cache_bytes):
+        with pytest.raises(ValueError, match="cache_bytes must be >= 1"):
+            RoutingEngine(small_config.grid, cache_bytes=cache_bytes)
+
+    def test_budget_below_one_table_keeps_only_the_newest(self, small_config):
+        engine = RoutingEngine(small_config.grid, cache_bytes=1)
         first, second = (random_design(small_config, seed) for seed in range(2))
         engine.tables(first)
-        engine.tables(second)
-        engine.tables(second)
+        newest = engine.tables(second)
+        assert engine.tables(second) is newest
         assert len(engine) == 1
-        assert engine.tables_for_links(first.links) is None
-        assert (engine.hits, engine.misses) == (1, 2)
+        assert engine.stats()["cached_bytes"] == newest.nbytes
+        engine.tables(first)
+        assert (engine.hits, engine.misses) == (1, 3)
 
     def test_stats_hold_only_the_engine_counters(self, small_config, rng):
         engine = RoutingEngine(small_config.grid)
         moves = MoveGenerator(small_config)
         design = random_design(small_config, rng)
+        parent = engine.tables(design)
         engine.tables(design)
-        engine.tables(design)
-        engine.tables(moves.rewire_link(design, rng))
+        child = engine.tables(moves.rewire_link(design, rng))
         assert engine.stats() == {
             "hits": 1,
             "misses": 1,
@@ -196,7 +232,20 @@ class TestRoutingEngine:
             "requests": 3,
             "hit_rate": 1 / 3,
             "cached_topologies": 2,
+            "cached_bytes": parent.nbytes + child.nbytes,
         }
+
+    def test_cached_bytes_sum_the_cached_tables(self, small_config, rng):
+        """The running total equals the tables' ``nbytes`` after every
+        objective has read them, so no table grows once it is cached."""
+        evaluator = ObjectiveEvaluator(get_workload("BFS", small_config, seed=0), scenario_for(5))
+        engine = evaluator.routing_engine
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        designs = [design, moves.rewire_link(design, rng), random_design(small_config, rng)]
+        evaluator.evaluate_many(designs)
+        assert len(engine) == 3 and engine.incremental_repairs == 1
+        assert engine.stats()["cached_bytes"] == sum(tables.nbytes for tables in engine._cache.values())
 
 
 class TestFromLinks:

@@ -33,7 +33,7 @@ SMALL = PlatformConfig.small_3x3x3()
 TINY = PlatformConfig.tiny_2x2x2()
 
 
-TREE_ARRAYS = ("_tree_pairs", "_tree_parents", "_tree_links")
+TREE_ARRAYS = {"_tree_pairs": np.int32, "_tree_parents": np.int32, "_tree_links": np.int16}
 
 
 def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
@@ -46,19 +46,16 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
     are also pinned to the retired ``R @ (degrees + 1)`` oracle, since a
     repaired child must derive them from its own degrees.
 
-    The raw Dijkstra ``_distance`` is the one exception: for equal-cost path
-    ties, scipy's traversal order (and thus float summation grouping) depends
-    on the graph it ran on, so adopted parent rows can differ from a fresh
-    child build by ~1 ulp.  That is exactly why canonical predecessors are
-    derived with ``_TIE_TOLERANCE`` — everything downstream of the tolerance
-    (routes, hops, incidences, objectives) is byte-checked above; the raw
-    distances are pinned to the tolerance instead.
+    The distances are pinned byte for byte too: link weights are
+    ``1 + length / 1024``, so every path sum is exact in any summation
+    order, and a row kept from the parent, a row re-run by Dijkstra on the
+    child and a row updated in closed form all hold the same bits.
     """
     weights = np.random.default_rng(0).random(fresh.num_tiles**2)
     assert adopted.link_loads(weights).tobytes() == fresh.link_loads(weights).tobytes()
-    for attr in TREE_ARRAYS:
+    for attr, dtype in TREE_ARRAYS.items():
         left, right = getattr(adopted, attr), getattr(fresh, attr)
-        assert left.dtype == right.dtype == np.int32, f"{attr} dtype"
+        assert left.dtype == right.dtype == dtype, f"{attr} dtype"
         assert left.tobytes() == right.tobytes(), f"{attr} bytes"
     assert adopted._level_starts == fresh._level_starts
     assert adopted.pair_hops().tobytes() == fresh.pair_hops().tobytes()
@@ -66,9 +63,8 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
     assert np.array_equal(adopted.pair_router_ports(), router_ports(adopted))
     assert adopted.pair_lengths().tobytes() == fresh.pair_lengths().tobytes()
     np.testing.assert_array_equal(adopted._predecessors, fresh._predecessors)
-    np.testing.assert_allclose(
-        adopted._distance, fresh._distance, rtol=0, atol=RoutingTables._TIE_TOLERANCE
-    )
+    assert adopted._distance.dtype == fresh._distance.dtype == np.float32
+    assert adopted._distance.tobytes() == fresh._distance.tobytes()
 
 
 def rewired_links(links, rng, moves=1):

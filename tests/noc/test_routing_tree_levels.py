@@ -4,7 +4,7 @@
 pair, its parent's rank in the level above and its last-hop link.  These
 tests pin that layout against the predecessor matrix, hold the derived
 tables to the retired route-order sweep (``tests/oracles/routing.py``) on
-every preset, connected and disconnected, and check the two limits the
+every preset, connected and disconnected, and check the limits the
 integer derivations refuse to cross.
 """
 
@@ -147,3 +147,21 @@ def test_route_lengths_beyond_int16_raise_instead_of_wrapping():
     tables.link_lengths = tables.link_lengths * 32768.0
     with pytest.raises(OverflowError, match="int16"):
         tables.pair_lengths()
+
+
+def test_router_port_sums_beyond_int16_raise_instead_of_wrapping():
+    """A link listed 17,000 times gives its ends 17,001 ports each, so the
+    route between them sums past the int16 port table."""
+    platform = PlatformConfig.tiny_2x2x2()
+    link = random_design(platform, 0).links[0]
+    tables = RoutingTables.from_links((link,) * 17_000, platform.num_tiles, platform.grid)
+    with pytest.raises(OverflowError, match="router port sum .* int16"):
+        tables.pair_router_ports()
+
+
+def test_link_ids_beyond_int16_raise_instead_of_wrapping():
+    platform = PlatformConfig.tiny_2x2x2()
+    link = random_design(platform, 0).links[0]
+    tables = RoutingTables.from_links((link,) * 32_769, platform.num_tiles, platform.grid)
+    with pytest.raises(OverflowError, match="link ids do not fit the int16"):
+        tables.link_loads(np.ones(platform.num_tiles**2))

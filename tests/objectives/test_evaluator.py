@@ -118,6 +118,7 @@ class TestEvaluator:
         assert disabled.routing_engine is None
         assert disabled.routing_cache_stats().keys() == enabled.routing_cache_stats().keys()
         assert disabled.routing_cache_stats()["requests"] == 0
+        assert disabled.routing_cache_stats()["cached_bytes"] == 0
 
     def test_results_are_readonly_views_protecting_the_cache(self, tiny_workload, tiny_designs):
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
