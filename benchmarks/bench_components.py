@@ -28,11 +28,13 @@ from repro.noc.platform import PlatformConfig
 from repro.noc.repair import repair_links
 from repro.noc.routing import RoutingTables
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
+from repro.simulation.simulator import NocSimulator
 from repro.workloads.registry import get_workload
 from tests.oracles import pareto as pareto_oracle
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
 from tests.oracles.routing import tree_link_loads
+from tests.oracles.simulation import simulate_reference
 from tests.oracles.tree import RandomForestRegressor as OracleForest
 
 PLATFORM = PlatformConfig.small_3x3x3()
@@ -582,7 +584,7 @@ def test_big_grid_link_repair_speedup():
 def test_routing_table_construction(benchmark):
     """All-pairs deterministic routing for one design."""
     routing = benchmark(lambda: RoutingTables(DESIGNS[0], PLATFORM.grid))
-    assert routing.is_reachable(0, PLATFORM.num_tiles - 1)
+    assert routing.reachable_matrix()[0, -1]
 
 
 def test_link_loads_match_tree_oracle_smoke():
@@ -608,6 +610,22 @@ def test_link_loads_match_tree_oracle_smoke():
             loads = tables.link_loads(frequencies)
             expected = tree_link_loads(tables, frequencies)
             assert loads.tobytes() == expected.tobytes(), f"{platform.name} {label}"
+
+
+def test_packet_latency_matches_oracle_smoke():
+    """The simulator's packet latency and EDP agree with the per-pair oracle (no timing).
+
+    At 64 and 256 tiles, on one random design under BFS traffic: the
+    table-based latency and the full ``simulate()`` result against the
+    retired per-pair loop, at ``rtol=1e-12``.
+    """
+    for platform in (PlatformConfig.paper_4x4x4(), PlatformConfig.big_8x8x4()):
+        simulator = NocSimulator(get_workload("BFS", platform, seed=0))
+        design = random_design(platform, 0)
+        expected = simulate_reference(simulator, design)
+        latency = simulator.average_packet_latency(design)
+        assert latency == pytest.approx(expected.average_packet_latency_cycles, rel=1e-12, abs=0)
+        assert simulator.simulate(design).edp == pytest.approx(expected.edp, rel=1e-12, abs=0)
 
 
 @pytest.mark.benchmark(group="components")

@@ -1,7 +1,7 @@
 """REP006 — durable-write protocol for campaign directories.
 
-A campaign directory is the single source of truth for resume, multi-host
-claims (roadmap item 1) and post-mortems.  Its integrity rests on exactly two
+A campaign directory is the single source of truth for resume and
+post-mortems.  Its integrity rests on exactly two
 write primitives: :func:`repro.utils.serialization.write_json_atomic`
 (temp file + ``os.replace``; a shard either parses or does not exist) and
 :class:`repro.study.event_log.EventLogWriter` (single-``write`` ``O_APPEND``

@@ -4,7 +4,7 @@ Campaign cells fan out over a ``ProcessPoolExecutor``; everything submitted
 must be picklable by reference.  Lambdas, closures and locally-defined
 functions pickle either not at all or — worse, with helpers like cloudpickle
 — by value, silently shipping captured state whose identity differs per
-worker.  The multi-host workers on the roadmap make this a wire protocol, so
+worker.  Every worker must run exactly the callable the parent named, so
 the boundary is enforced statically:
 
 * ``pool.submit(fn, ...)`` / ``pool.map(fn, ...)`` where ``fn`` is a lambda,

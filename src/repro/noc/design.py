@@ -101,10 +101,6 @@ class NocDesign:
         """The links as a frozen set for membership tests."""
         return frozenset(self.links)
 
-    def has_link(self, a: int, b: int) -> bool:
-        """True when a link between tiles ``a`` and ``b`` exists."""
-        return Link.make(a, b) in self.link_set()
-
     def adjacency(self) -> dict[int, list[int]]:
         """Adjacency lists over tiles induced by the link placement."""
         adj: dict[int, list[int]] = {t: [] for t in range(self.num_tiles)}
@@ -166,16 +162,6 @@ class MoveDelta:
     links_removed: tuple[Link, ...] = ()
     tiles_swapped: "tuple[int, int] | None" = None
     parent_links: tuple[Link, ...] = ()
-
-    @property
-    def placement_only(self) -> bool:
-        """True when the move left the link set untouched (routing reusable as-is)."""
-        return not self.links_added and not self.links_removed
-
-    @property
-    def num_link_changes(self) -> int:
-        """Total number of links added plus removed."""
-        return len(self.links_added) + len(self.links_removed)
 
     @classmethod
     def between(cls, parent: "NocDesign", child: "NocDesign", kind: str) -> "MoveDelta":

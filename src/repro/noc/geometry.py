@@ -37,10 +37,6 @@ class TileCoord:
         """True when both tiles sit on the same layer."""
         return self.z == other.z
 
-    def same_column(self, other: "TileCoord") -> bool:
-        """True when both tiles share the same (x, y) single-tile stack."""
-        return self.x == other.x and self.y == other.y
-
 
 class Grid3D:
     """An ``n x n x layers`` grid of tiles with linear indexing helpers.
@@ -76,7 +72,6 @@ class Grid3D:
             c.x == 0 or c.y == 0 or c.x == n - 1 or c.y == n - 1 for c in coords
         )
         self._edge_tiles = tuple(t for t, edge in enumerate(self._edge_flags) if edge)
-        self._interior_tiles = tuple(t for t, edge in enumerate(self._edge_flags) if not edge)
 
     @property
     def tiles_per_layer(self) -> int:
@@ -130,15 +125,6 @@ class Grid3D:
         table.flags.writeable = False
         return table
 
-    def column_id(self, tile_id: int) -> int:
-        """Return the single-tile-stack (column) index of a tile."""
-        coord = self.coord(tile_id)
-        return coord.y * self.n + coord.x
-
-    def layer_of(self, tile_id: int) -> int:
-        """Return the layer (z) of a tile."""
-        return self.coord(tile_id).z
-
     def tiles(self) -> Iterator[int]:
         """Iterate over all tile ids."""
         return iter(range(self.num_tiles))
@@ -161,10 +147,6 @@ class Grid3D:
     def edge_tiles(self) -> list[int]:
         """All tile ids located on a die perimeter."""
         return list(self._edge_tiles)
-
-    def interior_tiles(self) -> list[int]:
-        """All tile ids not on a die perimeter."""
-        return list(self._interior_tiles)
 
     def planar_distance(self, a: int, b: int) -> int:
         """Manhattan distance between two tiles within their layers."""

@@ -176,23 +176,9 @@ class PlatformConfig:
                     per_layer += orientations * (n - dx) * (n - dy)
         return per_layer * self.layers
 
-    @property
-    def mesh_planar_links(self) -> int:
-        """Planar link count of the equivalent 3D mesh."""
-        return 2 * self.n * (self.n - 1) * self.layers
-
     # ------------------------------------------------------------------ #
     # PE catalogue
     # ------------------------------------------------------------------ #
-    @property
-    def pe_types(self) -> tuple[PEType, ...]:
-        """PE type of every logical PE id, ordered CPU block, GPU block, LLC block."""
-        return (
-            (PEType.CPU,) * self.num_cpus
-            + (PEType.GPU,) * self.num_gpus
-            + (PEType.LLC,) * self.num_llcs
-        )
-
     @property
     def cpu_ids(self) -> np.ndarray:
         """Logical PE ids of the CPUs."""
@@ -217,10 +203,6 @@ class PlatformConfig:
         if pe_id < self.num_cpus + self.num_gpus:
             return PEType.GPU
         return PEType.LLC
-
-    def frequency_ghz(self, pe_id: int) -> float:
-        """Operating frequency of a PE (LLCs are clocked with the CPUs)."""
-        return self.gpu_frequency_ghz if self.pe_type(pe_id) is PEType.GPU else self.cpu_frequency_ghz
 
     # ------------------------------------------------------------------ #
     # Factory configurations

@@ -7,10 +7,10 @@ ties broken by physical path length and then lexicographically (the
 smallest-id predecessor wins at every step), so a design always maps to the
 same routes (and therefore the same objective vector).
 
-Construction vs queries
------------------------
-Table construction is split from path queries so tables can be shared
-read-only across designs and repaired incrementally:
+Construction
+------------
+Tables are built so they can be shared read-only across designs and repaired
+incrementally:
 
 * ``scipy.sparse.csgraph`` computes only the all-pairs *distance* matrix;
 * predecessors are then derived canonically from the distances
@@ -50,11 +50,12 @@ placement, which is why :class:`repro.noc.routing_engine.RoutingEngine` can
 key a cross-design route cache on the link tuple alone.
 :meth:`RoutingTables.from_links` builds tables without a design object.
 
-Batch path tables
------------------
-Besides the per-pair query API, :class:`RoutingTables` exposes compact batch
-structures used by the vectorized objective engine in :mod:`repro.objectives`.
-They are built lazily and together, from one layout of the route trees
+Pair tables
+-----------
+:class:`RoutingTables` answers only in whole per-pair arrays, read by the
+objective engine in :mod:`repro.objectives` and by the Fig. 3 simulator in
+:mod:`repro.simulation`; no route is ever walked pair by pair.  The arrays
+are built lazily and together, from one layout of the route trees
 (:meth:`RoutingTables._build_pair_tables`, below):
 
 * :meth:`link_loads` — ``u = P.T @ f`` for a pair-frequency vector ``f``:
@@ -93,7 +94,8 @@ three arrays: the pair and its parent pair's position in the level above
 The loads are summed in tree order, not pair order, so they can differ from
 a pair-order ``P.T @ f`` in the last few bits (up to about 3e-15 relative).
 ``tests/oracles/routing.py`` keeps a scalar tree walk that adds in the same
-order, and ``P`` rebuilt from the predecessors for the sparse product.
+order, ``P`` rebuilt from the predecessors for the sparse product, and the
+retired per-pair route walk.
 """
 
 from __future__ import annotations
@@ -176,7 +178,6 @@ class RoutingTables:
         # Links are lexicographically sorted and a*num_tiles+b is monotone in
         # (a, b), so these keys are ascending — searchsorted-friendly.
         self._link_keys = ends_a * np.int64(num_tiles) + ends_b
-        self._link_index: dict[tuple[int, int], int] | None = None
         self.link_lengths = link_lengths_array(links, grid)
         self._weights = 1.0 + self._LENGTH_EPSILON * self.link_lengths
         # The graph as a CSR matrix grouped by head: row ``v`` lists the tails
@@ -195,19 +196,7 @@ class RoutingTables:
             shape=(num_tiles, num_tiles),
         )
 
-    @property
-    def link_index(self) -> dict[tuple[int, int], int]:
-        """Endpoint pair -> link index lookup (built lazily, query path only)."""
-        if self._link_index is None:
-            index: dict[tuple[int, int], int] = {}
-            for idx, (a, b) in enumerate(zip(self._ends_a.tolist(), self._ends_b.tolist())):
-                index[(a, b)] = idx
-                index[(b, a)] = idx
-            self._link_index = index
-        return self._link_index
-
     def _reset_lazy(self) -> None:
-        self._path_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         # Lazily built batch structures (see _build_pair_tables).
         self._tree_pairs: np.ndarray | None = None
         self._tree_parents: np.ndarray | None = None
@@ -406,57 +395,8 @@ class RoutingTables:
         return updated
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Pair tables
     # ------------------------------------------------------------------ #
-    def is_reachable(self, src: int, dst: int) -> bool:
-        """True when a route exists from ``src`` to ``dst``."""
-        return np.isfinite(self._distance[src, dst])
-
-    def hops(self, src: int, dst: int) -> int:
-        """Number of links traversed on the route (``h_ij``).
-
-        Answers from the batch tables when they are already built; a single
-        query on a fresh instance uses the cheap cached predecessor walk
-        instead of triggering the whole-network sweep.
-        """
-        if src == dst:
-            return 0
-        if self._pair_hops is not None:
-            if not self.is_reachable(src, dst):
-                raise ValueError(
-                    f"no route from tile {src} to tile {dst}: network is disconnected"
-                )
-            return int(self._pair_hops[src * self.num_tiles + dst])
-        return len(self.path_links(src, dst))
-
-    def path_length(self, src: int, dst: int) -> float:
-        """Total physical length of the route (``d_ij``), in tile units."""
-        if src == dst:
-            return 0.0
-        if self._pair_lengths is not None:
-            if not self.is_reachable(src, dst):
-                raise ValueError(
-                    f"no route from tile {src} to tile {dst}: network is disconnected"
-                )
-            return float(self._pair_lengths[src * self.num_tiles + dst])
-        links = self.path_links(src, dst)
-        return float(self.link_lengths[links].sum()) if links else 0.0
-
-    def path_tiles(self, src: int, dst: int) -> list[int]:
-        """The ordered tiles (routers) visited by the route, endpoints included."""
-        return self._path(src, dst)[0]
-
-    def path_links(self, src: int, dst: int) -> list[int]:
-        """The ordered link indices traversed by the route."""
-        return self._path(src, dst)[1]
-
-    # ------------------------------------------------------------------ #
-    # Batch structures (vectorized objective engine)
-    # ------------------------------------------------------------------ #
-    def pair_index(self, src: int, dst: int) -> int:
-        """Flat index of the ordered tile pair ``(src, dst)`` in the batch tables."""
-        return src * self.num_tiles + dst
-
     def link_loads(self, pair_weights: np.ndarray) -> np.ndarray:
         """``P.T @ pair_weights``: the summed weight of the pairs routed over each link.
 
@@ -594,32 +534,6 @@ class RoutingTables:
         self._tree_pairs, self._tree_parents, self._tree_links = pairs, parent_rank, links
         self._level_starts = starts
         self._pair_hops, self._pair_lengths, self._pair_ports = hops, pair_lengths, pair_ports
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _path(self, src: int, dst: int) -> tuple[list[int], list[int]]:
-        key = (src, dst)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        if src == dst:
-            result = ([src], [])
-            self._path_cache[key] = result
-            return result
-        if not self.is_reachable(src, dst):
-            raise ValueError(f"no route from tile {src} to tile {dst}: network is disconnected")
-        tiles = [dst]
-        node = dst
-        while node != src:
-            node = int(self._predecessors[src, node])
-            if node < 0:
-                raise ValueError(f"no route from tile {src} to tile {dst}")
-            tiles.append(node)
-        tiles.reverse()
-        links = [self.link_index[(a, b)] for a, b in zip(tiles[:-1], tiles[1:])]
-        result = (tiles, links)
-        self._path_cache[key] = result
-        return result
 
 
 def _segment_ranges(firsts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.noc.design import NocDesign
 from repro.noc.routing import RoutingTables
 from repro.objectives.energy import communication_energy
 from repro.objectives.thermal import ThermalModel
-from repro.objectives.traffic import link_utilizations
+from repro.objectives.traffic import require_routable
 from repro.simulation.queueing import mm1_waiting_time, normalize_injection
 from repro.workloads.workload import Workload
 
@@ -87,34 +89,38 @@ class NocSimulator:
         """Traffic-weighted average packet latency in cycles (contention included)."""
         if routing is None:
             routing = RoutingTables(design, self.config.grid)
-        loads = link_utilizations(design, self.workload, routing)
-        rho = normalize_injection(loads, self.link_capacity)
-        waiting = mm1_waiting_time(rho)
-        tile_of_pe = design.tile_of_pe()
-        stages = self.config.router_stages
+        frequencies = self.workload.pair_frequencies(design.placement_array())
+        return self._packet_latency(routing, frequencies)
 
-        total_latency = 0.0
-        total_traffic = 0.0
-        for src_pe, dst_pe, frequency in self.workload.communicating_pairs():
-            src_tile = int(tile_of_pe[src_pe])
-            dst_tile = int(tile_of_pe[dst_pe])
-            if src_tile == dst_tile:
-                latency = float(stages)
-            else:
-                links = routing.path_links(src_tile, dst_tile)
-                hops = len(links)
-                link_delay = float(routing.link_lengths[links].sum())
-                queue_delay = float(waiting[links].sum())
-                latency = stages * (hops + 1) + link_delay + queue_delay
-            total_latency += latency * frequency
-            total_traffic += frequency
+    def _packet_latency(self, routing: RoutingTables, frequencies: np.ndarray) -> float:
+        """Average packet latency from the route tables and the tile-pair frequencies.
+
+        A packet pays ``stages`` cycles in each of its ``hops + 1`` routers,
+        its route's physical length, and the M/M/1 wait of every link on the
+        route.  Summed over pairs with weight ``f``, the waits add up to
+        ``waiting @ loads``: a link's wait counts once per unit of traffic
+        routed over it.  A self pair costs one router's ``stages``.
+        """
+        stages = self.config.router_stages
+        require_routable(routing, frequencies)
+        loads = routing.link_loads(frequencies)
+        total_traffic = frequencies.sum()
         if total_traffic == 0.0:
             return float(stages)
-        return total_latency / total_traffic
+        waiting = mm1_waiting_time(normalize_injection(loads, self.link_capacity))
+        total_latency = (
+            stages * (frequencies @ (routing.pair_hops() + 1))
+            + frequencies @ routing.pair_lengths()
+            + waiting @ loads
+        )
+        return float(total_latency / total_traffic)
 
     def execution_time_ms(self, design: NocDesign, routing: RoutingTables | None = None) -> float:
         """End-to-end application execution time in milliseconds."""
-        latency = self.average_packet_latency(design, routing)
+        return self._execution_time_ms(self.average_packet_latency(design, routing))
+
+    def _execution_time_ms(self, latency: float) -> float:
+        """Execution time for a given average packet latency (cycles)."""
         # Reference latency: a zero-load single-hop access.
         reference = self.config.router_stages * 2 + 1
         slowdown = 1.0 + self.network_sensitivity * max(0.0, latency / reference - 1.0)
@@ -125,13 +131,16 @@ class NocSimulator:
     def simulate(self, design: NocDesign) -> SimulationResult:
         """Simulate a design and return delay, energy, EDP and peak temperature."""
         routing = RoutingTables(design, self.config.grid)
-        latency = self.average_packet_latency(design, routing)
-        execution_time_ms = self.execution_time_ms(design, routing)
+        frequencies = self.workload.pair_frequencies(design.placement_array())
+        latency = self._packet_latency(routing, frequencies)
+        execution_time_ms = self._execution_time_ms(latency)
         execution_time_s = execution_time_ms / 1e3
 
         # Network energy: Eq. 4 energy is per kilo-cycle of traffic; integrate
         # over the application's cycles.
-        energy_per_kcycle_pj = communication_energy(design, self.workload, routing)
+        energy_per_kcycle_pj = communication_energy(
+            design, self.workload, routing, frequencies=frequencies
+        )
         total_kcycles = self.workload.compute_cycles * 1_000.0 / 1_000.0  # kilo-cycles
         network_energy_mj = energy_per_kcycle_pj * total_kcycles * 1e-9  # pJ -> mJ
 

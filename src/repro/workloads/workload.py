@@ -68,16 +68,6 @@ class Workload:
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
-    @property
-    def num_pes(self) -> int:
-        """Number of logical PEs."""
-        return self.config.num_tiles
-
-    def communicating_pairs(self) -> list[tuple[int, int, float]]:
-        """All ``(src_pe, dst_pe, f_ij)`` tuples with non-zero traffic."""
-        src, dst = np.nonzero(self.traffic)
-        return [(int(i), int(j), float(self.traffic[i, j])) for i, j in zip(src, dst)]
-
     def total_traffic(self) -> float:
         """Total communication volume (sum of all ``f_ij``)."""
         return float(self.traffic.sum())
@@ -96,15 +86,6 @@ class Workload:
                 key = f"{src_type.value}->{dst_type.value}"
                 totals[key] = float(self.traffic[np.ix_(src_ids, dst_ids)].sum())
         return totals
-
-    def power_by_type(self) -> dict[str, float]:
-        """Total power aggregated by PE type."""
-        config = self.config
-        return {
-            PEType.CPU.value: float(self.power[config.cpu_ids].sum()),
-            PEType.GPU.value: float(self.power[config.gpu_ids].sum()),
-            PEType.LLC.value: float(self.power[config.llc_ids].sum()),
-        }
 
     def tile_power(self, placement: np.ndarray) -> np.ndarray:
         """Per-tile power for a given placement array (tile -> PE)."""

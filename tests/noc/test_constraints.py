@@ -71,7 +71,7 @@ class TestChecker:
     def test_detects_llc_on_interior_tile(self, small_config):
         design = random_design(small_config, np.random.default_rng(0))
         grid = small_config.grid
-        interior = grid.interior_tiles()[0]
+        interior = next(t for t in grid.tiles() if not grid.is_edge_tile(t))
         llc_pe = int(small_config.llc_ids[0])
         placement = list(design.placement)
         llc_tile = placement.index(llc_pe)

@@ -48,12 +48,6 @@ class TestLookups:
             for neighbor in neighbors:
                 assert node in adjacency[neighbor]
 
-    def test_has_link(self, tiny_designs):
-        design = tiny_designs[0]
-        link = design.links[0]
-        assert design.has_link(link.a, link.b)
-        assert design.has_link(link.b, link.a)
-
     def test_links_by_kind_partitions(self, tiny_config, tiny_designs):
         design = tiny_designs[0]
         partition = design.links_by_kind(tiny_config.grid)

@@ -17,11 +17,9 @@ class TestTileCoord:
         b = TileCoord(2, 3, 3)
         assert a.manhattan_distance(b) == 8
 
-    def test_same_layer_and_column(self):
+    def test_same_layer(self):
         assert TileCoord(1, 2, 0).same_layer(TileCoord(3, 0, 0))
         assert not TileCoord(1, 2, 0).same_layer(TileCoord(1, 2, 1))
-        assert TileCoord(1, 2, 0).same_column(TileCoord(1, 2, 3))
-        assert not TileCoord(1, 2, 0).same_column(TileCoord(2, 2, 0))
 
 
 class TestGrid3D:
@@ -74,13 +72,13 @@ class TestGrid3D:
     def test_column_and_layer(self):
         grid = Grid3D(3, 3)
         tile = grid.tile_id(TileCoord(1, 2, 2))
-        assert grid.column_id(tile) == 2 * 3 + 1
-        assert grid.layer_of(tile) == 2
+        assert grid.tile_columns[tile] == 2 * 3 + 1
+        assert grid.tile_layers[tile] == 2
 
     def test_edge_tiles_in_3x3(self):
         grid = Grid3D(3, 2)
         edge = set(grid.edge_tiles())
-        interior = set(grid.interior_tiles())
+        interior = {t for t in grid.tiles() if not grid.is_edge_tile(t)}
         assert edge | interior == set(range(grid.num_tiles))
         assert edge & interior == set()
         # The centre tile of every 3x3 layer is interior.
@@ -91,7 +89,6 @@ class TestGrid3D:
     def test_all_tiles_are_edge_in_2x2(self):
         grid = Grid3D(2, 2)
         assert len(grid.edge_tiles()) == grid.num_tiles
-        assert grid.interior_tiles() == []
 
     def test_planar_neighbors_center(self):
         grid = Grid3D(3, 1)

@@ -25,7 +25,7 @@ class TestFactoryConfigs:
 
     def test_paper_planar_budget_equals_mesh(self):
         config = PlatformConfig.paper_4x4x4()
-        assert config.num_planar_links == config.mesh_planar_links
+        assert config.num_planar_links == 2 * config.n * (config.n - 1) * config.layers
 
     def test_small_and_tiny_configs_are_valid(self):
         for config in (PlatformConfig.small_3x3x3(), PlatformConfig.tiny_2x2x2(), PlatformConfig.flat_4x4x1()):
@@ -131,12 +131,3 @@ class TestPECatalogue:
         with pytest.raises(ValueError):
             config.pe_type(config.num_tiles)
 
-    def test_frequency_by_type(self):
-        config = PlatformConfig.paper_4x4x4()
-        assert config.frequency_ghz(int(config.cpu_ids[0])) == pytest.approx(2.5)
-        assert config.frequency_ghz(int(config.gpu_ids[0])) == pytest.approx(0.7)
-        assert config.frequency_ghz(int(config.llc_ids[0])) == pytest.approx(2.5)
-
-    def test_pe_types_tuple_length(self):
-        config = PlatformConfig.small_3x3x3()
-        assert len(config.pe_types) == config.num_tiles

@@ -98,7 +98,6 @@ class TestSharedTables:
         ]
         grid = config.grid
         assert grid.edge_tiles() == edge
-        assert grid.interior_tiles() == sorted(set(grid.tiles()) - set(edge))
         assert [t for t in grid.tiles() if grid.is_edge_tile(t)] == edge
 
 
@@ -117,12 +116,10 @@ class TestGridBounds:
     def test_coord_accepts_numpy_ints(self):
         assert Grid3D(3, 3).coord(np.int64(13)) == TileCoord(1, 1, 1)
 
-    def test_edge_lists_are_fresh_copies(self):
+    def test_edge_list_is_a_fresh_copy(self):
         grid = Grid3D(3, 2)
         grid.edge_tiles().clear()
-        grid.interior_tiles().clear()
         assert len(grid.edge_tiles()) == 16
-        assert len(grid.interior_tiles()) == 2
 
 
 class TestPlatformIdentity:

@@ -174,7 +174,7 @@ class TestRepairWalk:
         design = random_design(small_config, np.random.default_rng(6))
         grid = small_config.grid
         placement = list(design.placement)
-        interior = grid.interior_tiles()[0]
+        interior = next(t for t in grid.tiles() if not grid.is_edge_tile(t))
         llc_tile = next(
             t for t, pe in enumerate(placement)
             if small_config.pe_type(int(pe)) is PEType.LLC

@@ -8,6 +8,7 @@ from repro.noc.design import NocDesign
 from repro.noc.links import Link
 from repro.noc.mesh import mesh_design
 from repro.noc.routing import RoutingTables
+from tests.oracles.routing import route_links, route_tiles
 
 
 @pytest.fixture(scope="module")
@@ -19,22 +20,20 @@ def tiny_routing(tiny_config):
 class TestBasicRouting:
     def test_self_route_is_empty(self, tiny_routing):
         _, routing = tiny_routing
-        assert routing.path_links(0, 0) == []
-        assert routing.path_tiles(0, 0) == [0]
-        assert routing.hops(0, 0) == 0
+        assert route_links(routing, 0, 0) == []
+        assert route_tiles(routing, 0, 0) == [0]
+        assert routing.pair_hops()[0] == 0
 
     def test_all_pairs_reachable_on_mesh(self, tiny_routing):
         design, routing = tiny_routing
-        for src in range(design.num_tiles):
-            for dst in range(design.num_tiles):
-                assert routing.is_reachable(src, dst)
+        assert routing.reachable_matrix().all()
 
     def test_path_tiles_form_a_walk_over_links(self, tiny_routing):
         design, routing = tiny_routing
         link_set = design.link_set()
         for src in range(design.num_tiles):
             for dst in range(design.num_tiles):
-                tiles = routing.path_tiles(src, dst)
+                tiles = route_tiles(routing, src, dst)
                 assert tiles[0] == src and tiles[-1] == dst
                 for a, b in zip(tiles[:-1], tiles[1:]):
                     assert Link.make(a, b) in link_set
@@ -43,12 +42,13 @@ class TestBasicRouting:
         design, routing = tiny_routing
         for src in range(design.num_tiles):
             for dst in range(design.num_tiles):
-                assert routing.hops(src, dst) == len(routing.path_links(src, dst))
+                hops = routing.pair_hops()[src * design.num_tiles + dst]
+                assert hops == len(route_links(routing, src, dst))
 
     def test_adjacent_tiles_route_directly(self, tiny_routing):
         design, routing = tiny_routing
         link = design.links[0]
-        assert routing.hops(link.a, link.b) == 1
+        assert route_links(routing, link.a, link.b) == [0]
 
     def test_routes_are_minimal_on_mesh(self, tiny_config, tiny_routing):
         design, routing = tiny_routing
@@ -56,15 +56,15 @@ class TestBasicRouting:
         # On a full mesh the minimum hop count equals the Manhattan distance.
         for src in range(design.num_tiles):
             for dst in range(design.num_tiles):
-                assert routing.hops(src, dst) == grid.manhattan_distance(src, dst)
+                assert len(route_links(routing, src, dst)) == grid.manhattan_distance(src, dst)
 
     def test_path_length_accumulates_link_lengths(self, tiny_config, tiny_routing):
         design, routing = tiny_routing
         for src in range(design.num_tiles):
             for dst in range(design.num_tiles):
-                links = routing.path_links(src, dst)
-                expected = float(routing.link_lengths[links].sum()) if links else 0.0
-                assert routing.path_length(src, dst) == pytest.approx(expected)
+                links = route_links(routing, src, dst)
+                expected = routing.link_lengths[links].sum()
+                assert routing.pair_lengths()[src * design.num_tiles + dst] == expected
 
 
 class TestDeterminism:
@@ -74,7 +74,7 @@ class TestDeterminism:
         second = RoutingTables(design, small_config.grid)
         for src in range(0, design.num_tiles, 5):
             for dst in range(0, design.num_tiles, 3):
-                assert first.path_links(src, dst) == second.path_links(src, dst)
+                assert route_links(first, src, dst) == route_links(second, src, dst)
 
 
 class TestDisconnected:
@@ -84,6 +84,6 @@ class TestDisconnected:
         links = tuple(l for l in design.links if 7 not in l.endpoints())
         broken = NocDesign(placement=design.placement, links=links)
         routing = RoutingTables(broken, tiny_config.grid)
-        assert not routing.is_reachable(0, 7)
-        with pytest.raises(ValueError, match="no route"):
-            routing.path_links(0, 7)
+        assert not routing.reachable_matrix()[0, 7]
+        with pytest.raises(ValueError, match="no route from tile 0 to tile 7"):
+            route_links(routing, 0, 7)

@@ -45,7 +45,7 @@ class TestMoveDeltas:
         delta = move_delta_of(swapped)
         assert delta is not None
         assert delta.kind == "swap_pe"
-        assert delta.placement_only
+        assert not delta.links_added and not delta.links_removed
         assert delta.tiles_swapped is not None
         assert delta.parent_links == design.links
 
@@ -56,8 +56,7 @@ class TestMoveDeltas:
         assert rewired is not None
         delta = move_delta_of(rewired)
         assert delta.kind == "rewire_link"
-        assert not delta.placement_only
-        assert delta.num_link_changes == 2
+        assert len(delta.links_added) == len(delta.links_removed) == 1
         assert set(delta.links_removed) == set(design.links) - set(rewired.links)
         assert set(delta.links_added) == set(rewired.links) - set(design.links)
 

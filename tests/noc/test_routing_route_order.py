@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.noc.constraints import random_design
+from repro.noc.links import link_ends
 from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
@@ -23,6 +24,8 @@ from tests.oracles.routing import (
     canonical_csr,
     pair_link_incidence,
     pair_tile_incidence,
+    route_links,
+    route_tiles,
     tree_link_loads,
 )
 
@@ -64,8 +67,8 @@ def test_rows_run_from_destination_back_to_source(designs_and_tables):
         here = tiles.indices[tiles.indptr[rows] + rank]
         back = tiles.indices[tiles.indptr[rows] + rank + 1]
         assert np.array_equal(back, tables._predecessors[src[rows], here])
-        used = zip(here.tolist(), back.tolist())
-        assert [tables.link_index[edge] for edge in used] == links.indices.tolist()
+        used = np.sort(np.c_[here, back], axis=1)
+        np.testing.assert_array_equal(link_ends(tables.links)[links.indices], used)
 
 
 def test_sampled_rows_equal_reversed_paths(designs_and_tables):
@@ -74,11 +77,11 @@ def test_sampled_rows_equal_reversed_paths(designs_and_tables):
         n = tables.num_tiles
         links, tiles = pair_link_incidence(tables), pair_tile_incidence(tables)
         for src, dst in rng.integers(n, size=(200, 2)).tolist():
-            pair = tables.pair_index(src, dst)
+            pair = src * n + dst
             link_row = links.indices[links.indptr[pair] : links.indptr[pair + 1]]
             tile_row = tiles.indices[tiles.indptr[pair] : tiles.indptr[pair + 1]]
-            assert link_row.tolist() == tables.path_links(src, dst)[::-1]
-            assert tile_row.tolist() == tables.path_tiles(src, dst)[::-1]
+            assert link_row.tolist() == route_links(tables, src, dst)[::-1]
+            assert tile_row.tolist() == route_tiles(tables, src, dst)[::-1]
 
 
 def test_products_are_byte_identical_to_the_sorted_index_oracle(designs_and_tables):

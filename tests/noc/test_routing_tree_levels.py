@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.noc.constraints import random_design
+from repro.noc.links import link_ends
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.objectives.latency import cpu_llc_latency
 from repro.workloads.registry import get_workload
-from tests.oracles.routing import pair_link_incidence, router_ports, tree_link_loads
+from tests.oracles.routing import pair_link_incidence, route_links, router_ports, tree_link_loads
 
 PRESETS = [
     PlatformConfig.tiny_2x2x2(),
@@ -66,8 +67,8 @@ def test_levels_follow_the_predecessor_trees(tables):
         else:
             np.testing.assert_array_equal(pred[: starts[1]], src[: starts[1]])
     # The last hop joins the predecessor and the destination.
-    for link, a, b in zip(links.tolist(), pred.tolist(), dst.tolist()):
-        assert tables.link_index[(a, b)] == link
+    ends = link_ends(tables.links)[links]
+    np.testing.assert_array_equal(np.sort(ends, axis=1), np.sort(np.c_[pred, dst], axis=1))
 
 
 def test_link_loads_match_the_tree_oracle(tables):
@@ -91,16 +92,14 @@ def test_hops_lengths_and_ports_match_the_retired_sweep(tables):
         assert not array.flags.writeable
 
 
-def test_scalar_queries_read_the_int16_tables_as_exact_floats():
+def test_int16_tables_equal_the_walked_routes():
     platform = PlatformConfig.paper_4x4x4()
     tables = preset_tables(platform, 2)
-    tables.pair_lengths()
     for src, dst in [(0, 63), (5, 40), (17, 17), (62, 1)]:
-        length = tables.path_length(src, dst)
-        assert type(length) is float
-        expected = float(tables.link_lengths[tables.path_links(src, dst)].sum())
-        assert length == expected
-        assert tables.hops(src, dst) == len(tables.path_links(src, dst))
+        links = route_links(tables, src, dst)
+        pair = src * tables.num_tiles + dst
+        assert float(tables.pair_lengths()[pair]) == float(tables.link_lengths[links].sum())
+        assert tables.pair_hops()[pair] == len(links)
 
 
 def test_cpu_llc_latency_keeps_its_float_bits():

@@ -34,6 +34,8 @@ from tests.oracles.objectives import (
 from tests.oracles.routing import (
     pair_link_incidence,
     pair_tile_incidence,
+    route_links,
+    route_tiles,
     router_ports,
     tree_link_loads,
 )
@@ -195,22 +197,23 @@ class TestRoutingBatchTables:
         tiles_incidence = pair_tile_incidence(routing)
         for src in range(0, design.num_tiles, 4):
             for dst in range(0, design.num_tiles, 3):
-                pair = routing.pair_index(src, dst)
+                pair = src * design.num_tiles + dst
                 row = incidence.getrow(pair)
-                assert set(row.indices) == set(routing.path_links(src, dst))
+                assert set(row.indices) == set(route_links(routing, src, dst))
                 tile_row = tiles_incidence.getrow(pair)
-                assert set(tile_row.indices) == set(routing.path_tiles(src, dst))
+                assert set(tile_row.indices) == set(route_tiles(routing, src, dst))
 
-    def test_pair_hops_and_lengths_match_scalar_queries(self, small_config):
+    def test_pair_hops_and_lengths_match_walked_routes(self, small_config):
         design = random_design(small_config, 2)
         routing = RoutingTables(design, small_config.grid)
         hops = routing.pair_hops()
         lengths = routing.pair_lengths()
         for src in range(0, design.num_tiles, 5):
             for dst in range(0, design.num_tiles, 2):
-                pair = routing.pair_index(src, dst)
-                assert hops[pair] == len(routing.path_links(src, dst))
-                assert lengths[pair] == pytest.approx(routing.path_length(src, dst), rel=RTOL)
+                links = route_links(routing, src, dst)
+                pair = src * design.num_tiles + dst
+                assert hops[pair] == len(links)
+                assert lengths[pair] == routing.link_lengths[links].sum()
 
     def test_reachability_flags_disconnected_pairs(self, tiny_config):
         design, isolated = _disconnected_design(tiny_config)
@@ -220,7 +223,7 @@ class TestRoutingBatchTables:
         assert reachable[isolated, isolated]
         assert reachable[0, 1]
         # Unreachable pairs carry empty incidence rows instead of garbage.
-        pair = routing.pair_index(0, isolated)
+        pair = 0 * routing.num_tiles + isolated
         assert pair_link_incidence(routing).getrow(pair).nnz == 0
         assert routing.pair_hops()[pair] == 0
         assert routing.pair_lengths()[pair] == 0

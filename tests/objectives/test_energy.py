@@ -7,6 +7,7 @@ from repro.noc.mesh import mesh_design
 from repro.noc.routing import RoutingTables
 from repro.objectives.energy import communication_energy
 from repro.workloads.workload import Workload
+from tests.oracles.routing import route_links, route_tiles
 
 
 def _single_flow(config, src_pe, dst_pe, rate=1.0):
@@ -22,8 +23,8 @@ class TestEnergy:
         routing = RoutingTables(design, config.grid)
         workload = _single_flow(config, 0, 5, rate=2.0)
         src_tile, dst_tile = design.tile_of(0), design.tile_of(5)
-        links = routing.path_links(src_tile, dst_tile)
-        tiles = routing.path_tiles(src_tile, dst_tile)
+        links = route_links(routing, src_tile, dst_tile)
+        tiles = route_tiles(routing, src_tile, dst_tile)
         ports = design.degrees() + 1
         expected = 2.0 * (
             config.link_energy_per_flit * float(routing.link_lengths[links].sum())

@@ -7,6 +7,7 @@ from repro.noc.mesh import mesh_design
 from repro.noc.routing import RoutingTables
 from repro.objectives.latency import cpu_llc_latency
 from repro.workloads.workload import Workload
+from tests.oracles.routing import route_links
 
 
 def _cpu_llc_only_workload(config, rate=2.0):
@@ -27,8 +28,9 @@ class TestLatency:
         traffic[cpu, llc] = 4.0
         workload = Workload("one", config, traffic, np.ones(config.num_tiles))
         cpu_tile, llc_tile = design.tile_of(cpu), design.tile_of(llc)
-        hops = routing.hops(cpu_tile, llc_tile)
-        length = routing.path_length(cpu_tile, llc_tile)
+        links = route_links(routing, cpu_tile, llc_tile)
+        hops = len(links)
+        length = float(routing.link_lengths[links].sum())
         expected = (config.router_stages * hops + length) * 4.0 / (config.num_cpus * config.num_llcs)
         assert cpu_llc_latency(design, workload, routing) == pytest.approx(expected)
 

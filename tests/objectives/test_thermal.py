@@ -70,7 +70,7 @@ class TestTemperatures:
         hot_tile = base.tile_of(0)
         grid = config.grid
         model = ThermalModel(config)
-        if grid.layer_of(hot_tile) == 0:
+        if grid.coord(hot_tile).z == 0:
             # Swap the hot PE with whatever sits directly above it.
             above = grid.vertical_neighbors(hot_tile)[0]
             placement = list(base.placement)

@@ -8,6 +8,8 @@ from repro.noc.mesh import mesh_design
 from repro.noc.routing import RoutingTables
 from repro.objectives.traffic import link_utilizations, traffic_mean, traffic_variance
 from repro.workloads.workload import Workload
+from tests.oracles.objectives import communicating_pairs
+from tests.oracles.routing import route_links
 
 
 def _single_pair_workload(config, src_pe, dst_pe, rate):
@@ -24,7 +26,7 @@ class TestLinkUtilization:
         src_pe, dst_pe = 0, 5
         workload = _single_pair_workload(tiny_config, src_pe, dst_pe, 3.0)
         tile_of_pe = design.tile_of_pe()
-        path = routing.path_links(int(tile_of_pe[src_pe]), int(tile_of_pe[dst_pe]))
+        path = route_links(routing, int(tile_of_pe[src_pe]), int(tile_of_pe[dst_pe]))
         utilization = link_utilizations(design, workload, routing)
         for link_idx in range(design.num_links):
             expected = 3.0 if link_idx in path else 0.0
@@ -41,7 +43,7 @@ class TestLinkUtilization:
         design = tiny_designs[0]
         utilization = link_utilizations(design, tiny_workload)
         same_tile = sum(
-            f for s, d, f in tiny_workload.communicating_pairs()
+            f for s, d, f in communicating_pairs(tiny_workload)
             if design.tile_of(s) == design.tile_of(d)
         )
         assert utilization.sum() >= tiny_workload.total_traffic() - same_tile - 1e-9

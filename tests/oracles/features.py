@@ -86,11 +86,11 @@ class DesignFeaturizer:
         gpu_mean_layer = float(gpu_coords[:, 2].mean()) if len(gpu_coords) else 0.0
 
         tile_power = self.workload.tile_power(design.placement_array())
-        layers = np.array([grid.layer_of(t) for t in range(config.num_tiles)])
+        layers = np.array([grid.coord(t).z for t in range(config.num_tiles)])
         top_power = float(tile_power[layers == config.layers - 1].sum())
         total_power = float(tile_power.sum())
         top_fraction = top_power / total_power if total_power > 0 else 0.0
-        columns = np.array([grid.column_id(t) for t in range(config.num_tiles)])
+        columns = np.array([_column_id(grid, t) for t in range(config.num_tiles)])
         column_power = np.array(
             [tile_power[columns == c].sum() for c in range(grid.num_columns)], dtype=np.float64
         )
@@ -99,7 +99,7 @@ class DesignFeaturizer:
         degrees = design.degrees().astype(np.float64)
         partition = design.links_by_kind(grid)
         vertical_columns = np.array(
-            [grid.column_id(link.a) for link in partition[LinkKind.VERTICAL]], dtype=np.int64
+            [_column_id(grid, link.a) for link in partition[LinkKind.VERTICAL]], dtype=np.int64
         )
         vertical_counts = np.bincount(vertical_columns, minlength=grid.num_columns).astype(np.float64)
 
@@ -158,3 +158,9 @@ class DesignFeaturizer:
         distances = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
         n = len(coords)
         return float(distances.sum() / (n * (n - 1)))
+
+
+def _column_id(grid, tile_id: int) -> int:
+    """The single-tile-stack (column) index of a tile."""
+    coord = grid.coord(tile_id)
+    return coord.y * grid.n + coord.x

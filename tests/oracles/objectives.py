@@ -1,13 +1,16 @@
 """The per-pair scalar objective loops the vectorized engine replaced.
 
-``repro.objectives`` computes link utilisation, CPU-LLC latency and energy
-as sparse incidence-matrix products over ``RoutingTables``, and the thermal
-field as prefix sums along the layer axis.  The original loops live on here,
-verbatim apart from taking the thermal model or evaluator as their first
-argument, as oracles: ``tests/objectives/test_batch_equivalence.py`` checks
-every vectorized function against its twin, and the batch-evaluation
-benchmarks in ``benchmarks/bench_components.py`` time
-:func:`evaluate_reference` as their scalar baseline.
+``repro.objectives`` computes link utilisation by summing the tile-pair
+frequencies up the route trees of ``RoutingTables``, CPU-LLC latency and
+energy as dot products of the tables' per-pair hops, lengths and port sums
+with those frequencies, and the thermal field as prefix sums along the
+layer axis.  The original loops live on here, verbatim apart from taking
+the thermal model or evaluator as their first argument and walking routes
+with :mod:`tests.oracles.routing`, as oracles:
+``tests/objectives/test_batch_equivalence.py`` checks every vectorized
+function against its twin, and the batch-evaluation benchmarks in
+``benchmarks/bench_components.py`` time :func:`evaluate_reference` as
+their scalar baseline.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ from repro.objectives.evaluator import ObjectiveEvaluator
 from repro.objectives.thermal import ThermalModel
 from repro.objectives.traffic import traffic_mean, traffic_variance
 from repro.workloads.workload import Workload
+from tests.oracles.routing import route_links, route_tiles
+
+
+def communicating_pairs(workload: Workload) -> list[tuple[int, int, float]]:
+    """All ``(src_pe, dst_pe, f_ij)`` tuples with non-zero traffic, in PE order."""
+    src, dst = np.nonzero(workload.traffic)
+    return [(int(i), int(j), float(workload.traffic[i, j])) for i, j in zip(src, dst)]
 
 
 def link_utilizations_reference(
@@ -31,12 +41,12 @@ def link_utilizations_reference(
         routing = RoutingTables(design, workload.config.grid)
     tile_of_pe = design.tile_of_pe()
     utilization = np.zeros(design.num_links, dtype=np.float64)
-    for src_pe, dst_pe, frequency in workload.communicating_pairs():
+    for src_pe, dst_pe, frequency in communicating_pairs(workload):
         src_tile = int(tile_of_pe[src_pe])
         dst_tile = int(tile_of_pe[dst_pe])
         if src_tile == dst_tile:
             continue
-        for link_idx in routing.path_links(src_tile, dst_tile):
+        for link_idx in route_links(routing, src_tile, dst_tile):
             utilization[link_idx] += frequency
     return utilization
 
@@ -64,7 +74,7 @@ def cpu_llc_latency_reference(
             frequency = float(workload.traffic[cpu, llc] + workload.traffic[llc, cpu])
             if frequency == 0.0:
                 continue
-            links = routing.path_links(cpu_tile, llc_tile)
+            links = route_links(routing, cpu_tile, llc_tile)
             link_delay = float(routing.link_lengths[links].sum()) if links else 0.0
             total += (stages * len(links) + link_delay) * frequency
     return total / (len(cpu_ids) * len(llc_ids))
@@ -86,17 +96,17 @@ def communication_energy_reference(
     e_router = config.router_energy_per_port
 
     total = 0.0
-    for src_pe, dst_pe, frequency in workload.communicating_pairs():
+    for src_pe, dst_pe, frequency in communicating_pairs(workload):
         src_tile = int(tile_of_pe[src_pe])
         dst_tile = int(tile_of_pe[dst_pe])
         if src_tile == dst_tile:
             # Same-tile communication traverses only the local router.
             total += frequency * e_router * ports[src_tile]
             continue
-        path_links = routing.path_links(src_tile, dst_tile)
-        path_tiles = routing.path_tiles(src_tile, dst_tile)
-        link_energy = e_link * float(link_lengths[path_links].sum())
-        router_energy = e_router * float(ports[path_tiles].sum())
+        links = route_links(routing, src_tile, dst_tile)
+        tiles = route_tiles(routing, src_tile, dst_tile)
+        link_energy = e_link * float(link_lengths[links].sum())
+        router_energy = e_router * float(ports[tiles].sum())
         total += frequency * (link_energy + router_energy)
     return total
 
@@ -110,9 +120,8 @@ def column_powers_reference(
     tile_power = workload.tile_power(design.placement_array())
     powers = np.zeros((grid.num_columns, config.layers), dtype=np.float64)
     for tile_id in range(config.num_tiles):
-        column = grid.column_id(tile_id)
-        layer = grid.layer_of(tile_id)
-        powers[column, layer] = tile_power[tile_id]
+        coord = grid.coord(tile_id)
+        powers[coord.y * grid.n + coord.x, coord.z] = tile_power[tile_id]
     return powers
 
 

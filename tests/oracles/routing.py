@@ -20,14 +20,48 @@ here:
   rows replaced (``tests/noc/test_routing_route_order.py``);
 * :func:`changed_route_pairs` compares two tables' tile paths pair by pair,
   the brute-force twin of the changed-pair set a repair re-sweeps.
+
+:func:`route_tiles` and :func:`route_links` are the retired per-pair query
+API (``RoutingTables.path_tiles`` / ``path_links``): one route at a time,
+walked back from the destination over a table's predecessors, raising the
+same ``ValueError`` on a disconnected pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.noc.links import link_ends
+from repro.noc.links import Link, link_ends
+
+
+def route_tiles(tables, src: int, dst: int) -> list[int]:
+    """The ordered tiles (routers) of the route ``src -> dst``, endpoints included."""
+    if src == dst:
+        return [src]
+    if not tables.reachable_matrix()[src, dst]:
+        raise ValueError(f"no route from tile {src} to tile {dst}: network is disconnected")
+    tiles = [dst]
+    node = dst
+    while node != src:
+        node = int(tables._predecessors[src, node])
+        if node < 0:
+            raise ValueError(f"no route from tile {src} to tile {dst}")
+        tiles.append(node)
+    tiles.reverse()
+    return tiles
+
+
+def route_links(tables, src: int, dst: int) -> list[int]:
+    """The ordered link ids of the route ``src -> dst`` (empty for a self pair).
+
+    A table's links are sorted ``(a, b)`` tuples with ``a < b``, so a hop's
+    link id is its endpoint pair's position among them.
+    """
+    tiles = route_tiles(tables, src, dst)
+    return [bisect_left(tables.links, Link.make(a, b)) for a, b in zip(tiles[:-1], tiles[1:])]
 
 
 def canonical_csr(rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int) -> csr_matrix:
@@ -189,14 +223,14 @@ def router_ports(tables) -> np.ndarray:
 def changed_route_pairs(parent, child) -> np.ndarray:
     """Flat pairs ``src * num_tiles + dst`` whose tile path differs, by brute force.
 
-    Walks every pair's route in both tables through the per-pair query API;
-    a pair that is reachable in only one of them counts as changed, one
-    that is unreachable in both does not.
+    Walks every pair's route in both tables with :func:`route_tiles`; a
+    pair that is reachable in only one of them counts as changed, one that
+    is unreachable in both does not.
     """
     num_tiles = parent.num_tiles
 
     def route(tables, src, dst):
-        return tables.path_tiles(src, dst) if tables.is_reachable(src, dst) else None
+        return route_tiles(tables, src, dst) if tables.reachable_matrix()[src, dst] else None
 
     return np.array(
         [

@@ -20,7 +20,7 @@ from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
-from tests.oracles.routing import router_ports, tree_link_loads
+from tests.oracles.routing import route_links, route_tiles, router_ports, tree_link_loads
 
 TINY = PlatformConfig.tiny_2x2x2()
 SMALL = PlatformConfig.small_3x3x3()
@@ -93,11 +93,11 @@ def test_repaired_tables_raise_identical_disconnection_errors(seed):
     repaired = engine.tables(broken)
     assert engine.incremental_repairs == 1
     fresh = RoutingTables(broken, SMALL.grid)
-    assert not repaired.is_reachable(0, victim)
+    assert not repaired.reachable_matrix()[0, victim]
     with pytest.raises(ValueError, match="no route"):
-        repaired.path_links(0, victim)
+        route_links(repaired, 0, victim)
     with pytest.raises(ValueError, match="no route"):
-        fresh.path_links(0, victim)
+        route_links(fresh, 0, victim)
     assert_engine_matches_fresh(repaired, fresh)
 
 
@@ -135,6 +135,6 @@ def test_sample_paths_identical_tile_by_tile(seed):
     fresh = RoutingTables(child, TINY.grid)
     for src in range(child.num_tiles):
         for dst in range(child.num_tiles):
-            assert served.path_tiles(src, dst) == fresh.path_tiles(src, dst)
-            assert served.path_links(src, dst) == fresh.path_links(src, dst)
-            assert served.hops(src, dst) == fresh.hops(src, dst)
+            assert route_tiles(served, src, dst) == route_tiles(fresh, src, dst)
+            assert route_links(served, src, dst) == route_links(fresh, src, dst)
+    np.testing.assert_array_equal(served.pair_hops(), fresh.pair_hops())

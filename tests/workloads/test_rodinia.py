@@ -72,4 +72,5 @@ class TestQualitativeStructure:
     def test_gpu_power_scales_with_activity(self, small_config):
         hot = generate_rodinia_workload("HOT", small_config, seed=0)  # gpu_activity 1.3
         sc = generate_rodinia_workload("SC", small_config, seed=0)  # gpu_activity 0.7
-        assert hot.power_by_type()["GPU"] > sc.power_by_type()["GPU"]
+        gpus = small_config.gpu_ids
+        assert hot.power[gpus].sum() > sc.power[gpus].sum()
