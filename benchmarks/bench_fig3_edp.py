@@ -21,7 +21,7 @@ def test_fig3_edp_overhead(benchmark, bench_experiment, bench_runs):
     """Fig. 3: EDP overhead (%) of MOEA/D and MOOS designs relative to MOELA."""
 
     figure = benchmark.pedantic(
-        lambda: build_figure3(bench_experiment, bench_runs), rounds=1, iterations=1
+        lambda: build_figure3(bench_experiment, bench_runs.runs), rounds=1, iterations=1
     )
     text = format_figure3(figure)
     print()

@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_artifact
-from repro.experiments.tables import build_table1, format_table
+from repro.experiments.tables import format_table
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_speedup_evaluations(benchmark, bench_experiment, bench_runs):
+def test_table1_speedup_evaluations(benchmark, bench_runs):
     """Table I (effort measured in objective evaluations)."""
 
     table = benchmark.pedantic(
-        lambda: build_table1(bench_experiment, bench_runs, measure="evaluations"),
+        lambda: bench_runs.table1(measure="evaluations"),
         rounds=1,
         iterations=1,
     )
@@ -38,11 +38,11 @@ def test_table1_speedup_evaluations(benchmark, bench_experiment, bench_runs):
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_speedup_wallclock(benchmark, bench_experiment, bench_runs):
+def test_table1_speedup_wallclock(benchmark, bench_runs):
     """Table I (effort measured in wall-clock seconds, closer to the paper's T_stop)."""
 
     table = benchmark.pedantic(
-        lambda: build_table1(bench_experiment, bench_runs, measure="seconds"),
+        lambda: bench_runs.table1(measure="seconds"),
         rounds=1,
         iterations=1,
     )

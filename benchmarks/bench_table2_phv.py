@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_artifact
-from repro.experiments.tables import build_table2, format_table
+from repro.experiments.tables import format_table
 
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_phv_gain(benchmark, bench_experiment, bench_runs):
+def test_table2_phv_gain(benchmark, bench_runs):
     """Table II: PHV gain (%) of MOELA over each baseline per app and scenario."""
 
-    table = benchmark.pedantic(
-        lambda: build_table2(bench_experiment, bench_runs), rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(bench_runs.table2, rounds=1, iterations=1)
     text = format_table(table, value_format="{:8.1f}")
     print()
     print(text)

@@ -20,43 +20,30 @@ import os
 
 import pytest
 
-from repro.core.config import MOELAConfig
+from repro import Study, StudyEvent, StudyResult
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.tables import run_all_comparisons
-from repro.noc.platform import PlatformConfig
-
-_PLATFORMS = {
-    "tiny": PlatformConfig.tiny_2x2x2,
-    "small": PlatformConfig.small_3x3x3,
-    "paper": PlatformConfig.paper_4x4x4,
-}
+from repro.experiments.tables import BASELINES
 
 
 def _env_tuple(name: str, default: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in os.environ.get(name, default).split(",") if item.strip())
 
 
-def bench_experiment_config() -> ExperimentConfig:
-    """Build the benchmark-scale experiment configuration from the environment."""
-    platform = _PLATFORMS[os.environ.get("REPRO_BENCH_PLATFORM", "small")]()
-    applications = _env_tuple("REPRO_BENCH_APPS", "BFS,SRAD,HOT")
-    objectives = tuple(int(v) for v in _env_tuple("REPRO_BENCH_OBJECTIVES", "3,5"))
-    max_evaluations = int(os.environ.get("REPRO_BENCH_EVALS", "1200"))
-    population = int(os.environ.get("REPRO_BENCH_POPULATION", "16"))
-    return ExperimentConfig(
-        platform=platform,
-        applications=applications,
-        objective_counts=objectives,
-        population_size=population,
-        max_evaluations=max_evaluations,
-        moela=MOELAConfig.reduced(),
-    )
+def bench_study() -> Study:
+    """The benchmark-scale study (MOELA and the baselines) built from the environment."""
+    return Study(
+        platform=os.environ.get("REPRO_BENCH_PLATFORM", "small"),
+        apps=_env_tuple("REPRO_BENCH_APPS", "BFS,SRAD,HOT"),
+        objectives=[int(v) for v in _env_tuple("REPRO_BENCH_OBJECTIVES", "3,5")],
+        evaluations=int(os.environ.get("REPRO_BENCH_EVALS", "1200")),
+        population_size=int(os.environ.get("REPRO_BENCH_POPULATION", "16")),
+    ).algorithms("MOELA", *BASELINES)
 
 
 @pytest.fixture(scope="session")
 def bench_experiment() -> ExperimentConfig:
     """The benchmark-scale experiment configuration."""
-    return bench_experiment_config()
+    return bench_study().experiment()
 
 
 def save_artifact(name: str, text: str) -> None:
@@ -72,10 +59,16 @@ def save_artifact(name: str, text: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def bench_runs(bench_experiment):
+def bench_runs() -> StudyResult:
     """The shared search campaign consumed by the Table I/II and Fig. 3 benches.
 
     Running the campaign once and reusing it mirrors the paper, where the same
     searches feed every reported artefact.
     """
-    return run_all_comparisons(bench_experiment, progress=lambda msg: print(f"[bench-runs] {msg}"))
+
+    def progress(event: StudyEvent) -> None:
+        if event.kind == "run_started":
+            print(f"[bench-runs] running {event.algorithm} on {event.application} / "
+                  f"{event.num_objectives}-obj")
+
+    return bench_study().on_event(progress).run()

@@ -37,7 +37,6 @@ from repro.experiments.compaction import CompactionSummary, compact_campaign
 from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
     CampaignExecution,
-    compare_algorithms,
     run_algorithm,
     run_campaign,
     submit_campaign,
@@ -82,7 +81,6 @@ __all__ = [
     "ViolationReport",
     "WorkloadRegistry",
     "compact_campaign",
-    "compare_algorithms",
     "default_registry",
     "get_workload",
     "register_optimizer",

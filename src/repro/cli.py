@@ -333,16 +333,16 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    aggregate = aggregate_campaign(args.output_dir)
-    if not aggregate.algorithms:
+    result = aggregate_campaign(args.output_dir)
+    if not result.algorithms:
         print(f"error: no completed shards under {args.output_dir}", file=sys.stderr)
         return 1
-    print(f"campaign tables ({aggregate.target} vs {', '.join(aggregate.baselines)}):\n")
-    print(format_table(aggregate.table1(measure=args.measure)))
+    print(f"campaign tables ({result.target} vs {', '.join(result.baselines)}):\n")
+    print(format_table(result.table1(measure=args.measure)))
     print()
-    print(format_table(aggregate.table2()))
+    print(format_table(result.table2()))
     print()
-    _print_routing_cache(aggregate.routing_cache)
+    _print_routing_cache(result.campaign.routing_cache if result.campaign else None)
     return 0
 
 

@@ -42,11 +42,6 @@ class DesignFeaturizer:
     # Feature extraction
     # ------------------------------------------------------------------ #
     @property
-    def num_features(self) -> int:
-        """Length of the feature vector."""
-        return len(self.feature_names)
-
-    @property
     def feature_names(self) -> tuple[str, ...]:
         """Names of the features, in output order."""
         return (

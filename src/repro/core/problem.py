@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.features import DesignFeaturizer
 from repro.moo.problem import Problem
-from repro.noc.constraints import ConstraintChecker, ViolationReport, random_design
+from repro.noc.constraints import ConstraintChecker, random_design
 from repro.noc.crossover import crossover
 from repro.noc.design import NocDesign
 from repro.noc.moves import MoveGenerator, mutate
@@ -150,10 +150,6 @@ class NocDesignProblem(Problem):
     def is_feasible(self, design: NocDesign) -> bool:
         """True when the design satisfies every Section III constraint."""
         return self.checker.is_feasible(design)
-
-    def feasibility_report(self, design: NocDesign) -> ViolationReport:
-        """Structured constraint-violation report (see :mod:`repro.noc.constraints`)."""
-        return self.checker.report(design)
 
     def full_report(self, design: NocDesign) -> dict[str, float]:
         """All five objective values plus the peak temperature of a design."""

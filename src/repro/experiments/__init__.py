@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     CampaignSummary,
     campaign_cells,
     campaign_status,
-    compare_algorithms,
     load_campaign_results,
     load_manifest,
     make_problem,
@@ -25,8 +24,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.tables import (
     build_figure3,
-    build_table1,
-    build_table2,
     format_figure3,
     format_table,
 )
@@ -46,10 +43,7 @@ __all__ = [
     "load_campaign_results",
     "load_manifest",
     "run_campaign",
-    "build_table1",
-    "build_table2",
     "common_reference_point",
-    "compare_algorithms",
     "edp_of_best_design",
     "format_figure3",
     "format_table",

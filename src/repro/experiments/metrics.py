@@ -91,21 +91,27 @@ def select_design_by_thermal_threshold(
     temperature defines a temperature threshold 5 % above it; among designs
     within the threshold, the one with the lowest EDP is selected (falling
     back to the coolest design when none qualifies, per the paper).
-    Returns the design and its simulation report.
+    Returns the design and its simulation report.  Peak temperatures come
+    from the simulator's thermal model alone, so only the designs the rule
+    can pick are simulated.
     """
     if not result.designs:
         raise ValueError("the result contains no designs")
     simulator = simulator if simulator is not None else NocSimulator(workload)
-    reports = [simulator.simulate(design) for design in result.designs]
-    temperatures = np.array([r.peak_temperature for r in reports])
+    temperatures = np.array(
+        [
+            simulator.thermal_model.peak_temperature(design, simulator.workload)
+            for design in result.designs
+        ]
+    )
     coolest = float(temperatures.min())
     threshold = coolest * (1.0 + threshold_fraction)
     eligible = [i for i, t in enumerate(temperatures) if t <= threshold]
     if not eligible:
         eligible = [int(np.argmin(temperatures))]
-    edps = np.array([reports[i].edp for i in eligible])
-    chosen = eligible[int(np.argmin(edps))]
-    return result.designs[chosen], reports[chosen].as_dict()
+    reports = [simulator.simulate(result.designs[i]) for i in eligible]
+    best = int(np.argmin([report.edp for report in reports]))
+    return result.designs[eligible[best]], reports[best].as_dict()
 
 
 def edp_of_best_design(

@@ -1,11 +1,10 @@
 """Runs the optimisers on (application, scenario) problem instances.
 
-Besides the single-run helpers (:func:`run_algorithm`,
-:func:`compare_algorithms`), this module hosts the campaign engine: the full
-(algorithm x application x scenario) grid, run inline or fanned out over a
-process pool, each cell streaming its result to one JSON shard next to a
-manifest so a killed campaign resumes by running only the missing cells
-(:func:`run_campaign`).
+Besides the single-run helper :func:`run_algorithm`, this module hosts the
+campaign engine: the full (algorithm x application x scenario) grid, run
+inline or fanned out over a process pool, each cell streaming its result to
+one JSON shard next to a manifest so a killed campaign resumes by running
+only the missing cells (:func:`run_campaign`).
 
 Campaigns are asynchronous and observable across processes, through one
 event path: every cell — pool worker or inline — appends its
@@ -146,28 +145,6 @@ def run_algorithm(
             "num_objectives": problem.num_objectives,
         }
     return optimizer.run(budget)
-
-
-def compare_algorithms(
-    algorithms: list[str],
-    experiment: ExperimentConfig,
-    application: str,
-    num_objectives: int,
-    budget: Budget | None = None,
-    on_event: EventCallback | None = None,
-) -> dict[str, OptimizationResult]:
-    """Run several algorithms on the same problem instance with matched budgets.
-
-    Results are keyed by canonical algorithm name (aliases fold together).
-    """
-    registry = default_registry()
-    problem = make_problem(experiment, application, num_objectives)
-    results: dict[str, OptimizationResult] = {}
-    for algorithm in algorithms:
-        results[registry.canonical(algorithm)] = run_algorithm(
-            algorithm, problem, experiment, budget=budget, on_event=on_event
-        )
-    return results
 
 
 # ---------------------------------------------------------------------- #

@@ -1,29 +1,28 @@
-"""Builders for the paper's evaluation artefacts: Table I, Table II and Fig. 3.
+"""The paper's evaluation artefacts: Table I, Table II and Fig. 3.
 
-Each builder runs MOELA and the baselines on the configured applications and
-objective scenarios and returns plain row dictionaries mirroring the paper's
-layout (applications as rows, ``{baseline} x {3,4,5}-obj`` as columns);
-``format_table`` / ``format_figure3`` render them as text tables so the
-benchmark harness prints the same rows the paper reports.
+No builder runs a search.  :class:`StudyResult` holds the run map of one
+comparison — ``(application, num_objectives)`` to ``{algorithm: result}`` —
+and renders Table I and Table II from it (applications as rows,
+``{baseline} x {3,4,5}-obj`` as columns); :func:`build_figure3` scores Fig. 3
+from the same run map.  ``format_table`` / ``format_figure3`` render them as
+text tables so the benchmark harness prints the same rows the paper reports.
 
-Campaign analytics
-------------------
-:func:`aggregate_campaign` folds the finished shards of a sharded campaign
-(:func:`repro.experiments.runner.run_campaign`) into the same Table I/II
-builders *without re-running any cell*: shards are loaded lazily into the
-``RunMap`` layout the builders consume — transparently from loose shard
-files or a compacted rollup
+There is one comparison path: :meth:`repro.study.Study.run` runs the searches
+(inline, or as a sharded campaign) and returns a :class:`StudyResult`;
+:func:`aggregate_campaign` loads the same result from a campaign directory's
+finished shards *without re-running any cell* — transparently from loose
+shard files or a compacted rollup
 (:func:`repro.experiments.compaction.compact_campaign`), with identical
-output either way — the comparison target defaults to MOELA when present
-(first completed algorithm otherwise), and cells missing either side of a
-comparison are skipped instead of failing the whole table.
+output either way.  The comparison target is MOELA when present (the first
+algorithm otherwise), and cells missing either side of a comparison are
+skipped instead of failing the whole table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -35,9 +34,22 @@ from repro.experiments.metrics import (
     phv_gain,
     speedup_factor,
 )
-from repro.experiments.runner import compare_algorithms, load_campaign_results, load_manifest
+from repro.experiments.robustness import (
+    RobustnessCertificate,
+    SensitivityMap,
+    robustness_certificate,
+    sensitivity_map,
+)
+from repro.experiments.runner import (
+    MANIFEST_NAME,
+    CampaignCell,
+    CampaignSummary,
+    load_campaign_results,
+    load_manifest,
+)
 from repro.moo.result import OptimizationResult
 from repro.simulation.simulator import NocSimulator
+from repro.study.registry import default_registry
 from repro.workloads.registry import get_workload
 
 #: Baselines MOELA is compared against in Tables I/II and Fig. 3.
@@ -99,72 +111,32 @@ class TableResult:
         return float(np.mean(values)) if values else float("nan")
 
 
-# ---------------------------------------------------------------------- #
-# Shared run cache
-# ---------------------------------------------------------------------- #
 RunMap = dict[tuple[str, int], dict[str, OptimizationResult]]
 
 
-def run_all_comparisons(
-    experiment: ExperimentConfig,
-    algorithms: tuple[str, ...] = ("MOELA",) + BASELINES,
-    progress: Callable[[str], None] | None = None,
-) -> RunMap:
-    """Run every (application, scenario) comparison once and cache the results.
-
-    Both tables and the figure consume the same runs, matching the paper
-    (Table I/II/Fig. 3 all come from the same search campaigns).
-    """
-    runs: RunMap = {}
-    for application in experiment.applications:
-        for num_objectives in experiment.objective_counts:
-            if progress is not None:
-                progress(f"running {application} / {num_objectives}-obj")
-            runs[(application, num_objectives)] = compare_algorithms(
-                list(algorithms), experiment, application, num_objectives
-            )
-    return runs
-
-
-# ---------------------------------------------------------------------- #
-# Generic comparison builder shared by the table builders and the
-# campaign-shard aggregation path.
-# ---------------------------------------------------------------------- #
 def build_comparison_table(
     runs: RunMap,
     name: str,
     value_fn: Callable[[dict[str, OptimizationResult], str, str], float],
     target: str = "MOELA",
     baselines: tuple[str, ...] = BASELINES,
-    applications: "tuple[str, ...] | None" = None,
-    objective_counts: "tuple[int, ...] | None" = None,
-    strict: bool = True,
 ) -> TableResult:
     """Build one comparison table from a run map.
 
-    ``value_fn(results, baseline, target)`` computes one cell.  With
-    ``strict=True`` (the experiment-driven builders) a run map missing the
-    target or a baseline raises ``KeyError``, surfacing a misconfigured run;
-    ``strict=False`` (the campaign-shard aggregation path) skips such cells
-    instead, so a partially completed campaign still renders every
-    comparable cell.
+    ``value_fn(results, baseline, target)`` computes one cell.  Rows are the
+    run map's applications in insertion order, columns every baseline at
+    every objective count present (ascending).  A cell whose group lacks the
+    target or the baseline is skipped, so a partially completed campaign
+    still renders every comparable cell.
     """
-    if applications is None:
-        applications = tuple(dict.fromkeys(application for application, _ in runs))
-    if objective_counts is None:
-        objective_counts = tuple(sorted({objectives for _, objectives in runs}))
+    applications = tuple(dict.fromkeys(application for application, _ in runs))
+    objective_counts = tuple(sorted({objectives for _, objectives in runs}))
     table = TableResult(name=name)
     for baseline in baselines:
         for num_objectives in objective_counts:
             for application in applications:
-                key = (application, num_objectives)
-                results = runs.get(key)
+                results = runs.get((application, num_objectives))
                 if results is None or target not in results or baseline not in results:
-                    if strict:
-                        if results is None:
-                            raise KeyError(key)
-                        missing = target if target not in results else baseline
-                        raise KeyError(f"run map has no {missing!r} result for cell {key}")
                     continue
                 value = value_fn(results, baseline, target)
                 table.cells.append(
@@ -187,107 +159,154 @@ def _phv_gain_value(results: dict[str, OptimizationResult], baseline: str, targe
 
 
 # ---------------------------------------------------------------------- #
-# Table I — speed-up of MOELA over the baselines
-# ---------------------------------------------------------------------- #
-def build_table1(
-    experiment: ExperimentConfig,
-    runs: RunMap | None = None,
-    measure: str = "evaluations",
-) -> TableResult:
-    """Table I: speed-up factor of MOELA vs MOEA/D and MOOS per app and scenario."""
-    runs = runs if runs is not None else run_all_comparisons(experiment)
-    return build_comparison_table(
-        runs,
-        name="Table I: speed-up of MOELA",
-        value_fn=_speedup_value(measure),
-        applications=experiment.applications,
-        objective_counts=experiment.objective_counts,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Table II — PHV gain of MOELA over the baselines
-# ---------------------------------------------------------------------- #
-def build_table2(experiment: ExperimentConfig, runs: RunMap | None = None) -> TableResult:
-    """Table II: PHV gain (%) of MOELA vs MOEA/D and MOOS at the stop budget."""
-    runs = runs if runs is not None else run_all_comparisons(experiment)
-    return build_comparison_table(
-        runs,
-        name="Table II: PHV gain of MOELA (%)",
-        value_fn=_phv_gain_value,
-        applications=experiment.applications,
-        objective_counts=experiment.objective_counts,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Campaign-shard aggregation (tables without re-running anything)
+# The run map and its tables
 # ---------------------------------------------------------------------- #
 @dataclass
-class CampaignAggregate:
-    """Finished campaign shards folded into the table-builder layout.
+class StudyResult:
+    """The runs of one comparison and the paper tables built from them.
 
-    ``runs`` holds one ``{algorithm: result}`` map per completed
-    ``(application, num_objectives)`` cell group; ``target`` is the algorithm
-    the tables compare *to* (MOELA when the campaign ran it) and
-    ``baselines`` everything else, in completion order.
+    ``runs`` maps ``(application, num_objectives)`` to the per-algorithm
+    :class:`~repro.moo.result.OptimizationResult` map.  ``algorithms`` lists
+    the algorithms that ran, in run order; :attr:`target` is the one the
+    tables compare *to* (MOELA when present) and :attr:`baselines` the rest.
+    ``campaign`` carries the shard/manifest summary when the runs come from a
+    campaign directory.  :meth:`repro.study.Study.run` (inline or campaign
+    mode) and :func:`aggregate_campaign` both return one.
     """
 
-    output_dir: Path
-    runs: RunMap
     algorithms: tuple[str, ...]
-    applications: tuple[str, ...]
-    objective_counts: tuple[int, ...]
-    routing_cache: "dict[str, Any] | None" = None
+    runs: RunMap
+    campaign: "CampaignSummary | None" = None
+
+    def __iter__(self) -> Iterator[tuple[str, int, str, OptimizationResult]]:
+        """Yield ``(application, num_objectives, algorithm, result)`` rows."""
+        for (application, num_objectives), group in self.runs.items():
+            for algorithm, result in group.items():
+                yield application, num_objectives, algorithm, result
+
+    def result(
+        self,
+        algorithm: str,
+        application: "str | None" = None,
+        num_objectives: "int | None" = None,
+    ) -> OptimizationResult:
+        """One run's result; cell selectors may be omitted when unambiguous."""
+        canonical = default_registry().canonical(algorithm)
+        matches = [
+            result
+            for app, m, name, result in self
+            if name == canonical
+            and (application is None or app == application.upper())
+            and (num_objectives is None or m == num_objectives)
+        ]
+        if not matches:
+            raise KeyError(f"no result for {algorithm!r} ({application}, {num_objectives})")
+        if len(matches) > 1:
+            raise KeyError(
+                f"{len(matches)} results match {algorithm!r}; pass application= and "
+                "num_objectives= to disambiguate"
+            )
+        return matches[0]
 
     @property
     def target(self) -> str:
-        """The comparison target: MOELA when present, else the first algorithm."""
+        """Comparison target of the tables: MOELA when present, else the first."""
         if not self.algorithms:
-            raise ValueError(f"no completed shards found under {self.output_dir}")
+            raise ValueError("no completed runs to compare")
         return "MOELA" if "MOELA" in self.algorithms else self.algorithms[0]
 
     @property
     def baselines(self) -> tuple[str, ...]:
-        """Every completed algorithm except the comparison target."""
-        target = self.target
-        return tuple(a for a in self.algorithms if a != target)
+        """Every algorithm except the comparison target."""
+        return tuple(name for name in self.algorithms if name != self.target)
 
     def table1(self, measure: str = "evaluations") -> TableResult:
-        """Table I (speed-up of the target over each baseline) from the shards."""
+        """Table I (speed-up of the target over each baseline)."""
         return build_comparison_table(
             self.runs,
             name=f"Table I: speed-up of {self.target}",
             value_fn=_speedup_value(measure),
             target=self.target,
             baselines=self.baselines,
-            applications=self.applications,
-            objective_counts=self.objective_counts,
-            strict=False,
         )
 
     def table2(self) -> TableResult:
-        """Table II (PHV gain of the target over each baseline) from the shards."""
+        """Table II (PHV gain of the target over each baseline, %)."""
         return build_comparison_table(
             self.runs,
             name=f"Table II: PHV gain of {self.target} (%)",
             value_fn=_phv_gain_value,
             target=self.target,
             baselines=self.baselines,
-            applications=self.applications,
-            objective_counts=self.objective_counts,
-            strict=False,
         )
 
+    def format_tables(self, measure: str = "evaluations") -> str:
+        """Render Table I and Table II as text (needs >= 2 algorithms)."""
+        return format_table(self.table1(measure)) + "\n\n" + format_table(self.table2())
 
-def aggregate_campaign(output_dir: "str | Path", scenario: str = "identity") -> CampaignAggregate:
-    """Fold a campaign directory's finished shards into the table builders.
+    def robustness(self, quantiles: tuple[float, ...] = (0.5, 0.9)) -> RobustnessCertificate:
+        """Robustness certificate over the campaign's fault-scenario grid.
 
-    Loads every completed shard once (lazily, one at a time), groups results
-    by ``(application, num_objectives)`` and returns a
-    :class:`CampaignAggregate` whose :meth:`~CampaignAggregate.table1` /
-    :meth:`~CampaignAggregate.table2` render the paper tables from the stored
-    histories — no cell is ever re-run.
+        Campaign-mode only: the certificate is computed purely from the
+        finished shards (see :mod:`repro.experiments.robustness`), so it
+        never re-runs a cell.  Requires completed ``identity`` cells as the
+        degradation baseline.
+        """
+        if self.campaign is None:
+            raise ValueError(
+                "robustness analyses read finished campaign shards; run the study "
+                "in campaign mode (.campaign(output_dir)) with a scenarios axis"
+            )
+        return robustness_certificate(self.campaign.output_dir, quantiles=quantiles)
+
+    def sensitivity(self) -> SensitivityMap:
+        """Per-objective scenario sensitivity map from the campaign's shards."""
+        if self.campaign is None:
+            raise ValueError(
+                "sensitivity maps read finished campaign shards; run the study "
+                "in campaign mode (.campaign(output_dir)) with a scenarios axis"
+            )
+        return sensitivity_map(self.campaign.output_dir)
+
+    def routing_cache_summary(self) -> dict[str, Any]:
+        """Folded routing-engine counters across every run of the study.
+
+        Inline runs share one problem (and therefore one routing engine) per
+        ``(application, num_objectives)`` group and every result's metadata
+        snapshot is *cumulative* over that engine, so the fold takes the last
+        algorithm's snapshot per group — summing all snapshots would count
+        earlier algorithms' requests once per later algorithm.
+        """
+        if self.campaign is not None and self.campaign.routing_cache is not None:
+            return dict(self.campaign.routing_cache)
+        totals = {"hits": 0, "misses": 0, "incremental_repairs": 0}
+        for group in self.runs.values():
+            snapshots = [
+                result.metadata.get("routing_cache")
+                for result in group.values()
+                if isinstance(result.metadata.get("routing_cache"), Mapping)
+            ]
+            if not snapshots:
+                continue
+            for key in totals:
+                totals[key] += int(snapshots[-1].get(key, 0))
+        requests = sum(totals.values())
+        return {
+            **totals,
+            "requests": requests,
+            "hit_rate": totals["hits"] / requests if requests else 0.0,
+        }
+
+
+def aggregate_campaign(output_dir: "str | Path", scenario: str = "identity") -> StudyResult:
+    """Fold a campaign directory's finished shards into a :class:`StudyResult`.
+
+    Loads every completed shard once (lazily, one at a time) and groups the
+    results by ``(application, num_objectives)``; the tables render from the
+    stored histories — no cell is ever re-run.  ``algorithms`` lists the
+    algorithms with a completed cell, in manifest order, and ``campaign``
+    summarises the directory as a resume that found every completed cell
+    done (nothing executed, the manifest's routing-cache counters).
 
     ``scenario`` selects one fault-scenario slice of the grid (canonical
     scenario-model key; the default keeps the tables on the nominal
@@ -297,28 +316,24 @@ def aggregate_campaign(output_dir: "str | Path", scenario: str = "identity") -> 
     """
     output_dir = Path(output_dir)
     runs: RunMap = {}
-    algorithms: list[str] = []
-    applications: list[str] = []
-    objective_counts: list[int] = []
+    algorithms: dict[str, None] = {}
+    completed: list[str] = []
     for cell, result in load_campaign_results(output_dir):
+        completed.append(cell.key)
         if cell.scenario != scenario:
             continue
         runs.setdefault((cell.application, cell.num_objectives), {})[cell.algorithm] = result
-        if cell.algorithm not in algorithms:
-            algorithms.append(cell.algorithm)
-        if cell.application not in applications:
-            applications.append(cell.application)
-        if cell.num_objectives not in objective_counts:
-            objective_counts.append(cell.num_objectives)
+        algorithms[cell.algorithm] = None
     manifest = load_manifest(output_dir)
-    return CampaignAggregate(
+    summary = CampaignSummary(
         output_dir=output_dir,
-        runs=runs,
-        algorithms=tuple(algorithms),
-        applications=tuple(applications),
-        objective_counts=tuple(sorted(objective_counts)),
+        manifest_path=output_dir / MANIFEST_NAME,
+        cells=[CampaignCell.from_dict(entry) for entry in manifest["cells"]],
+        executed=[],
+        skipped=completed,
         routing_cache=manifest.get("routing_cache"),
     )
+    return StudyResult(algorithms=tuple(algorithms), runs=runs, campaign=summary)
 
 
 # ---------------------------------------------------------------------- #
@@ -326,7 +341,7 @@ def aggregate_campaign(output_dir: "str | Path", scenario: str = "identity") -> 
 # ---------------------------------------------------------------------- #
 def build_figure3(
     experiment: ExperimentConfig,
-    runs: RunMap | None = None,
+    runs: RunMap,
     num_objectives: int = 5,
 ) -> TableResult:
     """Fig. 3: EDP overhead (%) of MOEA/D and MOOS designs vs MOELA designs.
@@ -334,7 +349,6 @@ def build_figure3(
     Uses the 5-objective runs (or the largest available scenario) and the
     paper's thermal-threshold design-selection rule.
     """
-    runs = runs if runs is not None else run_all_comparisons(experiment)
     available = sorted({objectives for _, objectives in runs})
     if num_objectives not in available:
         num_objectives = available[-1]

@@ -43,10 +43,3 @@ class StandardScaler:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit and transform in one call."""
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        """Undo the standardisation."""
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("the scaler has not been fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return X * self.scale_ + self.mean_

@@ -56,11 +56,6 @@ class ParetoArchive:
         self.revision += 1
         return True
 
-    def add_many(self, designs: list[Any], objectives: np.ndarray) -> int:
-        """Insert several candidates; returns how many entered the archive."""
-        objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
-        return sum(1 for design, obj in zip(designs, objectives) if self.add(design, obj))
-
     def _truncate(self) -> None:
         if self.max_size is None or len(self._designs) <= self.max_size:
             return
@@ -96,13 +91,3 @@ class ParetoArchive:
         if not self._objectives:
             raise ValueError("the archive is empty")
         return self.objectives.min(axis=0)
-
-    def best_for_weight(self, weight: np.ndarray, reference: np.ndarray) -> tuple[Any, np.ndarray]:
-        """Archived member with the best Tchebycheff value for a weight vector."""
-        from repro.moo.scalarization import tchebycheff
-
-        if not self._objectives:
-            raise ValueError("the archive is empty")
-        values = [tchebycheff(obj, weight, reference) for obj in self._objectives]
-        best = int(np.argmin(values))
-        return self._designs[best], self._objectives[best].copy()

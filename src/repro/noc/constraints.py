@@ -155,10 +155,6 @@ class ViolationReport:
         """Violation codes in report order (duplicates preserved)."""
         return tuple(v.code for v in self.violations)
 
-    def by_code(self, code: str) -> tuple[ConstraintViolation, ...]:
-        """All violations carrying ``code``, in report order."""
-        return tuple(v for v in self.violations if v.code == code)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON representation of the full report."""
         return {

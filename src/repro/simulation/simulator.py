@@ -159,7 +159,3 @@ class NocSimulator:
             edp=edp,
             peak_temperature=peak_temperature,
         )
-
-    def edp(self, design: NocDesign) -> float:
-        """Energy-delay product of a design (mJ * ms)."""
-        return self.simulate(design).edp

@@ -9,7 +9,8 @@
 * :mod:`repro.study.event_log` — the durable JSONL event log that carries
   those events across the campaign process-pool boundary (writer + tailer).
 * :mod:`repro.study.study` — the :class:`Study` façade (fluent or declarative
-  TOML/JSON construction) and its unified :class:`StudyResult`.
+  TOML/JSON construction); it returns a :class:`StudyResult`, re-exported
+  here from :mod:`repro.experiments.tables`.
 
 Heavy submodules are re-exported lazily (PEP 562): :mod:`repro.moo.base`
 imports :mod:`repro.study.events` from far below this layer, so this
@@ -50,7 +51,7 @@ _LAZY = {
     "default_registry": ("repro.study.registry", "default_registry"),
     "register_optimizer": ("repro.study.registry", "register_optimizer"),
     "Study": ("repro.study.study", "Study"),
-    "StudyResult": ("repro.study.study", "StudyResult"),
+    "StudyResult": ("repro.experiments.tables", "StudyResult"),
 }
 
 

@@ -18,9 +18,9 @@ scenario) combination through the registry-backed
 :func:`repro.experiments.runner.run_algorithm` path — bit-identical to
 calling it directly — or, when :meth:`Study.campaign` configured an output
 directory, through the sharded campaign engine.  Either way the outcome is
-one unified :class:`StudyResult` carrying every
+one :class:`~repro.experiments.tables.StudyResult` carrying every
 :class:`~repro.moo.result.OptimizationResult`, the routing-cache counters and
-the paper's comparison-table builders.
+the paper's Table I and Table II; it is the only in-memory comparison path.
 
 Progress streams through the :class:`~repro.study.events.StudyEvent` protocol:
 subscribe with :meth:`Study.on_event` and every optimiser iteration, campaign
@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.experiments.config import EXPERIMENT_CHECKS, CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
@@ -44,23 +44,8 @@ from repro.experiments.runner import (
     run_algorithm,
     submit_campaign,
 )
-from repro.experiments.tables import (
-    BASELINES,
-    RunMap,
-    TableResult,
-    _phv_gain_value,
-    _speedup_value,
-    aggregate_campaign,
-    build_comparison_table,
-    format_table,
-)
+from repro.experiments.tables import RunMap, StudyResult, aggregate_campaign
 from repro.moo.result import OptimizationResult
-from repro.experiments.robustness import (
-    RobustnessCertificate,
-    SensitivityMap,
-    robustness_certificate,
-    sensitivity_map,
-)
 from repro.noc.platform import PlatformConfig
 from repro.study.events import EventCallback, StudyEvent
 from repro.study.registry import default_registry
@@ -468,13 +453,13 @@ class Study:
         if self._on_event is not None:
             self._on_event(StudyEvent(kind=kind, payload=payload))
 
-    def run(self) -> "StudyResult":
+    def run(self) -> StudyResult:
         """Execute the study and return the unified result.
 
         Inline mode runs every (application, scenario, algorithm) combination
         through :func:`repro.experiments.runner.run_algorithm` — sharing one
         problem instance (and therefore the evaluator's caches) per
-        (application, scenario) group exactly like ``compare_algorithms``.
+        (application, scenario) group.
         Every optimiser is built once on the first group's problem before the
         study starts, so a bad override value fails before any run.
         Campaign mode delegates to the sharded campaign engine and folds the
@@ -516,7 +501,7 @@ class Study:
                     name, problem, experiment, options=options, on_event=self._on_event
                 )
             runs[(application, num_objectives)] = group
-        result = StudyResult(experiment=experiment, algorithms=names, runs=runs)
+        result = StudyResult(algorithms=names, runs=runs)
         self._emit("study_finished", runs=sum(len(group) for group in runs.values()))
         return result
 
@@ -536,162 +521,9 @@ class Study:
         output_dir = Path(self._settings["campaign"]["output_dir"])
         return submit_campaign(campaign, output_dir, on_event=self._on_event)
 
-    def collect(self, summary: CampaignSummary) -> "StudyResult":
-        """Fold a finished campaign's shards into the unified study result."""
-        campaign = self.campaign_config()
-        aggregate = aggregate_campaign(summary.output_dir)
-        return StudyResult(
-            experiment=campaign.experiment,
-            algorithms=tuple(campaign.algorithms),
-            runs=aggregate.runs,
-            campaign=summary,
-        )
+    def collect(self, summary: CampaignSummary) -> StudyResult:
+        """Load a finished campaign's shards (:func:`aggregate_campaign`) with its summary."""
+        return replace(aggregate_campaign(summary.output_dir), campaign=summary)
 
-    def _run_campaign(self) -> "StudyResult":
+    def _run_campaign(self) -> StudyResult:
         return self.collect(self.submit().wait())
-
-
-@dataclass
-class StudyResult:
-    """Unified outcome of a study: single runs, comparisons and campaigns.
-
-    ``runs`` maps ``(application, num_objectives)`` to the per-algorithm
-    :class:`~repro.moo.result.OptimizationResult` map — the same ``RunMap``
-    layout the paper's table builders consume.  ``campaign`` carries the
-    shard/manifest summary when the study executed as a campaign.
-    """
-
-    experiment: ExperimentConfig
-    algorithms: tuple[str, ...]
-    runs: RunMap
-    campaign: "CampaignSummary | None" = None
-
-    def __iter__(self) -> Iterator[tuple[str, int, str, OptimizationResult]]:
-        """Yield ``(application, num_objectives, algorithm, result)`` rows."""
-        for (application, num_objectives), group in self.runs.items():
-            for algorithm, result in group.items():
-                yield application, num_objectives, algorithm, result
-
-    def result(
-        self,
-        algorithm: str,
-        application: "str | None" = None,
-        num_objectives: "int | None" = None,
-    ) -> OptimizationResult:
-        """One run's result; cell selectors may be omitted when unambiguous."""
-        canonical = default_registry().canonical(algorithm)
-        matches = [
-            result
-            for app, m, name, result in self
-            if name == canonical
-            and (application is None or app == application.upper())
-            and (num_objectives is None or m == num_objectives)
-        ]
-        if not matches:
-            raise KeyError(f"no result for {algorithm!r} ({application}, {num_objectives})")
-        if len(matches) > 1:
-            raise KeyError(
-                f"{len(matches)} results match {algorithm!r}; pass application= and "
-                "num_objectives= to disambiguate"
-            )
-        return matches[0]
-
-    @property
-    def target(self) -> str:
-        """Comparison target of the tables: MOELA when present, else the first."""
-        if not self.algorithms:
-            raise ValueError("study produced no runs")
-        return "MOELA" if "MOELA" in self.algorithms else self.algorithms[0]
-
-    @property
-    def baselines(self) -> tuple[str, ...]:
-        """Every algorithm except the comparison target."""
-        return tuple(name for name in self.algorithms if name != self.target)
-
-    def table1(self, measure: str = "evaluations") -> TableResult:
-        """Table I (speed-up of the target over each baseline)."""
-        return build_comparison_table(
-            self.runs,
-            name=f"Table I: speed-up of {self.target}",
-            value_fn=_speedup_value(measure),
-            target=self.target,
-            baselines=self.baselines or BASELINES,
-            strict=False,
-        )
-
-    def table2(self) -> TableResult:
-        """Table II (PHV gain of the target over each baseline, %)."""
-        return build_comparison_table(
-            self.runs,
-            name=f"Table II: PHV gain of {self.target} (%)",
-            value_fn=_phv_gain_value,
-            target=self.target,
-            baselines=self.baselines or BASELINES,
-            strict=False,
-        )
-
-    def format_tables(self, measure: str = "evaluations") -> str:
-        """Render Table I and Table II as text (needs >= 2 algorithms)."""
-        return format_table(self.table1(measure)) + "\n\n" + format_table(self.table2())
-
-    def robustness(self, quantiles: tuple[float, ...] = (0.5, 0.9)) -> RobustnessCertificate:
-        """Robustness certificate over the campaign's fault-scenario grid.
-
-        Campaign-mode only: the certificate is computed purely from the
-        finished shards (see :mod:`repro.experiments.robustness`), so it
-        never re-runs a cell.  Requires completed ``identity`` cells as the
-        degradation baseline.
-        """
-        if self.campaign is None:
-            raise ValueError(
-                "robustness analyses read finished campaign shards; run the study "
-                "in campaign mode (.campaign(output_dir)) with a scenarios axis"
-            )
-        return robustness_certificate(self.campaign.output_dir, quantiles=quantiles)
-
-    def sensitivity(self) -> SensitivityMap:
-        """Per-objective scenario sensitivity map from the campaign's shards."""
-        if self.campaign is None:
-            raise ValueError(
-                "sensitivity maps read finished campaign shards; run the study "
-                "in campaign mode (.campaign(output_dir)) with a scenarios axis"
-            )
-        return sensitivity_map(self.campaign.output_dir)
-
-    def routing_cache_summary(self) -> dict[str, Any]:
-        """Folded routing-engine counters across every run of the study.
-
-        Inline runs share one problem (and therefore one routing engine) per
-        ``(application, num_objectives)`` group and every result's metadata
-        snapshot is *cumulative* over that engine, so the fold takes the last
-        algorithm's snapshot per group — summing all snapshots would count
-        earlier algorithms' requests once per later algorithm.
-        """
-        if self.campaign is not None and self.campaign.routing_cache is not None:
-            return dict(self.campaign.routing_cache)
-        totals = {"hits": 0, "misses": 0, "incremental_repairs": 0}
-        for group in self.runs.values():
-            snapshots = [
-                result.metadata.get("routing_cache")
-                for result in group.values()
-                if isinstance(result.metadata.get("routing_cache"), Mapping)
-            ]
-            if not snapshots:
-                continue
-            for key in totals:
-                totals[key] += int(snapshots[-1].get(key, 0))
-        requests = sum(totals.values())
-        return {
-            **totals,
-            "requests": requests,
-            "hit_rate": totals["hits"] / requests if requests else 0.0,
-        }
-
-    def summary_rows(self) -> list[dict[str, Any]]:
-        """One compact numeric summary dict per run (table-friendly)."""
-        rows = []
-        for application, num_objectives, algorithm, result in self:
-            row = {"application": application, "num_objectives": num_objectives}
-            row.update(result.summary())
-            rows.append(row)
-        return rows

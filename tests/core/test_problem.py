@@ -37,7 +37,7 @@ class TestNocDesignProblem:
 
     def test_features_are_finite_and_fixed_length(self, tiny_problem, tiny_designs):
         features = tiny_problem.features(tiny_designs[0])
-        assert features.shape == (tiny_problem.featurizer.num_features,)
+        assert features.shape == (len(tiny_problem.featurizer.feature_names),)
         assert np.all(np.isfinite(features))
 
     def test_design_key_is_hashable(self, tiny_problem, tiny_designs):

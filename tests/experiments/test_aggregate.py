@@ -15,7 +15,7 @@ from repro.experiments.runner import (
     load_manifest,
     run_campaign,
 )
-from repro.experiments.tables import CampaignAggregate, aggregate_campaign
+from repro.experiments.tables import StudyResult, aggregate_campaign
 from tests.oracles.evaluation import FreshEvaluator
 
 
@@ -110,13 +110,16 @@ class TestAggregateCampaign:
     def test_runs_grouped_by_application_and_scenario(self, finished_campaign):
         campaign, summary = finished_campaign
         aggregate = aggregate_campaign(summary.output_dir)
-        assert isinstance(aggregate, CampaignAggregate)
+        assert isinstance(aggregate, StudyResult)
         assert set(aggregate.runs) == {("BFS", 3), ("BP", 3)}
         for results in aggregate.runs.values():
             assert set(results) == {"MOEA/D", "NSGA-II"}
         assert aggregate.algorithms == ("MOEA/D", "NSGA-II")
-        assert aggregate.objective_counts == (3,)
-        assert aggregate.routing_cache["hits"] > 0
+        assert aggregate.campaign.output_dir == summary.output_dir
+        assert aggregate.campaign.executed == []
+        assert sorted(aggregate.campaign.skipped) == sorted(cell.key for cell in summary.cells)
+        assert aggregate.campaign.routing_cache == summary.routing_cache
+        assert aggregate.campaign.routing_cache["hits"] > 0
 
     def test_target_prefers_moela_else_first(self, finished_campaign):
         campaign, summary = finished_campaign
@@ -145,15 +148,6 @@ class TestAggregateCampaign:
         table1 = aggregate.table1()
         assert {cell.application for cell in table1.cells} == {"BFS"}
 
-    def test_strict_builders_still_raise_on_missing_algorithms(self, finished_campaign):
-        """build_table1's experiment-driven path keeps its KeyError contract."""
-        campaign, summary = finished_campaign
-        from repro.experiments.tables import build_table1
-
-        aggregate = aggregate_campaign(summary.output_dir)
-        with pytest.raises(KeyError, match="MOELA"):
-            build_table1(campaign.experiment, runs=aggregate.runs)
-
     def test_empty_campaign_raises_on_target(self, campaign, tmp_path):
         cells = campaign_cells(campaign)
         from repro.experiments.runner import _manifest_payload
@@ -161,5 +155,6 @@ class TestAggregateCampaign:
 
         write_json_atomic(_manifest_payload(campaign, cells), tmp_path / MANIFEST_NAME)
         aggregate = aggregate_campaign(tmp_path)
-        with pytest.raises(ValueError, match="no completed shards"):
+        assert aggregate.algorithms == ()
+        with pytest.raises(ValueError, match="no completed runs"):
             _ = aggregate.target

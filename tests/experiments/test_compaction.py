@@ -21,7 +21,7 @@ from repro.experiments.runner import (
     load_manifest,
     run_campaign,
 )
-from repro.experiments.tables import aggregate_campaign, format_table
+from repro.experiments.tables import aggregate_campaign
 from repro.utils.serialization import write_json_atomic
 
 
@@ -41,8 +41,7 @@ def finished_dir(campaign, tmp_path):
 
 
 def _tables_text(output_dir):
-    aggregate = aggregate_campaign(output_dir)
-    return format_table(aggregate.table1()) + "\n\n" + format_table(aggregate.table2())
+    return aggregate_campaign(output_dir).format_tables()
 
 
 class TestCompactCampaign:
@@ -60,7 +59,7 @@ class TestCompactCampaign:
         """Byte-for-byte acceptance criterion."""
         before_text = _tables_text(finished_dir)
         before = {c.key: r for c, r in load_campaign_results(finished_dir)}
-        before_stats = aggregate_campaign(finished_dir).routing_cache
+        before_stats = aggregate_campaign(finished_dir).campaign.routing_cache
 
         compact_campaign(finished_dir)
 
@@ -74,7 +73,7 @@ class TestCompactCampaign:
             assert len(before[key].history) == len(after[key].history)
         # The manifest summary (recomputed on the next campaign run) and the
         # stored one stay in agreement.
-        assert aggregate_campaign(finished_dir).routing_cache == before_stats
+        assert aggregate_campaign(finished_dir).campaign.routing_cache == before_stats
 
     def test_status_reports_compacted_cells_complete(self, finished_dir):
         compact_campaign(finished_dir)

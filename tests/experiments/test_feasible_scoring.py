@@ -22,7 +22,7 @@ class FeasibilityCheckingProblem(NocDesignProblem):
     scored = 0
 
     def _check(self, design) -> None:
-        assert self.is_feasible(design), self.feasibility_report(design).format()
+        assert self.is_feasible(design), self.checker.report(design).format()
         self.scored += 1
 
     def evaluate(self, design):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import Study
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ALGORITHMS, compare_algorithms, make_problem, run_algorithm
+from repro.experiments.runner import ALGORITHMS, make_problem, run_algorithm
 from repro.moo.termination import Budget
 
 
@@ -47,10 +48,19 @@ class TestRunAlgorithm:
         assert np.allclose(result_a.objectives, result_b.objectives)
 
 
-class TestCompareAlgorithms:
-    def test_compare_runs_all_requested(self, smoke_experiment):
-        results = compare_algorithms(["MOELA", "MOEA/D"], smoke_experiment, "BFS", 3,
-                                     budget=Budget.evaluations(60))
-        assert set(results) == {"MOELA", "MOEA/D"}
-        for result in results.values():
-            assert result.objectives.shape[1] == 3
+class TestStudyRunsMatchRunAlgorithm:
+    def test_study_group_equals_direct_runs_on_one_problem(self, smoke_experiment):
+        """Study.run shares one problem per (application, scenario) group and
+        gives every algorithm its derived seed, exactly like direct
+        run_algorithm calls on one shared problem."""
+        problem = make_problem(smoke_experiment, "BFS", 3)
+        direct = {
+            name: run_algorithm(name, problem, smoke_experiment) for name in ("MOELA", "MOEA/D")
+        }
+        result = Study(preset="smoke").algorithms("MOELA", "MOEA/D").run()
+        assert set(result.runs) == {("BFS", 3)}
+        group = result.runs[("BFS", 3)]
+        assert list(group) == ["MOELA", "MOEA/D"]
+        for name, expected in direct.items():
+            np.testing.assert_array_equal(group[name].objectives, expected.objectives)
+            assert group[name].evaluations == expected.evaluations

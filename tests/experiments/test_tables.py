@@ -3,46 +3,38 @@
 import numpy as np
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro import Study
 from repro.experiments.tables import (
     BASELINES,
     build_figure3,
-    build_table1,
-    build_table2,
     format_figure3,
     format_table,
-    run_all_comparisons,
 )
 
 
 @pytest.fixture(scope="module")
 def smoke_runs():
-    experiment = ExperimentConfig.smoke()
-    runs = run_all_comparisons(experiment)
-    return experiment, runs
+    study = Study(preset="smoke").algorithms("MOELA", *BASELINES)
+    return study.experiment(), study.run()
 
 
-class TestRunAllComparisons:
+class TestRunMap:
     def test_every_cell_has_all_algorithms(self, smoke_runs):
-        experiment, runs = smoke_runs
+        experiment, result = smoke_runs
         expected_keys = {
             (app, m) for app in experiment.applications for m in experiment.objective_counts
         }
-        assert set(runs) == expected_keys
-        for results in runs.values():
+        assert set(result.runs) == expected_keys
+        for results in result.runs.values():
             assert set(results) == {"MOELA", *BASELINES}
-
-    def test_progress_callback_invoked(self):
-        experiment = ExperimentConfig.smoke()
-        messages = []
-        run_all_comparisons(experiment, algorithms=("MOELA",), progress=messages.append)
-        assert len(messages) == len(experiment.applications) * len(experiment.objective_counts)
+        assert result.target == "MOELA"
+        assert result.baselines == BASELINES
 
 
 class TestTables:
     def test_table1_structure(self, smoke_runs):
-        experiment, runs = smoke_runs
-        table = build_table1(experiment, runs)
+        experiment, result = smoke_runs
+        table = result.table1()
         assert set(table.applications()) == set(experiment.applications)
         assert len(table.cells) == (
             len(BASELINES) * len(experiment.applications) * len(experiment.objective_counts)
@@ -52,8 +44,8 @@ class TestTables:
             assert cell.value >= 0
 
     def test_table2_structure(self, smoke_runs):
-        experiment, runs = smoke_runs
-        table = build_table2(experiment, runs)
+        experiment, result = smoke_runs
+        table = result.table2()
         assert len(table.cells) == (
             len(BASELINES) * len(experiment.applications) * len(experiment.objective_counts)
         )
@@ -61,21 +53,21 @@ class TestTables:
             assert np.isfinite(cell.value)
 
     def test_column_average_consistency(self, smoke_runs):
-        experiment, runs = smoke_runs
-        table = build_table2(experiment, runs)
+        experiment, result = smoke_runs
+        table = result.table2()
         baseline, objectives = table.columns()[0]
         values = [table.value(app, baseline, objectives) for app in table.applications()]
         assert table.column_average(baseline, objectives) == pytest.approx(np.mean(values))
 
     def test_missing_cell_lookup_raises(self, smoke_runs):
-        experiment, runs = smoke_runs
-        table = build_table1(experiment, runs)
+        experiment, result = smoke_runs
+        table = result.table1()
         with pytest.raises(KeyError):
             table.value("BFS", "MOEA/D", 99)
 
     def test_figure3_structure(self, smoke_runs):
-        experiment, runs = smoke_runs
-        figure = build_figure3(experiment, runs)
+        experiment, result = smoke_runs
+        figure = build_figure3(experiment, result.runs)
         # Smoke config only runs 3 objectives, so the figure falls back to it.
         assert all(cell.num_objectives == 3 for cell in figure.cells)
         assert len(figure.cells) == len(BASELINES) * len(experiment.applications)
@@ -83,11 +75,11 @@ class TestTables:
             assert np.isfinite(cell.value)
 
     def test_formatting_includes_rows_and_average(self, smoke_runs):
-        experiment, runs = smoke_runs
-        table = build_table1(experiment, runs)
+        experiment, result = smoke_runs
+        table = result.table1()
         text = format_table(table)
         assert "Average" in text
         for app in experiment.applications:
             assert app in text
-        figure_text = format_figure3(build_figure3(experiment, runs))
+        figure_text = format_figure3(build_figure3(experiment, result.runs))
         assert "EDP" in figure_text

@@ -54,10 +54,10 @@ class TestArchiveUpdates:
             archive.add("c", [0.5])
         assert archive.designs == ["a"]
 
-    def test_add_many_counts_insertions(self):
+    def test_add_reports_insertion(self):
         archive = ParetoArchive()
-        inserted = archive.add_many(["a", "b", "c"], np.array([[1.0, 3.0], [3.0, 1.0], [4.0, 4.0]]))
-        assert inserted == 2
+        points = {"a": [1.0, 3.0], "b": [3.0, 1.0], "c": [4.0, 4.0]}
+        assert [archive.add(design, point) for design, point in points.items()] == [True, True, False]
 
 
 class TestRevision:
@@ -121,16 +121,6 @@ class TestQueries:
     def test_ideal_point_empty_raises(self):
         with pytest.raises(ValueError):
             ParetoArchive().ideal_point()
-
-    def test_best_for_weight(self):
-        archive = ParetoArchive()
-        archive.add("low-first", [0.1, 0.9])
-        archive.add("low-second", [0.9, 0.1])
-        reference = np.array([0.0, 0.0])
-        design, _ = archive.best_for_weight(np.array([1.0, 0.0]), reference)
-        assert design == "low-first"
-        design, _ = archive.best_for_weight(np.array([0.0, 1.0]), reference)
-        assert design == "low-second"
 
     def test_iteration_yields_pairs(self):
         archive = ParetoArchive()

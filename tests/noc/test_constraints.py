@@ -174,7 +174,7 @@ class TestViolationReport:
         bad = NocDesign(placement=tuple(placement), links=design.links)
         report = ConstraintChecker(tiny_config).report(bad)
         assert report.fatal
-        (fatal,) = report.by_code("placement-permutation")
+        (fatal,) = [v for v in report.violations if v.code == "placement-permutation"]
         assert fatal.severity == SEVERITY_FATAL
 
     def test_report_round_trips_through_json(self, tiny_config):

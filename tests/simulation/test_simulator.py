@@ -25,12 +25,6 @@ class TestSimulator:
         assert payload["edp"] == pytest.approx(result.edp)
         assert set(payload) >= {"execution_time_ms", "total_energy_mj", "edp"}
 
-    def test_edp_helper_matches_simulate(self, tiny_workload, tiny_designs):
-        simulator = NocSimulator(tiny_workload)
-        assert simulator.edp(tiny_designs[0]) == pytest.approx(
-            simulator.simulate(tiny_designs[0]).edp
-        )
-
     def test_latency_increases_with_traffic(self, tiny_workload, tiny_designs):
         design = tiny_designs[0]
         light = NocSimulator(tiny_workload)
@@ -52,7 +46,7 @@ class TestSimulator:
 
     def test_different_designs_get_different_edp(self, tiny_workload, tiny_designs):
         simulator = NocSimulator(tiny_workload)
-        edps = {round(simulator.edp(d), 9) for d in tiny_designs}
+        edps = {round(simulator.simulate(d).edp, 9) for d in tiny_designs}
         assert len(edps) > 1
 
     def test_invalid_parameters_rejected(self, tiny_workload):

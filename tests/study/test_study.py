@@ -549,10 +549,6 @@ class TestStudyResult:
         expected = sum(int(last[k]) for k in ("hits", "misses", "incremental_repairs"))
         assert result.routing_cache_summary()["requests"] == expected
 
-    def test_summary_rows(self):
-        rows = smoke_study("MOEA/D").run().summary_rows()
-        assert len(rows) == 1 and rows[0]["algorithm"] == "MOEA/D"
-
 
 class TestStudyCampaign:
     def test_campaign_mode_produces_unified_result(self, tmp_path):

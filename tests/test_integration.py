@@ -8,13 +8,12 @@ goes through every code path the benchmark harness uses.
 import numpy as np
 import pytest
 
+from repro import Study
 from repro.core.config import MOELAConfig
 from repro.core.moela import MOELA
 from repro.core.problem import NocDesignProblem
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import common_reference_point, phv_gain, speedup_factor
-from repro.experiments.runner import compare_algorithms
-from repro.experiments.tables import build_figure3, build_table1, build_table2, run_all_comparisons
+from repro.experiments.tables import BASELINES, build_figure3
 from repro.moo.moead import MOEAD
 from repro.moo.termination import Budget
 from repro.simulation.simulator import NocSimulator
@@ -54,20 +53,20 @@ class TestEndToEndSearch:
 
 class TestHarnessIntegration:
     def test_smoke_experiment_produces_all_artifacts(self):
-        experiment = ExperimentConfig.smoke()
-        runs = run_all_comparisons(experiment)
-        table1 = build_table1(experiment, runs)
-        table2 = build_table2(experiment, runs)
-        figure3 = build_figure3(experiment, runs)
+        study = Study(preset="smoke").algorithms("MOELA", *BASELINES)
+        experiment = study.experiment()
+        result = study.run()
+        table1 = result.table1()
+        table2 = result.table2()
+        figure3 = build_figure3(experiment, result.runs)
         assert table1.cells and table2.cells and figure3.cells
         # Every run stayed within the evaluation budget (plus initial population slack).
-        for results in runs.values():
-            for result in results.values():
-                assert result.evaluations <= experiment.max_evaluations + experiment.population_size + 8
+        for _, _, _, run in result:
+            assert run.evaluations <= experiment.max_evaluations + experiment.population_size + 8
 
     def test_comparison_runs_share_the_same_workload(self):
-        experiment = ExperimentConfig.smoke()
-        results = compare_algorithms(["MOELA", "MOEA/D"], experiment, "BFS", 3)
+        study = Study(preset="smoke").algorithms("MOELA", "MOEA/D")
+        experiment = study.experiment()
         workload = get_workload("BFS", experiment.platform, seed=experiment.seed)
-        for result in results.values():
+        for _, _, _, result in study.run():
             assert result.problem_name.startswith(workload.name)
