@@ -11,15 +11,19 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.features import DesignFeaturizer
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import make_problem, run_algorithm
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.scaler import StandardScaler
 from repro.moo.hypervolume import hypervolume, hypervolume_contribution
+from repro.moo.termination import Budget
 from repro.noc.constraints import is_connected, random_design, random_link_placement
 from repro.noc.crossover import crossover, crossover_links, crossover_placement
 from repro.noc.design import NocDesign, move_delta_of
@@ -27,9 +31,11 @@ from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 from repro.noc.repair import repair_links
 from repro.noc.routing import RoutingTables
+from repro.noc.routing_engine import RoutingEngine
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.simulation.simulator import NocSimulator
 from repro.workloads.registry import get_workload
+from tests.golden.test_front_fingerprints import front_fingerprint
 from tests.oracles import pareto as pareto_oracle
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
@@ -610,6 +616,36 @@ def test_link_loads_match_tree_oracle_smoke():
             loads = tables.link_loads(frequencies)
             expected = tree_link_loads(tables, frequencies)
             assert loads.tobytes() == expected.tobytes(), f"{platform.name} {label}"
+
+
+def test_route_cache_retention_smoke():
+    """The default table cap keeps a 64-tile search's front (no timing).
+
+    A 150-evaluation NSGA-II search on paper-4x4x4 builds about twice as
+    many tables as the default cap keeps; under the default and an
+    unbounded cap it must give the same front fingerprint, with the
+    default engine holding no more tables than its cap.
+    """
+    experiment = replace(
+        ExperimentConfig(), platform=PlatformConfig.paper_4x4x4(), max_evaluations=150
+    )
+    engines = {}
+    fingerprints = {}
+    for label, max_tables in (("default", None), ("unbounded", 10**6)):
+        problem = make_problem(experiment, "BFS", 5)
+        if max_tables is not None:
+            problem.evaluator.routing_engine = RoutingEngine(
+                experiment.platform.grid, max_tables=max_tables
+            )
+        result = run_algorithm(
+            "NSGA-II", problem, experiment, budget=Budget.evaluations(150), seed=3
+        )
+        engines[label] = problem.evaluator.routing_engine
+        fingerprints[label] = front_fingerprint(result)
+    default, unbounded = engines["default"], engines["unbounded"]
+    assert fingerprints["default"] == fingerprints["unbounded"]
+    assert len(default) <= default.max_tables < len(unbounded)
+    print(f"\nretention: {len(default)} of {len(unbounded)} tables kept, {default.stats()}")
 
 
 def test_packet_latency_matches_oracle_smoke():

@@ -44,6 +44,7 @@ from repro.experiments.runner import (
     MANIFEST_NAME,
     CampaignCell,
     CampaignSummary,
+    aggregate_routing_cache_stats,
     load_campaign_results,
     load_manifest,
 )
@@ -112,6 +113,13 @@ class TableResult:
 
 
 RunMap = dict[tuple[str, int], dict[str, OptimizationResult]]
+
+
+def comparison_target(algorithms: "tuple[str, ...] | list[str]") -> str:
+    """The algorithm the tables and Fig. 3 compare to: MOELA when present, else the first."""
+    if not algorithms:
+        raise ValueError("no completed runs to compare")
+    return "MOELA" if "MOELA" in algorithms else algorithms[0]
 
 
 def build_comparison_table(
@@ -211,9 +219,7 @@ class StudyResult:
     @property
     def target(self) -> str:
         """Comparison target of the tables: MOELA when present, else the first."""
-        if not self.algorithms:
-            raise ValueError("no completed runs to compare")
-        return "MOELA" if "MOELA" in self.algorithms else self.algorithms[0]
+        return comparison_target(self.algorithms)
 
     @property
     def baselines(self) -> tuple[str, ...]:
@@ -275,10 +281,17 @@ class StudyResult:
         ``(application, num_objectives)`` group and every result's metadata
         snapshot is *cumulative* over that engine, so the fold takes the last
         algorithm's snapshot per group — summing all snapshots would count
-        earlier algorithms' requests once per later algorithm.
+        earlier algorithms' requests once per later algorithm.  Campaign runs
+        read the manifest's ``routing_cache`` record; when a campaign died
+        before writing it, every cell's shard counters are summed instead,
+        since each cell owns its engine.
         """
-        if self.campaign is not None and self.campaign.routing_cache is not None:
-            return dict(self.campaign.routing_cache)
+        if self.campaign is not None:
+            if self.campaign.routing_cache is not None:
+                return dict(self.campaign.routing_cache)
+            output_dir = self.campaign.output_dir
+            rollup = load_manifest(output_dir).get("rollup")
+            return aggregate_routing_cache_stats(output_dir, self.campaign.cells, rollup)
         totals = {"hits": 0, "misses": 0, "incremental_repairs": 0}
         for group in self.runs.values():
             snapshots = [
@@ -337,35 +350,44 @@ def aggregate_campaign(output_dir: "str | Path", scenario: str = "identity") -> 
 
 
 # ---------------------------------------------------------------------- #
-# Fig. 3 — EDP overhead of the baselines relative to MOELA (5-obj)
+# Fig. 3 — EDP overhead of the baselines relative to the target (5-obj)
 # ---------------------------------------------------------------------- #
 def build_figure3(
     experiment: ExperimentConfig,
     runs: RunMap,
     num_objectives: int = 5,
 ) -> TableResult:
-    """Fig. 3: EDP overhead (%) of MOEA/D and MOOS designs vs MOELA designs.
+    """Fig. 3: EDP overhead (%) of each baseline's designs vs the target's.
 
-    Uses the 5-objective runs (or the largest available scenario) and the
-    paper's thermal-threshold design-selection rule.
+    The target and baselines are those of :class:`StudyResult`: MOELA when it
+    ran (the first algorithm otherwise) against every other algorithm of the
+    run map.  Uses the 5-objective runs (or the largest available scenario)
+    and the paper's thermal-threshold design-selection rule; a cell whose
+    group lacks the target or the baseline is skipped, as in the tables.
     """
     available = sorted({objectives for _, objectives in runs})
     if num_objectives not in available:
         num_objectives = available[-1]
-    figure = TableResult(name=f"Fig. 3: EDP overhead vs MOELA ({num_objectives}-obj, %)")
-    for application in experiment.applications:
-        results = runs[(application, num_objectives)]
+    algorithms = tuple(dict.fromkeys(name for group in runs.values() for name in group))
+    target = comparison_target(algorithms)
+    figure = TableResult(name=f"Fig. 3: EDP overhead vs {target} ({num_objectives}-obj, %)")
+    for application in dict.fromkeys(application for application, _ in runs):
+        results = runs.get((application, num_objectives), {})
+        if target not in results:
+            continue
         workload = get_workload(application, experiment.platform, seed=experiment.seed)
         simulator = NocSimulator(workload)
-        moela_edp = edp_of_best_design(results["MOELA"], workload, simulator=simulator)
-        for baseline in BASELINES:
+        target_edp = edp_of_best_design(results[target], workload, simulator=simulator)
+        for baseline in algorithms:
+            if baseline == target or baseline not in results:
+                continue
             baseline_edp = edp_of_best_design(results[baseline], workload, simulator=simulator)
             figure.cells.append(
                 ComparisonCell(
                     application,
                     baseline,
                     num_objectives,
-                    100.0 * edp_overhead(baseline_edp, moela_edp),
+                    100.0 * edp_overhead(baseline_edp, target_edp),
                 )
             )
     return figure

@@ -21,13 +21,30 @@ unchanged, and ``rewire_link``-style moves touch only a couple of links.  The
   fresh build.
 * **miss** — anything else gets a fresh build.
 
-The cache is bounded by bytes, not by entries: a table's size grows with the
-square of the tile count, so one entry count cannot suit both a 64-tile and
-a 256-tile search.  The engine builds a new table's pair tables before it
-caches it (every table it serves is scored at once anyway), so the table's
-:attr:`~repro.noc.routing.RoutingTables.nbytes` is final and the engine
-keeps a running total.  Least recently used tables are evicted until the
-total fits ``cache_bytes``; the newest table always stays.
+The cache is bounded by a table count, ``max_tables``, because reuse is
+counted in tables and looks alike on every grid.  The LRU stack distance of a
+hit (distinct tables used since that link set's last use), seed 3:
+
+=====================================  ========  =====  ===============
+Search                                 Distinct  Hits   Hits within 64
+=====================================  ========  =====  ===============
+MOELA paper settings, 64 tiles, 3,000  1,299     1,680  1,640
+MOELA reduced, 64 tiles, 1,500         923       552    545
+NSGA-II, 64 tiles, 1,500               1,254     51     29
+MOOS, 256 tiles, 1,500                 419       1,082  1,081
+=====================================  ========  =====  ===============
+
+A table's bytes grow with the square of the tile count (0.098 MiB at 64
+tiles, 1.47 MiB at 256), so the 96 MiB byte budget this count replaced kept
+about 950 64-tile tables that were almost never reused.  Sweeping the cap
+over 32, 64 and 128 on these four searches gave every front bit-identical;
+64 is the smallest cap that keeps the 256-tile MOOS search at its 17
+misses (32 tables: 25).  It holds 6.3 MiB at 64 tiles and 94 MiB at 256,
+and cuts the peak RSS of MOELA at the paper's settings from 180 to 86 MB.
+The engine builds a new table's pair tables before it caches it (every
+table it serves is scored at once anyway), so the routing layer owns all
+table building.  Least recently used tables are evicted once more than
+``max_tables`` are cached; the newest table always stays.
 
 Move deltas are *hints*, never trusted for correctness: the repair path
 recomputes the actual link diff between the cached parent tables and the
@@ -55,12 +72,10 @@ class RoutingEngine:
     ----------
     grid:
         The tile grid shared by every design the engine serves.
-    cache_bytes:
-        Byte budget of the cached tables (LRU eviction), summed over their
-        :attr:`~repro.noc.routing.RoutingTables.nbytes`; an integer >= 1.
-        The newest table is kept even when it alone exceeds the budget.  The
-        default holds about 65 materialised 256-tile tables (1.47 MiB each)
-        or about 950 64-tile ones (0.098 MiB each).
+    max_tables:
+        Number of tables the cache keeps (LRU eviction); an integer >= 1.
+        The default of 64 keeps nearly every table a search reuses, at
+        64 tiles (0.1 MiB per table) and at 256 (1.47 MiB per table).
     max_repair_fraction:
         A delta changing more than this fraction of the design's links falls
         back to a fresh build.  The default sits at the measured break-even:
@@ -74,14 +89,13 @@ class RoutingEngine:
     def __init__(
         self,
         grid: Grid3D,
-        cache_bytes: int = 96 * 2**20,
+        max_tables: int = 64,
         max_repair_fraction: float = 0.04,
     ):
         self.grid = grid
-        self.cache_bytes = require_count(cache_bytes, "cache_bytes", 1)
+        self.max_tables = require_count(max_tables, "max_tables", 1)
         self.max_repair_fraction = require_probability(max_repair_fraction, "max_repair_fraction")
         self._cache: OrderedDict[tuple[Link, ...], RoutingTables] = OrderedDict()
-        self._cached_bytes = 0
         self.hits = 0
         self.misses = 0
         self.incremental_repairs = 0
@@ -105,13 +119,12 @@ class RoutingEngine:
             self._cache.move_to_end(key)
             return cached
         tables = self._build(design)
-        # Any pair-table accessor builds them all, so ``nbytes`` is final.
+        # Every served table is scored at once: build its pair tables here
+        # (any accessor builds them all), inside the routing layer.
         tables.pair_lengths()
         self._cache[key] = tables
-        self._cached_bytes += tables.nbytes
-        while self._cached_bytes > self.cache_bytes and len(self._cache) > 1:
-            _, evicted = self._cache.popitem(last=False)
-            self._cached_bytes -= evicted.nbytes
+        if len(self._cache) > self.max_tables:
+            self._cache.popitem(last=False)
         return tables
 
     def _build(self, design: NocDesign) -> RoutingTables:
@@ -156,5 +169,5 @@ class RoutingEngine:
             "requests": self.requests,
             "hit_rate": self.hit_rate,
             "cached_topologies": len(self._cache),
-            "cached_bytes": self._cached_bytes,
+            "cached_bytes": sum(tables.nbytes for tables in self._cache.values()),
         }

@@ -1,11 +1,16 @@
 """Tests for the Table I / Table II / Fig. 3 builders."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
 from repro import Study
+from repro.experiments.runner import MANIFEST_NAME, load_manifest
 from repro.experiments.tables import (
     BASELINES,
+    aggregate_campaign,
     build_figure3,
     format_figure3,
     format_table,
@@ -16,6 +21,21 @@ from repro.experiments.tables import (
 def smoke_runs():
     study = Study(preset="smoke").algorithms("MOELA", *BASELINES)
     return study.experiment(), study.run()
+
+
+@pytest.fixture(scope="module")
+def smoke_campaign(tmp_path_factory):
+    """The ``repro campaign --smoke`` grid: MOEA/D vs NSGA-II, no MOELA."""
+    output_dir = tmp_path_factory.mktemp("smoke-campaign")
+    study = (
+        Study(preset="smoke")
+        .apps("BFS", "BP")
+        .evaluations(60)
+        .algorithms("MOEA/D", "NSGA-II")
+        .campaign(output_dir)
+    )
+    study.run()
+    return study.experiment(), output_dir
 
 
 class TestRunMap:
@@ -83,3 +103,43 @@ class TestTables:
             assert app in text
         figure_text = format_figure3(build_figure3(experiment, result.runs))
         assert "EDP" in figure_text
+
+
+class TestComparisonWithoutMOELA:
+    def test_figure3_compares_the_target_with_the_baselines(self, smoke_campaign):
+        experiment, output_dir = smoke_campaign
+        result = aggregate_campaign(output_dir)
+        assert (result.target, result.baselines) == ("MOEA/D", ("NSGA-II",))
+        figure = build_figure3(experiment, result.runs)
+        assert "vs MOEA/D" in figure.name
+        assert figure.columns() == [("NSGA-II", 3)]
+        assert figure.applications() == result.table1().applications() == ["BFS", "BP"]
+        for cell in figure.cells:
+            assert np.isfinite(cell.value)
+        assert "EDP" in format_figure3(figure)
+
+    def test_figure3_skips_groups_without_the_target(self, smoke_campaign):
+        experiment, output_dir = smoke_campaign
+        runs = aggregate_campaign(output_dir).runs
+        del runs[("BP", 3)]["MOEA/D"]
+        figure = build_figure3(experiment, runs)
+        assert figure.applications() == ["BFS"]
+        assert figure.columns() == [("NSGA-II", 3)]
+
+
+class TestRoutingCacheSummary:
+    def test_summary_sums_the_shards_without_the_manifest_record(self, smoke_campaign, tmp_path):
+        """A campaign killed before its final manifest rewrite has no
+        ``routing_cache`` record; every cell owns its engine, so the summary
+        is the sum of the shards' own counters."""
+        _, output_dir = smoke_campaign
+        recorded = load_manifest(output_dir)["routing_cache"]
+        assert recorded["requests"] > 0 and recorded["cells_counted"] == 4
+        copy = tmp_path / "campaign"
+        shutil.copytree(output_dir, copy)
+        manifest = load_manifest(copy)
+        del manifest["routing_cache"]
+        (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
+        result = aggregate_campaign(copy)
+        assert result.campaign.routing_cache is None
+        assert result.routing_cache_summary() == recorded

@@ -1,24 +1,24 @@
 """Tests for the cross-design route cache (RoutingEngine) and move deltas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import make_problem, run_algorithm
+from repro.moo.termination import Budget
 from repro.noc.constraints import random_design
 from repro.noc.design import MoveDelta, NocDesign, annotate_move, move_delta_of
 from repro.noc.moves import MoveGenerator, mutate
+from repro.noc.platform import PlatformConfig
 from repro.noc.crossover import crossover
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
 from repro.objectives.evaluator import ObjectiveEvaluator, scenario_for
 from repro.workloads.registry import get_workload
+from tests.golden.test_front_fingerprints import front_fingerprint
 from tests.oracles.routing import router_ports, tree_link_loads
-
-
-def engine_table_bytes(platform, design) -> int:
-    """Bytes a materialised table for ``design`` adds to an engine's budget."""
-    tables = RoutingTables(design, platform.grid)
-    tables.pair_hops()
-    return tables.nbytes
 
 
 def assert_tables_identical(left: RoutingTables, right: RoutingTables) -> None:
@@ -141,14 +141,12 @@ class TestRoutingEngine:
         tables = engine.tables(forged)
         assert_tables_identical(tables, RoutingTables(design_b, small_config.grid))
 
-    def test_lru_eviction_bounds_cache_bytes(self, small_config):
+    def test_lru_eviction_bounds_the_table_count(self, small_config):
         designs = [random_design(small_config, seed) for seed in range(4)]
-        sizes = [engine_table_bytes(small_config, design) for design in designs]
-        engine = RoutingEngine(small_config.grid, cache_bytes=sizes[-2] + sizes[-1])
-        for design in designs:
-            engine.tables(design)
+        engine = RoutingEngine(small_config.grid, max_tables=2)
+        kept = [engine.tables(design) for design in designs][-2:]
         assert len(engine) == 2
-        assert engine.stats()["cached_bytes"] == sizes[-2] + sizes[-1]
+        assert engine.stats()["cached_bytes"] == sum(tables.nbytes for tables in kept)
         engine.tables(designs[-1])
         assert (engine.hits, engine.misses) == (1, 4)
         engine.tables(designs[0])
@@ -160,8 +158,7 @@ class TestRoutingEngine:
 
     def test_hit_refreshes_recency(self, small_config):
         designs = [random_design(small_config, seed) for seed in range(3)]
-        sizes = [engine_table_bytes(small_config, design) for design in designs]
-        engine = RoutingEngine(small_config.grid, cache_bytes=sizes[0] + max(sizes[1:]))
+        engine = RoutingEngine(small_config.grid, max_tables=2)
         engine.tables(designs[0])
         engine.tables(designs[1])
         engine.tables(designs[0])  # hit: designs[1] is now least recently used
@@ -183,31 +180,32 @@ class TestRoutingEngine:
 
     def test_invalid_parameters_rejected(self, small_config):
         with pytest.raises(ValueError):
-            RoutingEngine(small_config.grid, cache_bytes=0)
+            RoutingEngine(small_config.grid, max_tables=0)
         with pytest.raises(ValueError):
             RoutingEngine(small_config.grid, max_repair_fraction=1.5)
 
-    def test_cache_size_is_not_a_parameter(self, small_config):
+    @pytest.mark.parametrize("retired", ["cache_size", "cache_bytes"])
+    def test_retired_cache_bounds_are_not_parameters(self, small_config, retired):
         with pytest.raises(TypeError):
-            RoutingEngine(small_config.grid, cache_size=2)
+            RoutingEngine(small_config.grid, **{retired: 2})
 
-    @pytest.mark.parametrize("cache_bytes", [2.7, "5", True])
-    def test_non_integer_cache_bytes_raises_type_error(self, small_config, cache_bytes):
-        """Fractions, strings and bools are not truncated to a byte budget."""
-        with pytest.raises(TypeError):
-            RoutingEngine(small_config.grid, cache_bytes=cache_bytes)
+    @pytest.mark.parametrize("max_tables", [2.7, "5", True])
+    def test_non_integer_max_tables_raises_type_error(self, small_config, max_tables):
+        """Fractions, strings and bools are not truncated to a table count."""
+        with pytest.raises(TypeError, match=f"max_tables must be an integer, got {max_tables!r}"):
+            RoutingEngine(small_config.grid, max_tables=max_tables)
 
-    def test_integer_like_cache_bytes_is_accepted(self, small_config):
-        engine = RoutingEngine(small_config.grid, cache_bytes=np.int64(3))
-        assert engine.cache_bytes == 3 and type(engine.cache_bytes) is int
+    def test_integer_like_max_tables_is_accepted(self, small_config):
+        engine = RoutingEngine(small_config.grid, max_tables=np.int64(3))
+        assert engine.max_tables == 3 and type(engine.max_tables) is int
 
-    @pytest.mark.parametrize("cache_bytes", [0, -1, np.int64(-5)])
-    def test_cache_bytes_below_one_raises_value_error(self, small_config, cache_bytes):
-        with pytest.raises(ValueError, match="cache_bytes must be >= 1"):
-            RoutingEngine(small_config.grid, cache_bytes=cache_bytes)
+    @pytest.mark.parametrize("max_tables", [0, -1, np.int64(-5)])
+    def test_max_tables_below_one_raises_value_error(self, small_config, max_tables):
+        with pytest.raises(ValueError, match=f"max_tables must be >= 1, got {int(max_tables)}"):
+            RoutingEngine(small_config.grid, max_tables=max_tables)
 
-    def test_budget_below_one_table_keeps_only_the_newest(self, small_config):
-        engine = RoutingEngine(small_config.grid, cache_bytes=1)
+    def test_one_table_cap_keeps_only_the_newest(self, small_config):
+        engine = RoutingEngine(small_config.grid, max_tables=1)
         first, second = (random_design(small_config, seed) for seed in range(2))
         engine.tables(first)
         newest = engine.tables(second)
@@ -216,6 +214,29 @@ class TestRoutingEngine:
         assert engine.stats()["cached_bytes"] == newest.nbytes
         engine.tables(first)
         assert (engine.hits, engine.misses) == (1, 3)
+
+    @pytest.mark.parametrize("max_tables", [1, 2, 5])
+    def test_newest_table_is_always_kept(self, small_config, rng, max_tables):
+        """Whatever the cap and whether a request hit, was repaired or was
+        built fresh, the table just served is cached and is the most recent."""
+        engine = RoutingEngine(small_config.grid, max_tables=max_tables)
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        for step in range(24):
+            if step % 5 == 4:
+                design = random_design(small_config, rng)
+            elif step % 3:
+                design = moves.rewire_link(design, rng) or design
+            else:
+                design = moves.swap_pe(design, rng)
+            served = engine.tables(design)
+            assert len(engine) <= max_tables
+            assert next(reversed(engine._cache)) == design.links
+            assert engine._cache[design.links] is served
+            assert engine.stats()["cached_bytes"] == sum(
+                tables.nbytes for tables in engine._cache.values()
+            )
+        assert engine.hits and engine.incremental_repairs and engine.misses
 
     def test_stats_hold_only_the_engine_counters(self, small_config, rng):
         engine = RoutingEngine(small_config.grid)
@@ -235,8 +256,8 @@ class TestRoutingEngine:
         }
 
     def test_cached_bytes_sum_the_cached_tables(self, small_config, rng):
-        """The running total equals the tables' ``nbytes`` after every
-        objective has read them, so no table grows once it is cached."""
+        """The gauge equals the tables' ``nbytes`` after every objective has
+        read them, so no table grows once it is cached."""
         evaluator = ObjectiveEvaluator(get_workload("BFS", small_config, seed=0), scenario_for(5))
         engine = evaluator.routing_engine
         moves = MoveGenerator(small_config)
@@ -245,6 +266,43 @@ class TestRoutingEngine:
         evaluator.evaluate_many(designs)
         assert len(engine) == 3 and engine.incremental_repairs == 1
         assert engine.stats()["cached_bytes"] == sum(tables.nbytes for tables in engine._cache.values())
+
+
+
+class TestRetention:
+    """The cap only moves time: a seeded search scores the same designs
+    whatever the engine keeps, because hit, repair and miss build
+    byte-identical tables."""
+
+    @staticmethod
+    def search(algorithm: str, max_tables: int):
+        experiment = replace(
+            ExperimentConfig(),
+            platform=PlatformConfig.small_3x3x3(),
+            population_size=8,
+            max_evaluations=120,
+        )
+        problem = make_problem(experiment, "BFS", 5)
+        engine = RoutingEngine(experiment.platform.grid, max_tables=max_tables)
+        problem.evaluator.routing_engine = engine
+        result = run_algorithm(
+            algorithm, problem, experiment, budget=Budget.evaluations(120), seed=11
+        )
+        return result, engine
+
+    @pytest.mark.parametrize("algorithm", ["NSGA-II", "MOELA", "MOOS"])
+    def test_front_is_independent_of_the_cap(self, algorithm):
+        reference, unbounded = self.search(algorithm, max_tables=10**6)
+        built = unbounded.misses + unbounded.incremental_repairs
+        assert len(unbounded) == built > 8
+        fingerprint = front_fingerprint(reference)
+        for max_tables in (1, 8, 64, built + 1):
+            result, engine = self.search(algorithm, max_tables)
+            assert len(engine) == min(max_tables, engine.misses + engine.incremental_repairs)
+            assert front_fingerprint(result) == fingerprint, max_tables
+            assert result.evaluations == reference.evaluations
+            if max_tables > built:
+                assert engine.stats() == unbounded.stats()
 
 
 class TestFromLinks:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.study.study import PLATFORM_FACTORIES
+from repro.workloads.registry import get_workload
+from repro.workloads.rodinia import RODINIA_APPLICATIONS
 from repro.workloads.workload import Workload
 
 
@@ -72,3 +75,19 @@ class TestViews:
         assert np.allclose(scaled.power, tiny_workload.power)
         with pytest.raises(ValueError):
             tiny_workload.scaled(0.0)
+
+
+@pytest.mark.parametrize("platform", sorted(set(PLATFORM_FACTORIES.values()), key=lambda f: f.__name__))
+def test_tile_traffic_gathers_the_fancy_index_bytes(platform):
+    """The two ``take`` gathers give exactly ``traffic[np.ix_(p, p)]``, on
+    every platform preset and application."""
+    config = platform()
+    rng = np.random.default_rng(0)
+    for application in RODINIA_APPLICATIONS:
+        workload = get_workload(application, config, seed=0)
+        for placement in (np.arange(config.num_tiles), rng.permutation(config.num_tiles)):
+            expected = workload.traffic[np.ix_(placement, placement)]
+            gathered = workload.tile_traffic(placement)
+            assert gathered.dtype == expected.dtype and gathered.shape == expected.shape
+            assert gathered.flags.c_contiguous
+            assert gathered.tobytes() == expected.tobytes()
