@@ -39,7 +39,7 @@ from tests.golden.test_front_fingerprints import front_fingerprint
 from tests.oracles import pareto as pareto_oracle
 from tests.oracles.constraints import random_link_placement_reference, repair_links_reference
 from tests.oracles.objectives import evaluate_reference
-from tests.oracles.routing import tree_link_loads
+from tests.oracles.routing import scipy_distances, tree_link_loads
 from tests.oracles.simulation import simulate_reference
 from tests.oracles.tree import RandomForestRegressor as OracleForest
 
@@ -351,8 +351,8 @@ def test_routing_cache_speedup_placement_brood():
 
     This is the acceptance criterion of the RoutingEngine work: placement
     moves dominate local-search broods, their children share the parent's
-    link set, and the engine serves them from the cache without a single
-    Dijkstra run.  Marked ``perf`` so noisy environments can deselect it
+    link set, and the engine serves them from the cache without building a
+    single table.  Marked ``perf`` so noisy environments can deselect it
     structurally with ``-m "not perf"`` (the CI test job does).
     """
     payload = run_routing_cache_bench()
@@ -616,6 +616,39 @@ def test_link_loads_match_tree_oracle_smoke():
             loads = tables.link_loads(frequencies)
             expected = tree_link_loads(tables, frequencies)
             assert loads.tobytes() == expected.tobytes(), f"{platform.name} {label}"
+
+
+def _best_seconds(call, rounds: int = 5) -> float:
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_all_pairs_kernel_smoke():
+    """Integer all-pairs distances give scipy Dijkstra's bytes (timings printed, not gated).
+
+    At 64 and 256 tiles: the float32 distances of a fresh table and of a
+    rewired child repaired from it, against ``scipy_distances``.  Prints the
+    best of five fresh kernel runs and of five oracle runs.
+    """
+    for platform in (PlatformConfig.paper_4x4x4(), PlatformConfig.big_8x8x4()):
+        parent = random_design(platform, 0)
+        rng = np.random.default_rng(1)
+        child = None
+        while child is None:
+            child = MoveGenerator(platform).rewire_link(parent, rng)
+        fresh = RoutingTables(parent, platform.grid)
+        repaired = fresh.incremental_update(child.links)
+        for label, tables in (("fresh", fresh), ("repair", repaired)):
+            expected = scipy_distances(tables)
+            assert tables._distance.tobytes() == expected.tobytes(), f"{platform.name} {label}"
+        kernel = _best_seconds(fresh._fresh_distances)
+        oracle = _best_seconds(lambda: scipy_distances(fresh))
+        print(f"\n{platform.name}: all-pairs kernel {kernel * 1e3:.2f} ms, "
+              f"scipy Dijkstra {oracle * 1e3:.2f} ms")
 
 
 def test_route_cache_retention_smoke():

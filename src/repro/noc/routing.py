@@ -12,33 +12,47 @@ Construction
 Tables are built so they can be shared read-only across designs and repaired
 incrementally:
 
-* ``scipy.sparse.csgraph`` computes only the all-pairs *distance* matrix;
-* predecessors are then derived canonically from the distances
+* Link weights are ``1 + epsilon * length`` with integer lengths and
+  ``epsilon = 2**-10``, so a distance is exactly ``hops + length / 1024``:
+  the integer ``q = 1024 * hops + length`` scaled down.  All-pairs
+  distances are computed on ``q`` by Floyd–Warshall (one vectorised
+  ``min(d, d[k, :, None] + d[k])`` per pivot ``k``) in int16, with a cap of
+  ``2**14 - 1`` so that the sum of two entries still fits.  An entry still
+  at the cap after the pass is an unreachable pair or a route of 16 hops or
+  more; only then is the table redone in int32.  Integer arithmetic is
+  exact in any order, so the result, stored as float32 ``q / 1024`` (exact
+  while ``q < 2**24``) with ``inf`` for unreachable pairs, is what any exact
+  shortest-path solver would give, byte for byte.
+* Predecessors are then derived canonically from the distances
   (:meth:`RoutingTables._canonical_predecessors`): the predecessor of ``v`` on
   the route from ``i`` is the smallest-id neighbour ``u`` with
-  ``dist(i, u) + w(u, v) == dist(i, v)``.  Link weights are
-  ``1 + epsilon * length`` with integer lengths and ``epsilon = 2**-10``, so
-  every weight and every sum of weights is exact in binary: a distance is
-  exactly ``hops + length / 1024`` whatever the path or the summation order,
-  distinct ``(hops, length)`` combinations differ by at least ``epsilon``,
-  and the tie test is a pure function of the distance matrix — immune to
-  heap-order artefacts of the Dijkstra implementation.  That property is
-  what makes :meth:`RoutingTables.incremental_update` exact, down to the
-  bytes of the distance matrix.  The distances are stored as float32, which
-  holds them exactly while ``1024 * distance < 2**24``.
+  ``dist(i, u) + w(u, v) == dist(i, v)``.  Weights and sums of weights are
+  exact in binary, distinct ``(hops, length)`` combinations differ by at
+  least ``epsilon``, and the tie test is a pure function of the distance
+  matrix.  That is what makes :meth:`RoutingTables.incremental_update`
+  exact, down to the bytes of the distance matrix.
 
 Pair-granular repair
 --------------------
-A rewire changes few routes, so a repair re-derives only the distances and
-predecessors it can change:
+A rewire changes few routes, so a repair updates the parent's integer
+distances in place and re-derives only the predecessors that can change:
 
+* removed links change only the rows of the *cut* sources ``C``, whose route
+  tree crossed one; every other row keeps its distances, and since links are
+  undirected so does its column.  Only the ``C x C`` block is unknown: it is
+  seeded with the links inside ``C``, relaxed through every kept source
+  ``k`` (``min(block, d[k, C, None] + d[k, C])``) and closed by
+  Floyd–Warshall over the pivots in ``C``;
+* each added link ``(a, b)`` then updates every pair in closed form,
+  ``d = min(d, d[:, a] + w + d[b], d[:, b] + w + d[a])`` (a shortest route
+  crosses a new link at most once);
+* a repair whose result still holds an entry at the cap falls back to a
+  fresh build of the distances;
 * only the *affected* sources — whose route tree crosses a removed link, or
-  whose distances an added link ties or beats — get new distances, and of
-  those only the sources a removed link cuts (plus the added links' ends)
-  re-run Dijkstra; the rest gain links only and are updated in closed form;
-* inside an affected row, a canonical predecessor is re-derived only where
-  its inputs changed: the node's distance, a neighbour's distance, or its
-  incident links.
+  whose distances an added link ties or beats — can change predecessors,
+  and inside an affected row a canonical predecessor is re-derived only
+  where its inputs changed: the node's distance, a neighbour's distance,
+  or its incident links.
 
 Every per-pair table of the child is then derived from its own
 predecessors, as on a fresh build, and nothing is copied from the parent's
@@ -103,16 +117,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.noc.design import NocDesign
 from repro.noc.geometry import Grid3D
 from repro.noc.links import Link, link_ends, link_lengths_array
 
-#: scipy's "no predecessor" sentinel (source itself or unreachable pair).
+#: The "no predecessor" sentinel (source itself or unreachable pair).
 #: Predecessors are tile ids or this sentinel, so they are stored as int16.
 NO_PREDECESSOR = -9999
+
+#: Integer distance kernels: ``(dtype, cap)`` tried in order.  Entries never
+#: exceed the cap and the sum of two caps fits the dtype, so a pivot step
+#: cannot overflow; an entry at the cap is unreachable or at least that far.
+_DISTANCE_CAPS = ((np.int16, 2**14 - 1), (np.int32, 2**30 - 1))
 
 
 class RoutingTables:
@@ -138,6 +155,9 @@ class RoutingTables:
     #: A power of two: ``1 + length / 1024`` and every sum of such weights is
     #: exact in binary (and in float32 while ``1024 * distance < 2**24``).
     _LENGTH_EPSILON = 2.0**-10
+    #: ``1 / epsilon``: a distance is the integer ``scale * hops + length``
+    #: divided by this scale, and the kernels compute on that integer.
+    _LENGTH_SCALE = round(1 / _LENGTH_EPSILON)
     #: Distances are exactly ``hops + epsilon * length`` with integer
     #: hops/lengths, so different values are at least ``epsilon`` apart and
     #: equal ones are equal bit for bit; the tolerance only has to sit below
@@ -160,9 +180,9 @@ class RoutingTables:
     # Construction
     # ------------------------------------------------------------------ #
     def _build(self, links: tuple[Link, ...], num_tiles: int, grid: Grid3D) -> None:
-        """Full fresh build: graph setup, all-pairs Dijkstra, canonical routes."""
+        """Full fresh build: graph setup, all-pairs distances, canonical routes."""
         self._setup_static(links, num_tiles, grid)
-        self._distance = dijkstra(self._graph).astype(np.float32)
+        self._distance = self._fresh_distances()
         self._predecessors = self._canonical_predecessors(self._distance)
         self._reset_lazy()
 
@@ -179,22 +199,20 @@ class RoutingTables:
         # (a, b), so these keys are ascending — searchsorted-friendly.
         self._link_keys = ends_a * np.int64(num_tiles) + ends_b
         self.link_lengths = link_lengths_array(links, grid)
-        self._weights = 1.0 + self._LENGTH_EPSILON * self.link_lengths
-        # The graph as a CSR matrix grouped by head: row ``v`` lists the tails
-        # of ``v``'s in-edges, ascending (the link list is sorted and the sort
-        # stable).  Links are undirected, so that is also the adjacency and
-        # Dijkstra runs on it as a directed graph (no symmetrising pass); the
-        # canonical predecessor derivation reads the same rows.
+        self._weights = (self._LENGTH_SCALE + self.link_lengths) / self._LENGTH_SCALE
+        # Directed edges grouped by head: the in-edges of ``v`` are
+        # ``_in_tails[_head_ptr[v]:_head_ptr[v + 1]]``, ascending (the link
+        # list is sorted and the sort stable).  Links are undirected, so
+        # they are also ``v``'s neighbours.  The weights are dyadic, so
+        # float32 holds them exactly.
         tails = np.concatenate((ends_a, ends_b))
         heads = np.concatenate((ends_b, ends_a))
         order = np.argsort(heads, kind="stable")
         head_ptr = np.zeros(num_tiles + 1, dtype=np.int32)
         np.cumsum(np.bincount(heads, minlength=num_tiles), out=head_ptr[1:])
-        weights = np.concatenate((self._weights, self._weights))
-        self._graph = csr_matrix(
-            (weights[order], tails[order].astype(np.int32), head_ptr),
-            shape=(num_tiles, num_tiles),
-        )
+        self._in_tails = tails[order].astype(np.int32)
+        self._in_weights = np.concatenate((self._weights, self._weights))[order].astype(np.float32)
+        self._head_ptr = head_ptr
 
     def _reset_lazy(self) -> None:
         # Lazily built batch structures (see _build_pair_tables).
@@ -207,14 +225,39 @@ class RoutingTables:
         self._pair_ports: np.ndarray | None = None
         self._reachable: np.ndarray | None = None
 
-    def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed edges grouped by head: ``(tails, weights, head_ptr)``.
+    def _link_steps(self, cap: int) -> np.ndarray:
+        """Integer link weights ``scale + length``, clamped to ``cap``."""
+        steps = np.minimum(self._LENGTH_SCALE + self.link_lengths, cap)
+        return steps.astype(np.int64)
 
-        The in-edges of node ``v`` are ``tails[head_ptr[v]:head_ptr[v + 1]]``,
-        ascending; the graph is undirected, so they are also ``v``'s
-        neighbours.  These are the arrays of the CSR graph itself.
+    def _fresh_distances(self) -> np.ndarray:
+        """All-pairs distances by Floyd–Warshall on the integers ``q``.
+
+        Runs in int16 and redoes the table in int32 only when an entry is
+        still at the int16 cap: an unreachable pair or a route of 16 hops or
+        more.  An entry at the int32 cap is unreachable.
         """
-        return self._graph.indices, self._graph.data, self._graph.indptr
+        num_tiles = self.num_tiles
+        for dtype, cap in _DISTANCE_CAPS:
+            q = np.full((num_tiles, num_tiles), cap, dtype=dtype)
+            q[self._ends_a, self._ends_b] = q[self._ends_b, self._ends_a] = self._link_steps(cap)
+            np.fill_diagonal(q, 0)
+            _floyd_warshall(q)
+            if q.max() < cap:
+                break
+        return self._scaled_distances(q, cap)
+
+    def _scaled_distances(self, q: np.ndarray, cap: int) -> np.ndarray:
+        """Float32 distances ``q / scale``, ``inf`` where ``q`` is at the cap."""
+        distance = np.multiply(q, np.float32(1 / self._LENGTH_SCALE), dtype=np.float32)
+        if q.max() == cap:
+            distance[q == cap] = np.inf
+        return distance
+
+    def _integer_distances(self, dtype: type, cap: int) -> np.ndarray:
+        """This table's distances as integers ``q``, clamped to ``cap``."""
+        scaled = self._distance * np.float32(self._LENGTH_SCALE)
+        return np.minimum(scaled, cap, out=scaled).astype(dtype)
 
     def _canonical_predecessors(self, distance_rows: np.ndarray) -> np.ndarray:
         """Derive lexicographic-minimal predecessors from a distance block.
@@ -223,10 +266,10 @@ class RoutingTables:
         neighbour ``u`` of ``v`` with ``dist(u) + w(u, v) == dist(v)`` (within
         the tie tolerance).  Because edge weights strictly decrease along the
         chain, the walk always terminates at the source.  The result depends
-        only on the distances and the graph — not on how Dijkstra happened to
-        visit equal-cost alternatives — which makes routes reproducible across
-        fresh builds and incremental repairs.  :meth:`_local_predecessors`
-        applies the same test to listed entries only.
+        only on the distances and the graph — not on how the distances were
+        computed — which makes routes reproducible across fresh builds and
+        incremental repairs.  :meth:`_local_predecessors` applies the same
+        test to listed entries only.
         """
         num_sources = distance_rows.shape[0]
         num_tiles = self.num_tiles
@@ -234,10 +277,7 @@ class RoutingTables:
         if self.num_links:
             # Edges sorted by head, so a single reduceat computes, per
             # (source, head), the minimum tail satisfying the tie test.
-            tails, weights, head_ptr = self._in_edges()
-            # Weights and their sums are dyadic, so the float32 test is exact
-            # and its (sources x in-edges) temporaries are half the size.
-            weights = weights.astype(distance_rows.dtype)
+            tails, weights, head_ptr = self._in_tails, self._in_weights, self._head_ptr
             degrees = np.diff(head_ptr)
             heads = np.repeat(np.arange(num_tiles), degrees)
             # inf - inf (both endpoints unreachable) yields nan, which the
@@ -261,7 +301,7 @@ class RoutingTables:
         """
         num_tiles = self.num_tiles
         result = np.full(entries.size, NO_PREDECESSOR, dtype=np.int16)
-        tails, weights, head_ptr = self._in_edges()
+        tails, weights, head_ptr = self._in_tails, self._in_weights, self._head_ptr
         nodes = entries % num_tiles
         degrees = head_ptr[nodes + 1] - head_ptr[nodes]
         linked = np.flatnonzero(degrees)
@@ -297,7 +337,7 @@ class RoutingTables:
         with np.errstate(invalid="ignore"):
             stale = np.abs(new_rows - old_rows) > self._TIE_TOLERANCE
         moved = np.flatnonzero(stale)
-        tails, _, head_ptr = self._in_edges()
+        tails, head_ptr = self._in_tails, self._head_ptr
         nodes = moved % num_tiles
         degrees = head_ptr[nodes + 1] - head_ptr[nodes]
         edges, _ = _segment_ranges(head_ptr[nodes], degrees)
@@ -306,47 +346,64 @@ class RoutingTables:
         return np.flatnonzero(stale)
 
     def _repaired_distances(
-        self, parent: "RoutingTables", cut: np.ndarray, affected: np.ndarray, added: np.ndarray
+        self, parent: "RoutingTables", cut: np.ndarray, added: np.ndarray
     ) -> np.ndarray:
-        """The parent's distance matrix with the ``affected`` source rows updated.
+        """The parent's distances repaired in place for this table's links.
 
-        Sources a removed link ``cut`` re-run Dijkstra, and so do both ends
-        of every ``added`` link (each is affected: the link ties or beats its
-        old route).  Any other affected source only gains links: none of its
-        old routes crosses a removed link, so its old distances still hold
-        without the added ones.  Its shortest route then either keeps the
-        old distance or reaches the first added link it uses the old way,
-        crosses it and continues along the far end's re-run row.
+        Removed links change only the rows (and, links being undirected, the
+        columns) of the ``cut`` sources, whose route tree used one: their
+        block is rebuilt from the links inside it and the routes through
+        every kept source, then closed by Floyd–Warshall over its own
+        pivots.  Each ``added`` link then relaxes every pair through
+        itself.  A result with an entry at the cap falls back to a fresh
+        build.
         """
-        distance = parent._distance.copy()
-        new_a, new_b, weight = self._ends_a[added], self._ends_b[added], self._weights[added]
-        rerun = cut.copy()
-        rerun[new_a] = rerun[new_b] = True
-        rerun_rows = np.flatnonzero(rerun)
-        if rerun_rows.size:
-            distance[rerun_rows] = dijkstra(self._graph, indices=rerun_rows)
-        gained = np.flatnonzero(affected & ~rerun)
-        if gained.size:
-            block = distance[gained]
-            for x, y, w in zip(np.r_[new_a, new_b], np.r_[new_b, new_a], np.r_[weight, weight]):
-                np.minimum(block, parent._distance[gained, x][:, None] + w + distance[y], out=block)
-            distance[gained] = block
-        return distance
+        dtype, cap = _DISTANCE_CAPS[0]
+        q = parent._integer_distances(dtype, cap)
+        steps = self._link_steps(cap)
+        sources = np.flatnonzero(cut)
+        if sources.size:
+            position = np.cumsum(cut) - 1
+            inside = cut[self._ends_a] & cut[self._ends_b]
+            a, b = position[self._ends_a[inside]], position[self._ends_b[inside]]
+            block = np.full((sources.size, sources.size), cap, dtype=dtype)
+            block[a, b] = block[b, a] = steps[inside]
+            np.fill_diagonal(block, 0)
+            # A route through a kept source ``k`` costs ``q[k, i] + q[k, j]``
+            # from ``k``'s unchanged row.  ``np.ix_`` keeps the gathered rows
+            # contiguous; one kept source at a time beats a 3-D broadcast.
+            via = np.empty_like(block)
+            for row in q[np.ix_(~cut, sources)]:
+                np.add(row[:, None], row, out=via)
+                np.minimum(block, via, out=block)
+            _floyd_warshall(block)
+            q[np.ix_(sources, sources)] = block
+        for a, b, step in zip(
+            self._ends_a[added].tolist(), self._ends_b[added].tolist(), steps[added].tolist()
+        ):
+            # Routes i -> a -> b -> j, from rows taken before the update;
+            # the transpose gives i -> b -> a -> j.
+            via = np.add.outer(np.minimum(q[a] + step, cap), q[b])
+            np.minimum(q, via, out=q)
+            np.minimum(q, via.T, out=q)
+        if q.max() == cap:
+            return self._fresh_distances()
+        return self._scaled_distances(q, cap)
 
     def incremental_update(self, new_links: "Sequence[Link] | Iterable[Link]") -> "RoutingTables":
         """New tables for a changed link set, re-deriving only the routes that change.
 
-        A source must be re-run when its canonical route tree crosses a
-        removed link, or when an added link strictly improves — or ties —
-        the distance to one of its endpoints (a tie can change the canonical
-        predecessor choice).  Every other source provably keeps identical
-        distances and canonical routes, so its rows are copied.  Affected
-        rows get new distances (:meth:`_repaired_distances`), but a
-        predecessor is re-derived only where its inputs changed
-        (:meth:`_stale_entries`).  The pair tables are left to the child's
-        own lazy build.  Cached tables stay untouched ("repair" returns a new
-        instance), because the parent's entry remains live under its own
-        topology key.
+        The parent's distances are repaired in place
+        (:meth:`_repaired_distances`).  A source's predecessors can change
+        only when its canonical route tree crosses a removed link, or when
+        an added link strictly improves — or ties — the distance to one of
+        its endpoints (a tie can change the canonical predecessor choice).
+        Every other source provably keeps identical distances and canonical
+        routes, so its rows are copied; in an affected row a predecessor is
+        re-derived only where its inputs changed (:meth:`_stale_entries`).
+        The pair tables are left to the child's own lazy build.  Cached
+        tables stay untouched ("repair" returns a new instance), because the
+        parent's entry remains live under its own topology key.
 
         The result is bit-identical (distances, routes, hops, pair tables)
         to a fresh :class:`RoutingTables` build for ``new_links``.
@@ -374,7 +431,7 @@ class RoutingTables:
         relevant &= ~(np.isinf(dist_a) & np.isinf(dist_b))
         affected = cut | relevant.any(axis=1)
 
-        distance = updated._repaired_distances(self, cut, affected, added)
+        distance = updated._repaired_distances(self, cut, added)
         predecessors = self._predecessors.copy()
         rows = np.flatnonzero(affected)
         if rows.size:
@@ -456,14 +513,8 @@ class RoutingTables:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by this table's numpy arrays, the sparse graph included."""
-        total = 0
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif isinstance(value, csr_matrix):
-                total += value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
-        return total
+        """Bytes held by this table's numpy arrays."""
+        return sum(value.nbytes for value in vars(self).values() if isinstance(value, np.ndarray))
 
     def _build_pair_tables(self) -> None:
         """Lay the route trees out by hop level and derive every per-pair table.
@@ -493,7 +544,7 @@ class RoutingTables:
         if not np.array_equal(hops.take(parents) + 1, hops.take(pairs)):
             raise ValueError(
                 "route lengths too long to read hop counts off the distances: "
-                f"epsilon {self._LENGTH_EPSILON} times a route length reaches 0.5"
+                f"1/{self._LENGTH_SCALE} of a route length reaches 0.5"
             )
         if self.num_links > np.iinfo(np.int16).max + 1:
             raise OverflowError(f"{self.num_links} link ids do not fit the int16 last-hop table")
@@ -534,6 +585,19 @@ class RoutingTables:
         self._tree_pairs, self._tree_parents, self._tree_links = pairs, parent_rank, links
         self._level_starts = starts
         self._pair_hops, self._pair_lengths, self._pair_ports = hops, pair_lengths, pair_ports
+
+
+def _floyd_warshall(q: np.ndarray) -> None:
+    """Floyd–Warshall in place on a symmetric matrix of capped integer distances.
+
+    Every entry is at most the cap and two caps sum within the dtype, so
+    ``q[k, :, None] + q[k]`` cannot overflow and the minimum stays within the
+    cap.  The matrix is symmetric, so row ``k`` stands in for column ``k``.
+    """
+    via = np.empty_like(q)
+    for row in q:
+        np.add(row[:, None], row, out=via)
+        np.minimum(q, via, out=q)
 
 
 def _segment_ranges(firsts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Cross-design route cache with incremental updates (the RoutingEngine).
 
-Per-design all-pairs Dijkstra dominates batch evaluation, yet most designs an
-optimiser scores are one *move* away from a design it already scored: EA
-children produced by ``swap_pe`` / ``swap_llc`` keep the parent's link set
-unchanged, and ``rewire_link``-style moves touch only a couple of links.  The
+Building a design's all-pairs routes dominates batch evaluation, yet most
+designs an optimiser scores are one *move* away from a design it already
+scored: EA children produced by ``swap_pe`` / ``swap_llc`` keep the parent's
+link set unchanged, and ``rewire_link``-style moves touch only a couple of
+links.  The
 :class:`RoutingEngine` exploits this by owning a route cache keyed on the
 *link set alone* (routing never depends on the PE placement):
 
@@ -156,7 +157,7 @@ class RoutingEngine:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of requests served from the cache without any Dijkstra."""
+        """Fraction of requests served from the cache, with no table built or repaired."""
         requests = self.requests
         return self.hits / requests if requests else 0.0
 

@@ -48,8 +48,8 @@ def assert_byte_identical(adopted: RoutingTables, fresh: RoutingTables) -> None:
 
     The distances are pinned byte for byte too: link weights are
     ``1 + length / 1024``, so every path sum is exact in any summation
-    order, and a row kept from the parent, a row re-run by Dijkstra on the
-    child and a row updated in closed form all hold the same bits.
+    order, and a row kept from the parent, a row rebuilt in the cut block
+    and a row updated in closed form all hold the same bits.
     """
     weights = np.random.default_rng(0).random(fresh.num_tiles**2)
     assert adopted.link_loads(weights).tobytes() == fresh.link_loads(weights).tobytes()

@@ -131,10 +131,11 @@ def test_a_table_without_links_routes_nothing():
 
 
 def test_hop_counts_refuse_routes_too_long_for_the_tie_break(monkeypatch):
-    """With ``epsilon * length >= 0.5`` a distance no longer rounds to its hop
-    count; the tree check catches it instead of mislabelling levels."""
+    """With a length scale of 2, ``epsilon * length >= 0.5`` and a distance no
+    longer rounds to its hop count; the tree check catches it instead of
+    mislabelling levels."""
     platform = PlatformConfig.small_3x3x3()
-    monkeypatch.setattr(RoutingTables, "_LENGTH_EPSILON", 0.3)
+    monkeypatch.setattr(RoutingTables, "_LENGTH_SCALE", 2)
     tables = preset_tables(platform, 1)
     with pytest.raises(ValueError, match="route lengths too long"):
         tables.pair_hops()

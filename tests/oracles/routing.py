@@ -19,7 +19,9 @@ here:
 * :func:`canonical_csr` is the sorted-index CSR builder the route-order
   rows replaced (``tests/noc/test_routing_route_order.py``);
 * :func:`changed_route_pairs` compares two tables' tile paths pair by pair,
-  the brute-force twin of the changed-pair set a repair re-sweeps.
+  the brute-force twin of the changed-pair set a repair re-sweeps;
+* :func:`scipy_distances` is the retired all-pairs scipy Dijkstra that the
+  integer Floyd–Warshall kernel and the in-place repair replaced.
 
 :func:`route_tiles` and :func:`route_links` are the retired per-pair query
 API (``RoutingTables.path_tiles`` / ``path_links``): one route at a time,
@@ -33,6 +35,7 @@ from bisect import bisect_left
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.noc.links import Link, link_ends
 
@@ -241,3 +244,22 @@ def changed_route_pairs(parent, child) -> np.ndarray:
         ],
         dtype=np.int64,
     )
+
+
+def scipy_distances(tables) -> np.ndarray:
+    """All-pairs distances of a table's links by scipy Dijkstra, cast to float32.
+
+    Link weights are ``1 + epsilon * length``; ``inf`` marks an unreachable
+    pair.  Every path sum is exact in float64, so the cast gives the bytes a
+    table stores in ``_distance``.  A repeated link is kept once: the sparse
+    constructor would add up its copies' weights.
+    """
+    num_tiles = tables.num_tiles
+    ends, first = np.unique(link_ends(tables.links), axis=0, return_index=True)
+    lengths = np.asarray(tables.link_lengths, dtype=np.float64)[first]
+    weights = 1.0 + tables._LENGTH_EPSILON * lengths
+    graph = csr_matrix(
+        (np.r_[weights, weights], (np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]])),
+        shape=(num_tiles, num_tiles),
+    )
+    return dijkstra(graph).astype(np.float32)

@@ -2,7 +2,7 @@
 
 The central claim of the routing cache: for *any* sequence of moves, the
 tables the engine serves (cache hits, incremental repairs and fresh builds
-alike) are identical to a fresh all-pairs Dijkstra build — same paths, same
+alike) are identical to a fresh all-pairs build — same paths, same
 hop counts, same route-tree levels and link loads, and the same disconnection
 errors.
 """
